@@ -15,13 +15,14 @@ from .steady_state import (BistabilityWindow, MeanFieldBranch,
                            threshold_power)
 from .linear_dynamics import (NumericalError, characteristic_polynomial,
                               diffusion_matrix, drift_matrix, is_stable,
-                              solve_lyapunov, stability_oracle)
+                              solve_lyapunov)
 from .gaussian_measures import (ATOM_FIELD, BIPARTITIONS, MIRROR_ATOM,
                                 MIRROR_FIELD, Bipartition,
                                 EntanglementResult, bogoliubov_excitations,
                                 log_negativity, mirror_phonons,
                                 reduce_bipartition)
-from .sweep import SweepRow, SweepSpec, Variant, emit, run_sweep
+from .sweep import (SweepRow, SweepSpec, Variant, emit, evaluate_branch,
+                    run_sweep)
 from .presets import FIGURE_IDS, baseline_params, figure_preset
 from .config import ConfigError, load_config
 
@@ -37,11 +38,11 @@ __all__ = [
     "mean_field_cubic", "power_at_photon_number", "solve_mean_field",
     "threshold_power",
     "NumericalError", "characteristic_polynomial", "diffusion_matrix",
-    "drift_matrix", "is_stable", "solve_lyapunov", "stability_oracle",
+    "drift_matrix", "is_stable", "solve_lyapunov",
     "ATOM_FIELD", "BIPARTITIONS", "MIRROR_ATOM", "MIRROR_FIELD",
     "Bipartition", "EntanglementResult", "bogoliubov_excitations",
     "log_negativity", "mirror_phonons", "reduce_bipartition",
-    "SweepRow", "SweepSpec", "Variant", "emit", "run_sweep",
+    "SweepRow", "SweepSpec", "Variant", "emit", "evaluate_branch", "run_sweep",
     "FIGURE_IDS", "baseline_params", "figure_preset",
     "ConfigError", "load_config",
     "__version__",

@@ -14,21 +14,18 @@ failure (marginal stability or a singular covariance solve).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import List, Optional
 
-from . import gaussian_measures as gm
 from .config import ConfigError, load_config
-from .linear_dynamics import (NumericalError, characteristic_polynomial,
-                              diffusion_matrix, drift_matrix, is_stable,
-                              solve_lyapunov)
+from .linear_dynamics import NumericalError, diffusion_matrix
 from .model import ParameterError, derive_quantities
 from .presets import FIGURE_IDS, figure_preset
 from .steady_state import bistability_window, solve_mean_field
-from .sweep import emit, run_sweep
+from .sweep import emit, evaluate_branch, run_sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,30 +63,15 @@ def _build_parser() -> _Parser:
 
 def _point_report(params) -> dict:
     d = derive_quantities(params)
-    branches = solve_mean_field(params)
     diffusion = diffusion_matrix(d)
     entries = []
-    for branch in branches:
-        a = drift_matrix(branch, d)
-        branch.stability = is_stable(characteristic_polynomial(a))
-        entry = dataclasses.asdict(branch)
-        entry["measures"] = None
-        if branch.stability == "stable":
-            v = solve_lyapunov(a, diffusion)
-            entry["measures"] = {
-                "delta_n_m": gm.mirror_phonons(v),
-                "delta_n_c": gm.bogoliubov_excitations(v),
-                "e_n_mirror_field": gm.log_negativity(
-                    gm.reduce_bipartition(v, gm.MIRROR_FIELD)).log_negativity,
-                "e_n_atom_field": gm.log_negativity(
-                    gm.reduce_bipartition(v, gm.ATOM_FIELD)).log_negativity,
-                "e_n_mirror_atom": gm.log_negativity(
-                    gm.reduce_bipartition(v, gm.MIRROR_ATOM)).log_negativity,
-            }
+    for branch in solve_mean_field(params):
+        entry = asdict(branch)
+        entry["stability"], entry["measures"] = evaluate_branch(branch, d, diffusion)
         entries.append(entry)
     return {
-        "params": dataclasses.asdict(params),
-        "derived_quantities": dataclasses.asdict(d),
+        "params": asdict(params),
+        "derived_quantities": asdict(d),
         "branches": entries,
     }
 
@@ -114,18 +96,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             params, spec = load_config(args.config)
             if spec is None:
                 raise ConfigError("sweep: config file has no sweep section")
-            rows = run_sweep(spec)
-            if args.out is None:
-                buffer = sys.stdout.buffer
-                emit(rows, args.format, buffer, spec=spec)
-            else:
-                emit(rows, args.format, args.out, spec=spec)
+            destination = sys.stdout.buffer if args.out is None else args.out
+            emit(run_sweep(spec), args.format, destination, spec=spec)
         elif args.command == "figure":
-            spec = figure_preset(args.id)
-            rows = run_sweep(spec)
             os.makedirs(args.out, exist_ok=True)
             path = os.path.join(args.out, f"{args.id}.csv")
-            emit(rows, "csv", path, spec=spec)
+            emit(run_sweep(figure_preset(args.id)), "csv", path)
             print(path)
         elif args.command == "threshold":
             params, _ = load_config(args.config)
@@ -134,9 +110,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print("no bistability window")
             else:
                 print(f"{window.power_low * 1e3:.6g} {window.power_high * 1e3:.6g}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

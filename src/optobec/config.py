@@ -49,14 +49,18 @@ def _section(doc: Dict, name: str, required: bool) -> Optional[Dict]:
 
 
 def _number(section: Dict, path: str, key: str, default=None):
+    name = f"{path}.{key}" if path else key
     if key not in section:
         if default is None:
-            raise ConfigError(f"{path}.{key}: value is required")
+            raise ConfigError(f"{name}: value is required")
         return default
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: must be a number")
-    return float(value)
+        raise ConfigError(f"{name}: must be a number")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{name}: must be finite")
+    return value
 
 
 def _check_keys(section: Dict, path: str, allowed) -> None:
@@ -119,10 +123,7 @@ def params_from_dict(doc: Dict) -> SystemParams:
 
     xi_override = None
     if doc.get("xi_override") is not None:
-        raw = doc["xi_override"]
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise ConfigError("xi_override: must be a number")
-        xi_override = float(raw) * freq_unit
+        xi_override = _number(doc, "", "xi_override") * freq_unit
 
     return SystemParams(cavity=cavity, mirror=mirror, bec=condensate,
                         drive=drive, xi_override=xi_override)

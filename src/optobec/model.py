@@ -180,9 +180,6 @@ class SystemParams:
         """Copy with the condensate decoupled (mode retained, coupling off)."""
         return replace(self, bec=replace(self.bec, present=False))
 
-    def with_drive(self, power: float) -> "SystemParams":
-        return replace(self, drive=DriveParams(power=power))
-
 
 @dataclass(frozen=True)
 class DerivedQuantities:
@@ -229,6 +226,7 @@ def bose_occupation(omega: float, temperature: float) -> float:
 
 def drive_rate(power: float, kappa: float, omega_cav: float) -> float:
     """Coherent drive amplitude rate for a given input power."""
+    _non_negative(power, "drive.power")
     return math.sqrt(2.0 * power * kappa / (HBAR * omega_cav))
 
 

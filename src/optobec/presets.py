@@ -145,17 +145,10 @@ def _cooling_sweep(sw_ratio: float) -> SweepSpec:
 
 
 def _fig7() -> SweepSpec:
-    wm = MIRROR_FREQ
     params = baseline_params(power=0.05)
-    variants = (
-        Variant("no_bec", params.without_bec()),
-        Variant("sw_0.0", replace(params, bec=replace(params.bec, sw_frequency=0.0))),
-        Variant("sw_0.5", replace(params, bec=replace(params.bec, sw_frequency=0.5 * wm))),
-        Variant("sw_1.0", replace(params, bec=replace(params.bec, sw_frequency=1.0 * wm))),
-    )
-    return SweepSpec(variable="Delta_effective", lo=0.0, hi=3.0 * wm,
+    return SweepSpec(variable="Delta_effective", lo=0.0, hi=3.0 * MIRROR_FREQ,
                      points=DEFAULT_POINTS, params=params, mode="full",
-                     bec="present", variants=variants)
+                     bec="present", variants=_bec_variants(params))
 
 
 _PRESET_BUILDERS = {
@@ -168,11 +161,10 @@ _PRESET_BUILDERS = {
     "fig5a": lambda: _cooling_sweep(2.0),
     "fig5b": lambda: _cooling_sweep(1.0),
     "fig5c": lambda: _cooling_sweep(0.5),
-    "fig6a": lambda: _cooling_sweep(2.0),
-    "fig6b": lambda: _cooling_sweep(1.0),
-    "fig6c": lambda: _cooling_sweep(0.5),
     "fig7": _fig7,
 }
+# fig6a-c plot the entanglement columns of the fig5a-c sweeps
+_PRESET_BUILDERS.update({f"fig6{c}": _PRESET_BUILDERS[f"fig5{c}"] for c in "abc"})
 
 FIGURE_IDS = tuple(sorted(_PRESET_BUILDERS))
 

@@ -33,10 +33,8 @@ class MeanFieldBranch:
     """One self-consistent fixed point.
 
     ``Delta`` is the effective detuning delta_c - beta*n seen by the
-    fluctuations.  ``stability`` is filled in by the fluctuation analysis
-    (``stable`` / ``unstable`` / ``marginal``); it is None until then.
-    ``degenerate`` marks roots sitting on a bistability knee (double root of
-    the cubic within tolerance).
+    fluctuations.  ``degenerate`` marks roots sitting on a bistability knee
+    (double root of the cubic within tolerance).
     """
 
     n: float       # mean photon number
@@ -48,7 +46,6 @@ class MeanFieldBranch:
     P_s: float     # condensate momentum quadrature
     label: str     # lower | middle | upper | unique
     degenerate: bool = False
-    stability: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -150,18 +147,18 @@ def _real_cubic_roots(a3, a2, a1, a0):
     return [(polish(shift + t), False)]
 
 
-def _branch_fields(n: float, delta_c: float, d: DerivedQuantities):
-    """Displacements and effective detuning belonging to a photon-number root."""
-    alpha = math.sqrt(n)
-    delta = delta_c - d.beta * n
+def build_branch(n: float, Delta: float, d: DerivedQuantities, label: str,
+                 degenerate: bool = False) -> MeanFieldBranch:
+    """Fixed point, displacements included, at photon number ``n`` and ``Delta``."""
     q_s = (d.xi / d.omega_m) * n
     if d.zeta > 0.0:
         qc = -d.zeta * n / (d.Omega_c + d.omega_sw + d.gamma_c ** 2 / d.Omega_c)
         pc = (d.gamma_c / d.Omega_c) * qc
     else:
-        qc = 0.0
-        pc = 0.0
-    return alpha, delta, q_s, qc, pc
+        qc = pc = 0.0
+    return MeanFieldBranch(n=n, alpha=math.sqrt(n), Delta=Delta, q_s=q_s,
+                           p_s=0.0, Q_s=qc, P_s=pc, label=label,
+                           degenerate=degenerate)
 
 
 _LABELS = {1: ("unique",), 2: ("lower", "upper"), 3: ("lower", "middle", "upper")}
@@ -196,21 +193,10 @@ def solve_mean_field(params: SystemParams,
                     abs(coeffs[3] / coeffs[0]) ** (1.0 / 3.0))
     else:
         scale = max((abs(r) for r, _ in roots), default=0.0)
-    kept = []
-    for r, flag in roots:
-        if r < -1e-12 * scale:
-            continue
-        kept.append((max(r, 0.0), flag))
+    kept = [(max(r, 0.0), flag) for r, flag in roots if not r < -1e-12 * scale]
 
-    labels = _LABELS[len(kept)]
-    branches = []
-    for (n, flag), label in zip(kept, labels):
-        alpha, delta, q_s, qc, pc = _branch_fields(n, delta_c, d)
-        branches.append(MeanFieldBranch(
-            n=n, alpha=alpha, Delta=delta, q_s=q_s, p_s=0.0,
-            Q_s=qc, P_s=pc, label=label, degenerate=flag,
-        ))
-    return branches
+    return [build_branch(n, delta_c - d.beta * n, d, label, flag)
+            for (n, flag), label in zip(kept, _LABELS[len(kept)])]
 
 
 def power_at_photon_number(params: SystemParams, delta_c: float, n: float) -> float:

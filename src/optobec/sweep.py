@@ -1,11 +1,11 @@
 """One-dimensional parameter sweeps over the steady-state pipeline and
 deterministic CSV/JSON emission.
 
-A sweep evaluates every point of a grid independently (pure functions all
-the way down), so the engine may fan the points out over threads; the
-environment variable ``OPTOMECH_THREADS`` caps the fan-out (0 or unset means
-serial).  Row order, and therefore emitted bytes, never depends on the
-execution schedule.
+Every branch, whether it comes from a sweep point or from a single ``point``
+report, goes through :func:`evaluate_branch`: drift matrix, Routh-Hurwitz
+verdict and, for stable branches in full mode, the Lyapunov covariance and
+the five measures.  Points are evaluated serially in grid order, so emitted
+bytes are deterministic.
 
 Swept variables:
 
@@ -27,19 +27,18 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import gaussian_measures as gm
-from .linear_dynamics import (characteristic_polynomial, diffusion_matrix,
-                              drift_matrix, is_stable, solve_lyapunov)
-from .model import ParameterError, SystemParams, derive_quantities
-from .steady_state import MeanFieldBranch, solve_mean_field
+from .linear_dynamics import (NumericalError, characteristic_polynomial,
+                              diffusion_matrix, drift_matrix, is_stable,
+                              solve_lyapunov)
+from .model import (DerivedQuantities, ParameterError, SystemParams,
+                    derive_quantities)
+from .steady_state import MeanFieldBranch, build_branch, solve_mean_field
 
 SWEEP_VARIABLES = ("delta_c", "power", "Delta_effective", "omega_sw", "xi")
 SWEEP_MODES = ("mean_field", "full")
@@ -50,8 +49,6 @@ CSV_COLUMNS = (
     "degenerate", "delta_n_m", "delta_n_c",
     "e_n_mirror_field", "e_n_atom_field", "e_n_mirror_atom",
 )
-
-THREADS_ENV = "OPTOMECH_THREADS"
 
 
 @dataclass(frozen=True)
@@ -138,83 +135,74 @@ def _expand_configs(spec: SweepSpec) -> List[Tuple[str, SystemParams]]:
     return configs
 
 
-def _direct_branch(value: float, params: SystemParams) -> MeanFieldBranch:
-    """Branch for a directly imposed effective detuning (no cubic solve)."""
-    d = derive_quantities(params)
-    n = d.eta ** 2 / (value ** 2 + d.kappa ** 2)
-    q_s = (d.xi / d.omega_m) * n
-    if d.zeta > 0.0:
-        qc = -d.zeta * n / (d.Omega_c + d.omega_sw + d.gamma_c ** 2 / d.Omega_c)
-        pc = (d.gamma_c / d.Omega_c) * qc
-    else:
-        qc = pc = 0.0
-    return MeanFieldBranch(n=n, alpha=math.sqrt(n), Delta=value, q_s=q_s,
-                           p_s=0.0, Q_s=qc, P_s=pc, label="unique")
+def evaluate_branch(branch: MeanFieldBranch, d: DerivedQuantities,
+                    diffusion: Optional[np.ndarray] = None
+                    ) -> Tuple[str, Optional[Dict[str, float]]]:
+    """Stability verdict of a branch and, given the diffusion matrix, its measures.
+
+    Returns ``(verdict, measures)``.  ``measures`` maps the last five
+    ``CSV_COLUMNS`` to the occupations and log-negativities of the
+    stationary covariance; it is None for a non-stable branch or when no
+    ``diffusion`` is given (mean-field mode).
+    """
+    a = drift_matrix(branch, d)
+    verdict = is_stable(characteristic_polynomial(a))
+    if diffusion is None or verdict != "stable":
+        return verdict, None
+    v = solve_lyapunov(a, diffusion)
+    return verdict, {
+        "delta_n_m": gm.mirror_phonons(v),
+        "delta_n_c": gm.bogoliubov_excitations(v),
+        "e_n_mirror_field": gm.log_negativity(
+            gm.reduce_bipartition(v, gm.MIRROR_FIELD)).log_negativity,
+        "e_n_atom_field": gm.log_negativity(
+            gm.reduce_bipartition(v, gm.ATOM_FIELD)).log_negativity,
+        "e_n_mirror_atom": gm.log_negativity(
+            gm.reduce_bipartition(v, gm.MIRROR_ATOM)).log_negativity,
+    }
 
 
-def _branches_at(variable: str, value: float,
-                 params: SystemParams) -> Tuple[List[MeanFieldBranch], SystemParams]:
-    if variable == "delta_c":
-        return solve_mean_field(params, delta_c=value), params
-    if variable == "power":
-        return solve_mean_field(params, power=value), params
+def _branches_at(variable: str, value: float, params: SystemParams
+                 ) -> Tuple[List[MeanFieldBranch], DerivedQuantities]:
     if variable == "Delta_effective":
-        return [_direct_branch(value, params)], params
+        # the imposed effective detuning fixes n through the field fixed point
+        d = derive_quantities(params)
+        n = d.eta ** 2 / (value ** 2 + d.kappa ** 2)
+        return [build_branch(n, value, d, "unique")], d
+    if variable == "delta_c":
+        return solve_mean_field(params, delta_c=value), derive_quantities(params)
+    if variable == "power":
+        return solve_mean_field(params, power=value), derive_quantities(params)
     if variable == "omega_sw":
-        swept = replace(params, bec=replace(params.bec, sw_frequency=value))
-        return solve_mean_field(swept), swept
-    swept = replace(params, xi_override=value)  # variable == "xi"
-    return solve_mean_field(swept), swept
+        params = replace(params, bec=replace(params.bec, sw_frequency=value))
+    else:  # variable == "xi"
+        params = replace(params, xi_override=value)
+    return solve_mean_field(params), derive_quantities(params)
 
 
 def _evaluate_point(config: str, variable: str, value: float,
                     params: SystemParams, mode: str) -> List[SweepRow]:
-    branches, local = _branches_at(variable, value, params)
-    d = derive_quantities(local)
-    diffusion = diffusion_matrix(d) if mode == "full" else None
-    rows = []
-    for branch in branches:
-        a = drift_matrix(branch, d)
-        verdict = is_stable(characteristic_polynomial(a))
-        branch.stability = verdict
-        row = SweepRow(config=config, value=value, branch=branch.label,
-                       n=branch.n, alpha=branch.alpha, Delta=branch.Delta,
-                       stability=verdict, degenerate=branch.degenerate)
-        if mode == "full" and verdict == "stable":
-            v = solve_lyapunov(a, diffusion)
-            row.delta_n_m = gm.mirror_phonons(v)
-            row.delta_n_c = gm.bogoliubov_excitations(v)
-            for bp, attr in ((gm.MIRROR_FIELD, "e_n_mirror_field"),
-                             (gm.ATOM_FIELD, "e_n_atom_field"),
-                             (gm.MIRROR_ATOM, "e_n_mirror_atom")):
-                result = gm.log_negativity(gm.reduce_bipartition(v, bp))
-                setattr(row, attr, result.log_negativity)
-        rows.append(row)
-    return rows
+    branch = None
+    try:
+        branches, d = _branches_at(variable, value, params)
+        diffusion = diffusion_matrix(d) if mode == "full" else None
+        rows = []
+        for branch in branches:
+            verdict, measures = evaluate_branch(branch, d, diffusion)
+            rows.append(SweepRow(config, value, branch.label, branch.n,
+                                 branch.alpha, branch.Delta, verdict,
+                                 branch.degenerate, **(measures or {})))
+        return rows
+    except (ParameterError, NumericalError) as exc:
+        at_branch = "" if branch is None else f", branch {branch.label}"
+        raise type(exc)(f"{config}: {variable}={value:.12g}{at_branch}: {exc}") from exc
 
 
 def run_sweep(spec: SweepSpec) -> List[SweepRow]:
-    """Evaluate the sweep; rows are grouped by configuration, ascending value.
-
-    The result is deterministic and identical for serial and threaded
-    execution (thread count from ``OPTOMECH_THREADS``).
-    """
-    values = np.linspace(spec.lo, spec.hi, spec.points)
-    configs = _expand_configs(spec)
-    tasks = [(label, spec.variable, float(v), params, spec.mode)
-             for label, params in configs for v in values]
-
-    raw_threads = os.environ.get(THREADS_ENV, "0") or "0"
-    try:
-        threads = int(raw_threads)
-    except ValueError:
-        raise ParameterError(f"{THREADS_ENV}: not an integer: {raw_threads!r}")
-    if threads > 0:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda t: _evaluate_point(*t), tasks))
-    else:
-        chunks = [_evaluate_point(*t) for t in tasks]
-    return [row for chunk in chunks for row in chunk]
+    """Evaluate the sweep; rows are grouped by configuration, ascending value."""
+    values = [float(v) for v in np.linspace(spec.lo, spec.hi, spec.points)]
+    return [row for label, params in _expand_configs(spec) for v in values
+            for row in _evaluate_point(label, spec.variable, v, params, spec.mode)]
 
 
 def _format_number(x) -> str:
@@ -243,7 +231,7 @@ def rows_to_csv(rows: Sequence[SweepRow]) -> str:
 
 
 def _spec_to_dict(spec: SweepSpec) -> Dict:
-    doc = {
+    return {
         "variable": spec.variable, "lo": spec.lo, "hi": spec.hi,
         "points": spec.points, "mode": spec.mode, "bec": spec.bec,
         "params": dataclasses.asdict(spec.params),
@@ -252,7 +240,6 @@ def _spec_to_dict(spec: SweepSpec) -> Dict:
             for v in spec.variants
         ],
     }
-    return doc
 
 
 def report_dict(rows: Sequence[SweepRow], spec: Optional[SweepSpec] = None) -> Dict:

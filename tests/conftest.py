@@ -1,18 +1,31 @@
 """Shared test helpers: random stable drift matrices and physical two-mode
 covariances built from closed-form symplectic blocks."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from optobec import baseline_params
+from optobec import baseline_params, figure_preset, run_sweep
 
 
 @pytest.fixture(scope="session")
 def reference():
     """Reference configuration with the condensate present, sw = 0."""
     return baseline_params()
+
+
+@pytest.fixture(scope="session")
+def preset_rows():
+    """Rows of a bundled preset by id; each preset runs at most once."""
+    return functools.lru_cache(maxsize=None)(lambda fig: run_sweep(figure_preset(fig)))
+
+
+@pytest.fixture(scope="session")
+def cooling_runs(preset_rows):
+    """Rows of the fig5a-c presets (fig6a-c are the same sweeps)."""
+    return {fig: preset_rows(fig) for fig in ("fig5a", "fig5b", "fig5c")}
 
 
 def random_stable_matrix(rng, n=6, margin=0.05):

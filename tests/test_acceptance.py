@@ -13,13 +13,14 @@ import pytest
 from optobec import (bistability_window, characteristic_polynomial,
                      derive_quantities, drift_matrix, is_stable,
                      log_negativity, run_sweep, solve_lyapunov,
-                     solve_mean_field, stability_oracle, threshold_power)
+                     solve_mean_field, threshold_power)
 from optobec.model import drive_rate
 from optobec.presets import (MIRROR_FREQ, baseline_params, figure_preset,
                              reference_kappa)
 from optobec.sweep import SweepSpec
 
 from conftest import random_stable_matrix
+from oracles import stability_oracle
 from test_gaussian_measures import tmsv_cm
 from test_steady_state import brute_force_window
 
@@ -36,12 +37,6 @@ def criterion(number, description):
             print(f"ACCEPTANCE {number} PASS: {description}")
         return run
     return wrap
-
-
-@pytest.fixture(scope="module")
-def cooling_runs():
-    """fig5/fig6 sweeps share the same three presets; run each once."""
-    return {fig: run_sweep(figure_preset(fig)) for fig in ("fig5a", "fig5b", "fig5c")}
 
 
 def _config_series(rows, config, field):

@@ -162,3 +162,59 @@ def test_normalized_units_roundtrip(tmp_path, capsys):
     # detuning entered as 4 kappa
     assert report["params"]["cavity"]["detuning"] == pytest.approx(
         4 * derived["kappa"], rel=1e-12)
+
+
+def test_non_finite_sweep_bound_exit_code(tmp_path, capsys):
+    path = write_config(tmp_path, extra={"sweep": {
+        "variable": "delta_c", "lo": float("-inf"), "hi": 1e8, "points": 3}})
+    assert "-Infinity" in open(path).read()
+    assert main(["sweep", "--config", path]) == 1
+    assert "sweep.lo" in capsys.readouterr().err
+    path = write_config(tmp_path, xi_override=float("nan"))
+    assert main(["point", "--config", path]) == 1
+    assert "xi_override: must be finite" in capsys.readouterr().err
+
+
+def test_negative_power_sweep_exit_code(tmp_path, capsys):
+    path = write_config(tmp_path, extra={"sweep": {
+        "variable": "power", "lo": -0.1, "hi": 0.1, "points": 3}})
+    assert main(["sweep", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "drive.power" in err
+    assert "Traceback" not in err
+
+
+def test_lyapunov_failure_names_point(tmp_path, capsys, monkeypatch):
+    import optobec.sweep as sweep
+    from optobec import NumericalError
+
+    def boom(a, d):
+        raise NumericalError("singular covariance system")
+
+    monkeypatch.setattr(sweep, "solve_lyapunov", boom)
+    lo = BASE_CONFIG["cavity"]["detuning"]
+    path = write_config(tmp_path, extra={"sweep": {
+        "variable": "delta_c", "lo": lo, "hi": 1.5 * lo, "points": 3,
+        "mode": "full"}})
+    assert main(["sweep", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: base: ")
+    assert f"delta_c={lo:.12g}" in err
+    assert main(["point", "--config", path]) == 2
+    assert "singular covariance system" in capsys.readouterr().err
+
+
+def test_point_agrees_with_first_sweep_row(tmp_path, capsys):
+    lo = BASE_CONFIG["cavity"]["detuning"]
+    path = write_config(tmp_path, extra={"sweep": {
+        "variable": "delta_c", "lo": lo, "hi": 1.5 * lo, "points": 3,
+        "mode": "full"}})
+    assert main(["point", "--config", path]) == 0
+    branch = json.loads(capsys.readouterr().out)["branches"][0]
+    assert main(["sweep", "--config", path, "--format", "json"]) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    assert row["value"] == lo
+    assert branch["stability"] == row["stability"] == "stable"
+    assert branch["measures"] == {key: row[key] for key in branch["measures"]}
+    assert len(branch["measures"]) == 5

@@ -5,12 +5,12 @@ import pytest
 
 from optobec import (NumericalError, characteristic_polynomial,
                      derive_quantities, diffusion_matrix, drift_matrix,
-                     is_stable, solve_lyapunov, solve_mean_field,
-                     stability_oracle)
+                     is_stable, solve_lyapunov, solve_mean_field)
 from optobec.presets import MIRROR_FREQ, baseline_params, reference_kappa
 from optobec.steady_state import MeanFieldBranch
 
 from conftest import random_stable_matrix
+from oracles import stability_oracle
 
 
 def _branch(n, delta):

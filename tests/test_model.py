@@ -5,7 +5,7 @@ import pytest
 from optobec import (HBAR, K_B, C_LIGHT, BecParams, CavityParams,
                      DriveParams, MicroscopicBecParams, MirrorParams,
                      ParameterError, bose_occupation, derive_quantities,
-                     effective_from_microscopic)
+                     drive_rate, effective_from_microscopic)
 from optobec.presets import MIRROR_FREQ, baseline_params
 
 
@@ -173,3 +173,9 @@ def test_xi_override_validation(reference):
         dataclasses.replace(reference, xi_override=-1.0)
     p = dataclasses.replace(reference, xi_override=0.0)
     assert derive_quantities(p).xi == 0.0
+
+
+@pytest.mark.parametrize("power", [-0.1, float("nan"), float("inf")])
+def test_drive_rate_rejects_invalid_power(power):
+    with pytest.raises(ParameterError, match="drive.power: must be finite and >= 0"):
+        drive_rate(power, 3e7, 1.77e15)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 
@@ -9,7 +10,22 @@ from optobec import (ParameterError, SweepSpec, derive_quantities, emit,
                      figure_preset, run_sweep, threshold_power)
 from optobec.presets import (FIGURE_IDS, MIRROR_FREQ, baseline_params,
                              reference_kappa, reference_xi)
-from optobec.sweep import THREADS_ENV, rows_to_csv
+from optobec.sweep import rows_to_csv
+
+# First 16 hex digits of the sha256 of each distinct preset's CSV; any
+# change to these bytes must be deliberate.
+PRESET_LOCK = {
+    "fig2a": "5838edcb40d8d03f",
+    "fig2b": "dfc5087081784c6f",
+    "fig2c": "416b7a96fbfcd419",
+    "fig2d": "ae5f9a7afc55cf93",
+    "fig3": "8ce409c1a4a99f15",
+    "fig4": "7df545e1f8d21458",
+    "fig5a": "da6fcac3358e18b9",
+    "fig5b": "db8c194af27cddf7",
+    "fig5c": "169eca570d3fcb9e",
+    "fig7": "86d4a0b346f1af62",
+}
 
 
 def lorentzian_params():
@@ -47,12 +63,12 @@ def test_spec_validation_names_fields():
                   bec="maybe")
 
 
-def test_branch_count_transitions_per_configuration():
+def test_branch_count_transitions_per_configuration(preset_rows):
     """Every fig2d configuration turns three-valued exactly inside its own window."""
     from optobec import bistability_window
 
     spec = figure_preset("fig2d")
-    rows = run_sweep(spec)
+    rows = preset_rows("fig2d")
     kappa = reference_kappa()
     for variant in spec.variants:
         counts = {}
@@ -100,9 +116,8 @@ def test_delta_effective_sweep_bypasses_cubic():
             assert row.e_n_mirror_atom is not None
 
 
-def test_unstable_rows_carry_flag_and_empty_measures():
-    spec = figure_preset("fig5c")
-    rows = run_sweep(spec)
+def test_unstable_rows_carry_flag_and_empty_measures(cooling_runs):
+    rows = cooling_runs["fig5c"]
     unstable = [r for r in rows if r.stability != "stable"]
     assert unstable, "fig5c is expected to contain an unstable detuning range"
     for row in unstable:
@@ -112,9 +127,9 @@ def test_unstable_rows_carry_flag_and_empty_measures():
     assert all(r.delta_n_m is not None for r in stable)
 
 
-def test_measure_continuity_along_stable_runs():
+def test_measure_continuity_along_stable_runs(cooling_runs):
     """No measure jumps between adjacent stable grid points."""
-    rows = [r for r in run_sweep(figure_preset("fig5a"))
+    rows = [r for r in cooling_runs["fig5a"]
             if r.config == "base/bec" and r.stability == "stable"]
     series = np.array([r.delta_n_m for r in rows])
     jumps = np.abs(np.diff(series))
@@ -138,24 +153,6 @@ def test_sweep_variables_omega_sw_and_xi():
     rows = run_sweep(spec)
     assert rows[0].n > 0.0
     assert len(rows) == 5
-
-
-def test_parallel_matches_serial(monkeypatch):
-    spec = figure_preset("fig5b")
-    spec = dataclasses.replace(spec, points=40)
-    monkeypatch.delenv(THREADS_ENV, raising=False)
-    serial = run_sweep(spec)
-    monkeypatch.setenv(THREADS_ENV, "4")
-    threaded = run_sweep(spec)
-    assert serial == threaded
-
-
-def test_threads_env_rejects_garbage(monkeypatch):
-    spec = SweepSpec(variable="delta_c", lo=0.0, hi=1e6, points=2,
-                     params=lorentzian_params())
-    monkeypatch.setenv(THREADS_ENV, "many")
-    with pytest.raises(ParameterError, match="OPTOMECH_THREADS"):
-        run_sweep(spec)
 
 
 def test_emit_csv_deterministic(tmp_path):
@@ -210,6 +207,39 @@ def test_bec_both_expansion():
     rows = run_sweep(dataclasses.replace(spec, points=3))
     configs = {r.config for r in rows}
     assert configs == {"base/bec", "base/no_bec"}
+
+
+@pytest.mark.parametrize("fig_id", sorted(PRESET_LOCK))
+def test_preset_csv_lock(fig_id, preset_rows):
+    digest = hashlib.sha256(rows_to_csv(preset_rows(fig_id)).encode()).hexdigest()[:16]
+    assert digest == PRESET_LOCK[fig_id]
+
+
+def test_fig6_presets_are_fig5_sweeps():
+    for part in "abc":
+        assert figure_preset(f"fig6{part}") == figure_preset(f"fig5{part}")
+
+
+def test_failing_point_is_named(monkeypatch):
+    import optobec.sweep as sweep
+    from optobec import NumericalError
+
+    def boom(a, d):
+        raise NumericalError("singular covariance system")
+
+    monkeypatch.setattr(sweep, "solve_lyapunov", boom)
+    params = baseline_params(power=0.05, sw_frequency=2.0 * MIRROR_FREQ)
+    spec = SweepSpec(variable="Delta_effective", lo=MIRROR_FREQ,
+                     hi=1.2 * MIRROR_FREQ, points=2, params=params, mode="full")
+    with pytest.raises(NumericalError,
+                       match=f"base: Delta_effective={MIRROR_FREQ:.12g}, "
+                             "branch unique: singular covariance system"):
+        run_sweep(spec)
+
+    spec = SweepSpec(variable="power", lo=-0.1, hi=0.1, points=3,
+                     params=baseline_params(), bec="absent")
+    with pytest.raises(ParameterError, match=r"^base: power=-0\.1: drive\.power"):
+        run_sweep(spec)
 
 
 @pytest.mark.parametrize("fig_id", FIGURE_IDS)
