@@ -21,7 +21,7 @@ from .gaussian_measures import (ATOM_FIELD, BIPARTITIONS, MIRROR_ATOM,
                                 EntanglementResult, bogoliubov_excitations,
                                 log_negativity, mirror_phonons,
                                 reduce_bipartition)
-from .sweep import (SweepRow, SweepSpec, Variant, emit, evaluate_branch,
+from .sweep import (SweepRow, SweepSpec, Variant, emit, evaluate_branches,
                     run_sweep)
 from .presets import FIGURE_IDS, baseline_params, figure_preset
 from .config import ConfigError, load_config
@@ -42,7 +42,7 @@ __all__ = [
     "ATOM_FIELD", "BIPARTITIONS", "MIRROR_ATOM", "MIRROR_FIELD",
     "Bipartition", "EntanglementResult", "bogoliubov_excitations",
     "log_negativity", "mirror_phonons", "reduce_bipartition",
-    "SweepRow", "SweepSpec", "Variant", "emit", "evaluate_branch", "run_sweep",
+    "SweepRow", "SweepSpec", "Variant", "emit", "evaluate_branches", "run_sweep",
     "FIGURE_IDS", "baseline_params", "figure_preset",
     "ConfigError", "load_config",
     "__version__",

@@ -14,6 +14,7 @@ failure (marginal stability or a singular covariance solve).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,7 +26,7 @@ from .linear_dynamics import NumericalError, diffusion_matrix
 from .model import ParameterError, derive_quantities
 from .presets import FIGURE_IDS, figure_preset
 from .steady_state import bistability_window, solve_mean_field
-from .sweep import emit, evaluate_branch, run_sweep
+from .sweep import emit, evaluate_branches, run_sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,7 +36,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"usage: {message}")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built on the first main() call and reused: parsing does not change it
     parser = _Parser(prog="optobec",
                      description="Steady states, stability, cooling and "
                                  "entanglement of a condensate-filled "
@@ -63,16 +66,13 @@ def _build_parser() -> _Parser:
 
 def _point_report(params) -> dict:
     d = derive_quantities(params)
-    diffusion = diffusion_matrix(d)
-    entries = []
-    for branch in solve_mean_field(params):
-        entry = asdict(branch)
-        entry["stability"], entry["measures"] = evaluate_branch(branch, d, diffusion)
-        entries.append(entry)
+    branches = solve_mean_field(params)
+    verdicts, measures = evaluate_branches(branches, d, diffusion_matrix(d))
     return {
         "params": asdict(params),
         "derived_quantities": asdict(d),
-        "branches": entries,
+        "branches": [dict(asdict(branch), stability=verdict, measures=measure)
+                     for branch, verdict, measure in zip(branches, verdicts, measures)],
     }
 
 

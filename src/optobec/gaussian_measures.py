@@ -12,7 +12,7 @@ the 4x4), no eigen machinery anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -47,48 +47,67 @@ BIPARTITIONS = {bp.name: bp for bp in (MIRROR_FIELD, ATOM_FIELD, MIRROR_ATOM)}
 
 @dataclass(frozen=True)
 class EntanglementResult:
-    """Logarithmic negativity and the symplectic eigenvalue it came from."""
+    """Logarithmic negativity and the symplectic eigenvalue it came from.
 
-    log_negativity: float  # E_N = max(0, -ln 2 eta_minus), >= 0
-    eta_minus: float       # lowest symplectic eigenvalue of the partial transpose
+    Floats for one covariance; for a stack, float arrays of its shape.
+    """
+
+    # E_N = max(0, -ln 2 eta_minus), >= 0
+    log_negativity: Union[float, np.ndarray]
+    # lowest symplectic eigenvalue of the partial transpose
+    eta_minus: Union[float, np.ndarray]
 
 
 def mirror_phonons(v: np.ndarray) -> float:
-    """Effective incoherent phonon number of the mirror, (V_33 + V_44 - 1)/2."""
-    return 0.5 * (v[2, 2] + v[3, 3] - 1.0)
+    """Effective incoherent phonon number of the mirror, (V_33 + V_44 - 1)/2.
+
+    One value per covariance of a ``(..., 6, 6)`` stack.
+    """
+    return 0.5 * (v[..., 2, 2] + v[..., 3, 3] - 1.0)
 
 
 def bogoliubov_excitations(v: np.ndarray) -> float:
-    """Effective incoherent quanta in the condensate mode, (V_55 + V_66 - 1)/2."""
-    return 0.5 * (v[4, 4] + v[5, 5] - 1.0)
+    """Effective incoherent quanta in the condensate mode, (V_55 + V_66 - 1)/2.
+
+    One value per covariance of a ``(..., 6, 6)`` stack.
+    """
+    return 0.5 * (v[..., 4, 4] + v[..., 5, 5] - 1.0)
 
 
 def reduce_bipartition(v: np.ndarray, bp: Bipartition) -> np.ndarray:
-    """4x4 covariance of the two selected modes, first-listed mode first."""
-    idx = list(bp.indices)
-    return np.asarray(v, dtype=float)[np.ix_(idx, idx)]
+    """4x4 covariance of the two selected modes, first-listed mode first.
+
+    A ``(..., 6, 6)`` stack gives a ``(..., 4, 4)`` stack.
+    """
+    idx = np.array(bp.indices)
+    return np.asarray(v, dtype=float)[..., idx[:, None], idx]
 
 
 def _det2(m):
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
 def _det4(m):
-    # fixed-size LU with partial pivoting, in the dtype of the input
-    # (extended-precision covariances go through unharmed)
-    work = m.copy()
-    det = work.dtype.type(1.0)
-    for col in range(3):
-        pivot = col + int(np.argmax(np.abs(work[col:, col])))
-        if work[pivot, col] == 0.0:
-            return work.dtype.type(0.0)
-        if pivot != col:
-            work[[col, pivot]] = work[[pivot, col]]
-            det = -det
-        det = det * work[col, col]
-        for row in range(col + 1, 4):
-            work[row, col:] = work[row, col:] - (work[row, col] / work[col, col]) * work[col, col:]
-    return det * work[3, 3]
+    # fixed-size LU with partial pivoting over a stack of 4x4 matrices, in
+    # the dtype of the input (extended-precision covariances go through
+    # unharmed); a zero pivot gives a determinant of exactly 0
+    work = m.reshape(-1, 4, 4).copy()
+    rows = np.arange(len(work))
+    det = np.ones(len(work), dtype=work.dtype)
+    singular = np.zeros(len(work), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for col in range(3):
+            pivot = col + np.abs(work[:, col:, col]).argmax(axis=1)
+            pivot_row = work[rows, pivot]
+            singular |= pivot_row[:, col] == 0.0
+            work[rows, pivot] = work[:, col]
+            work[:, col] = pivot_row
+            det = np.where(pivot != col, -det, det) * pivot_row[:, col]
+            factor = work[:, col + 1:, col] / pivot_row[:, col, None]
+            work[:, col + 1:, col:] = (work[:, col + 1:, col:]
+                                       - factor[:, :, None] * pivot_row[:, None, col:])
+    det = np.where(singular, work.dtype.type(0.0), det * work[:, 3, 3])
+    return det.reshape(m.shape[:-2])
 
 
 def log_negativity(v4: np.ndarray) -> EntanglementResult:
@@ -101,30 +120,38 @@ def log_negativity(v4: np.ndarray) -> EntanglementResult:
     E_N = max(0, -ln 2 eta_minus).  A discriminant negative beyond the
     roundoff guard means the input is not a physical covariance and raises
     ValueError.  The arithmetic runs in the dtype of the input array.
+
+    A ``(..., 4, 4)`` stack gives arrays of shape ``(...)``, every entry
+    computed with the same operations as its covariance alone.
     """
     v4 = np.asarray(v4)
-    if v4.shape != (4, 4):
+    if v4.ndim < 2 or v4.shape[-2:] != (4, 4):
         raise ValueError("bipartite covariance must be 4x4")
     if not np.issubdtype(v4.dtype, np.floating):
         v4 = v4.astype(float)
-    det_b = _det2(v4[:2, :2])
-    det_bp = _det2(v4[2:, 2:])
-    det_c = _det2(v4[:2, 2:])
+    det_b = _det2(v4[..., :2, :2])
+    det_bp = _det2(v4[..., 2:, 2:])
+    det_c = _det2(v4[..., :2, 2:])
     det_v = _det4(v4)
 
     sigma = det_b + det_bp - 2.0 * det_c
     disc = sigma * sigma - 4.0 * det_v
-    guard = _DISC_GUARD * max(1.0, float(sigma * sigma))
-    if disc < -guard:
-        raise ValueError(
-            f"covariance is not physical: symplectic discriminant {float(disc):.3e} < 0")
-    disc = np.maximum(disc, type(disc)(0.0))
-    eta_sq = 2.0 * det_v / (sigma + np.sqrt(disc)) if sigma > 0.0 else sigma
-    if eta_sq <= 0.0:
-        raise ValueError(
-            f"covariance is not physical: eta_minus^2 = {float(eta_sq):.3e} <= 0")
-    eta_minus = float(np.sqrt(eta_sq))
-    return EntanglementResult(
-        log_negativity=max(0.0, -float(np.log(2.0 * np.sqrt(eta_sq)))),
-        eta_minus=eta_minus,
-    )
+    guard = _DISC_GUARD * np.fmax(1.0, (sigma * sigma).astype(float))
+    bad = disc < -guard
+    if bad.any():
+        raise ValueError("covariance is not physical: symplectic discriminant "
+                         f"{float(disc[bad].flat[0]):.3e} < 0")
+    disc = np.maximum(disc, disc.dtype.type(0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta_sq = np.where(sigma > 0.0, 2.0 * det_v / (sigma + np.sqrt(disc)), sigma)
+    bad = eta_sq <= 0.0
+    if bad.any():
+        raise ValueError("covariance is not physical: eta_minus^2 = "
+                         f"{float(eta_sq[bad].flat[0]):.3e} <= 0")
+    e_n = -np.log(2.0 * np.sqrt(eta_sq)).astype(float)
+    # where, not maximum: max(0, x) semantics give +0.0, never -0.0
+    e_n = np.where(e_n > 0.0, e_n, 0.0)
+    eta_minus = np.sqrt(eta_sq).astype(float)
+    if v4.ndim == 2:
+        return EntanglementResult(log_negativity=float(e_n), eta_minus=float(eta_minus))
+    return EntanglementResult(log_negativity=e_n, eta_minus=eta_minus)

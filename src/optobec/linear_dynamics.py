@@ -13,7 +13,7 @@ eigen/Schur machinery.
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -30,32 +30,38 @@ class NumericalError(RuntimeError):
     """A linear solve hit a singular or marginal system."""
 
 
-def drift_matrix(branch: MeanFieldBranch, d: DerivedQuantities) -> np.ndarray:
+def drift_matrix(branches: Union[MeanFieldBranch, Sequence[MeanFieldBranch]],
+                 d: DerivedQuantities) -> np.ndarray:
     """Drift matrix of the linearized dynamics around a mean-field branch.
 
-    A condensate-absent configuration has zeta = 0, which decouples the last
-    two rows and columns; they are kept so the state dimension never changes.
+    One branch gives a ``(6, 6)`` matrix, a sequence of branches an
+    ``(N, 6, 6)`` stack.  A condensate-absent configuration has zeta = 0,
+    which decouples the last two rows and columns; they are kept so the
+    state dimension never changes.
     """
-    g_m = _SQRT2 * d.xi * branch.alpha
-    g_c = _SQRT2 * d.zeta * branch.alpha
-    delta = branch.Delta
-    a = np.zeros((6, 6))
-    a[0, 0] = -d.kappa
-    a[0, 1] = delta
-    a[1, 0] = -delta
-    a[1, 1] = -d.kappa
-    a[1, 2] = g_m
-    a[1, 4] = -g_c
-    a[2, 3] = d.omega_m
-    a[3, 0] = g_m
-    a[3, 2] = -d.omega_m
-    a[3, 3] = -d.gamma_m
-    a[4, 4] = -d.gamma_c
-    a[4, 5] = d.Omega_c
-    a[5, 0] = -g_c
-    a[5, 4] = -(d.Omega_c + d.omega_sw)
-    a[5, 5] = -d.gamma_c
-    return a
+    single = isinstance(branches, MeanFieldBranch)
+    group = [branches] if single else branches
+    alpha = np.array([b.alpha for b in group], dtype=float)
+    g_m = _SQRT2 * d.xi * alpha
+    g_c = _SQRT2 * d.zeta * alpha
+    delta = np.array([b.Delta for b in group], dtype=float)
+    a = np.zeros((len(group), 6, 6))
+    a[:, 0, 0] = -d.kappa
+    a[:, 0, 1] = delta
+    a[:, 1, 0] = -delta
+    a[:, 1, 1] = -d.kappa
+    a[:, 1, 2] = g_m
+    a[:, 1, 4] = -g_c
+    a[:, 2, 3] = d.omega_m
+    a[:, 3, 0] = g_m
+    a[:, 3, 2] = -d.omega_m
+    a[:, 3, 3] = -d.gamma_m
+    a[:, 4, 4] = -d.gamma_c
+    a[:, 4, 5] = d.Omega_c
+    a[:, 5, 0] = -g_c
+    a[:, 5, 4] = -(d.Omega_c + d.omega_sw)
+    a[:, 5, 5] = -d.gamma_c
+    return a[0] if single else a
 
 
 def diffusion_matrix(d: DerivedQuantities, bec_thermal: bool = False) -> np.ndarray:
@@ -79,20 +85,23 @@ def characteristic_polynomial(a: np.ndarray) -> np.ndarray:
     Trace-based recurrence (no eigendecomposition): with M_1 = I and
     c_{n-1} = -tr(A), iterate M_k = A M_{k-1} + c_{n-k+1} I and
     c_{n-k} = -tr(A M_k)/k.  Exact for integer matrices up to rounding.
+    A ``(..., n, n)`` stack gives ``(..., n + 1)`` coefficients, each row
+    computed with the same operations as the matrix alone.
     """
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
+    n = a.shape[-1]
+    if a.ndim < 2 or a.shape[-2] != n:
         raise ValueError("matrix must be square")
-    coeffs = np.empty(n + 1)
-    coeffs[n] = 1.0
-    m = np.eye(n)
-    c = -np.trace(a)
-    coeffs[n - 1] = c
+    eye = np.eye(n)
+    coeffs = np.empty(a.shape[:-2] + (n + 1,))
+    coeffs[..., n] = 1.0
+    m = eye
+    c = -np.trace(a, axis1=-2, axis2=-1)
+    coeffs[..., n - 1] = c
     for k in range(2, n + 1):
-        m = a @ m + c * np.eye(n)
-        c = -np.einsum("ij,ji->", a, m) / k
-        coeffs[n - k] = c
+        m = a @ m + c[..., None, None] * eye
+        c = -np.einsum("...ij,...ji->...", a, m) / k
+        coeffs[..., n - k] = c
     return coeffs
 
 
@@ -194,22 +203,35 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     diffusion entry; a singular or marginal drift raises
     :class:`NumericalError` instead of returning garbage.  The caller is
     expected to have verified stability first.
+
+    ``a`` may be a ``(..., n, n)`` stack, with ``d`` one ``(n, n)`` matrix
+    or a stack of the same shape; the stack goes through one stacked solve,
+    every row with the same arithmetic and the same residual check as on
+    its own.
     """
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
-    n = a.shape[0]
+    n = a.shape[-1]
     eye = np.eye(n)
-    coefficient = np.kron(eye, a) + np.kron(a, eye)
+    batch = a.shape[:-2]
+    # kron(I, A) + kron(A, I), elementwise the same products np.kron forms
+    coefficient = (eye[:, None, :, None] * a[..., None, :, None, :]
+                   + a[..., :, None, :, None] * eye[None, :, None, :])
+    coefficient = coefficient.reshape(batch + (n * n, n * n))
+    rhs = np.broadcast_to(-d, batch + (n, n)).reshape(batch + (n * n,))
     try:
-        vec = np.linalg.solve(coefficient, -d.reshape(-1))
+        vec = np.linalg.solve(coefficient, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Lyapunov system is singular: {exc}") from exc
-    v = vec.reshape(n, n)
-    v = 0.5 * (v + v.T)
-    scale = np.abs(d).max()
-    residual = np.abs(a @ v + v @ a.T + d).max()
-    if not np.isfinite(residual) or residual > LYAPUNOV_RESIDUAL_RTOL * scale:
+    v = vec.reshape(batch + (n, n))
+    v = 0.5 * (v + np.swapaxes(v, -1, -2))
+    scale = np.broadcast_to(np.abs(d).max(axis=(-2, -1)), batch)
+    residual = np.abs(a @ v + v @ np.swapaxes(a, -1, -2) + d).max(axis=(-2, -1))
+    bad = ~np.isfinite(residual) | (residual > LYAPUNOV_RESIDUAL_RTOL * scale)
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
         raise NumericalError(
-            f"Lyapunov residual {residual:.3e} exceeds "
-            f"{LYAPUNOV_RESIDUAL_RTOL:.0e} * {scale:.3e}; drift is marginal or ill-conditioned")
+            f"Lyapunov residual {residual.flat[i]:.3e} exceeds "
+            f"{LYAPUNOV_RESIDUAL_RTOL:.0e} * {scale.flat[i]:.3e}; "
+            "drift is marginal or ill-conditioned")
     return v

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import optobec
 from optobec.cli import main
 from optobec.presets import MIRROR_FREQ
 
@@ -218,3 +222,27 @@ def test_point_agrees_with_first_sweep_row(tmp_path, capsys):
     assert branch["stability"] == row["stability"] == "stable"
     assert branch["measures"] == {key: row[key] for key in branch["measures"]}
     assert len(branch["measures"]) == 5
+
+
+def test_reused_parser_matches_fresh_processes(tmp_path, capsys):
+    """main() builds its parser once; later calls behave as in a new process."""
+    path = write_config(tmp_path)
+    out = str(tmp_path / "figures")
+    requests = [["point", "--config", path], ["frobnicate"],
+                ["figure", "fig2a", "--out", out], ["point", "--config", path]]
+    src = os.path.dirname(os.path.dirname(optobec.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    fresh = {}
+    for argv in requests[:3]:
+        proc = subprocess.run([sys.executable, "-m", "optobec.cli", *argv],
+                              capture_output=True, text=True, env=env, check=False)
+        fresh[tuple(argv)] = (proc.returncode, proc.stdout, proc.stderr)
+    csv = (tmp_path / "figures" / "fig2a.csv").read_bytes()
+    assert [fresh[tuple(argv)][0] for argv in requests[:3]] == [0, 1, 0]
+
+    for argv in requests:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == fresh[tuple(argv)]
+    assert (tmp_path / "figures" / "fig2a.csv").read_bytes() == csv

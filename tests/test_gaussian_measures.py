@@ -155,3 +155,49 @@ def test_rejects_nonphysical_covariance():
 def test_rejects_wrong_shape():
     with pytest.raises(ValueError, match="4x4"):
         log_negativity(np.eye(6))
+    with pytest.raises(ValueError, match="4x4"):
+        log_negativity(np.zeros(4))
+
+
+def test_stacked_log_negativity_equals_each_covariance():
+    rng = np.random.default_rng(29)
+    stack = np.stack([random_physical_cm(rng) for _ in range(50)]
+                     + [0.5 * np.eye(4), np.diag([3.5, 3.5, 0.5, 0.5])])
+    result = log_negativity(stack)
+    assert result.log_negativity.shape == result.eta_minus.shape == (52,)
+    assert (result.log_negativity > 0.0).any()
+    for i, v in enumerate(stack):
+        alone = log_negativity(v)
+        for got, want in ((result.log_negativity[i], alone.log_negativity),
+                          (result.eta_minus[i], alone.eta_minus)):
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+    nested = log_negativity(stack.reshape(2, 26, 4, 4))
+    assert nested.log_negativity.tobytes() == result.log_negativity.tobytes()
+
+
+def test_stacked_log_negativity_keeps_extended_precision():
+    from optobec.gaussian_measures import _det4
+
+    stack = np.stack([tmsv_cm(r, dtype=np.longdouble) for r in np.linspace(0.0, 5.0, 11)])
+    assert stack.dtype == np.longdouble
+    dets = _det4(stack)
+    assert dets.dtype == np.longdouble
+    result = log_negativity(stack)
+    for i, v in enumerate(stack):
+        assert dets[i] == _det4(v)
+        assert result.log_negativity[i] == log_negativity(v).log_negativity
+        assert result.eta_minus[i] == log_negativity(v).eta_minus
+
+
+def test_stacked_reduction_and_occupations():
+    rng = np.random.default_rng(31)
+    stack = np.stack([np.kron(np.eye(3), random_physical_cm(rng)[:2, :2])
+                      for _ in range(5)])
+    for bp in (MIRROR_FIELD, ATOM_FIELD, MIRROR_ATOM):
+        reduced = reduce_bipartition(stack, bp)
+        assert reduced.shape == (5, 4, 4)
+        for v, r in zip(stack, reduced):
+            assert np.array_equal(r, reduce_bipartition(v, bp))
+    assert np.array_equal(mirror_phonons(stack), [mirror_phonons(v) for v in stack])
+    assert np.array_equal(bogoliubov_excitations(stack),
+                          [bogoliubov_excitations(v) for v in stack])

@@ -144,6 +144,20 @@ def test_charpoly_interpolation_oracle():
 def test_charpoly_rejects_non_square():
     with pytest.raises(ValueError):
         characteristic_polynomial(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        characteristic_polynomial(np.zeros((4, 2, 3)))
+
+
+def test_charpoly_stack_equals_each_matrix():
+    rng = np.random.default_rng(5)
+    stack = np.stack([rng.normal(size=(6, 6)) * 10.0 ** rng.integers(-3, 8)
+                      for _ in range(40)] + [np.zeros((6, 6)), -np.eye(6)])
+    coeffs = characteristic_polynomial(stack)
+    assert coeffs.shape == (42, 7)
+    for a, row in zip(stack, coeffs):
+        assert row.tobytes() == characteristic_polynomial(a).tobytes()
+    nested = characteristic_polynomial(stack[:40].reshape(5, 8, 6, 6))
+    assert nested.tobytes() == coeffs[:40].tobytes()
 
 
 # ------------------------------------------------- Routh-Hurwitz
@@ -274,6 +288,27 @@ def test_lyapunov_decoupling_equivalence():
     np.testing.assert_allclose(v6[:4, :4], v4, atol=1e-10 * scale)
     # no cross correlations with the decoupled mode
     np.testing.assert_allclose(v6[:4, 4:], 0.0, atol=1e-12 * scale)
+
+
+def test_lyapunov_stack_equals_each_matrix():
+    rng = np.random.default_rng(8)
+    for n in (2, 6):
+        stack = np.stack([random_stable_matrix(rng, n=n) for _ in range(30)])
+        diffusion = np.diag(rng.uniform(0.1, 2.0, n))
+        v = solve_lyapunov(stack, diffusion)
+        assert v.shape == (30, n, n)
+        for a, row in zip(stack, v):
+            assert row.tobytes() == solve_lyapunov(a, diffusion).tobytes()
+
+
+def test_drift_stack_equals_each_branch():
+    d = derive_quantities(baseline_params(power=0.05, sw_frequency=MIRROR_FREQ))
+    branches = [_branch(n, delta) for n, delta in
+                ((1e3, -1e7), (2.5e5, 0.0), (4e6, 6.3e7), (0.0, 1.2e8))]
+    stack = drift_matrix(branches, d)
+    assert stack.shape == (4, 6, 6)
+    for branch, a in zip(branches, stack):
+        assert a.tobytes() == drift_matrix(branch, d).tobytes()
 
 
 def test_lyapunov_marginal_raises():

@@ -2,15 +2,17 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
 
-from optobec import (ParameterError, SweepSpec, derive_quantities, emit,
-                     figure_preset, run_sweep, threshold_power)
+from optobec import (ParameterError, SweepSpec, derive_quantities,
+                     diffusion_matrix, emit, evaluate_branches, figure_preset,
+                     run_sweep, threshold_power)
 from optobec.presets import (FIGURE_IDS, MIRROR_FREQ, baseline_params,
                              reference_kappa, reference_xi)
-from optobec.sweep import rows_to_csv
+from optobec.sweep import _branches_at, _expand_configs, rows_to_csv
 
 # First 16 hex digits of the sha256 of each distinct preset's CSV; any
 # change to these bytes must be deliberate.
@@ -274,3 +276,61 @@ def test_preset_catalogue_details():
     assert fig3.params.cavity.detuning == pytest.approx(3 * reference_kappa())
     assert [v.params.bec.sw_frequency for v in fig3.variants] == \
         pytest.approx([0.01 * MIRROR_FREQ, MIRROR_FREQ])
+
+
+def bistable_full_sweep():
+    """Full-mode delta_c sweep across the three-branch window of 50 mW."""
+    kappa = reference_kappa()
+    return SweepSpec(variable="delta_c", lo=-2.0 * kappa, hi=8.0 * kappa,
+                     points=150, params=baseline_params(power=0.05), mode="full")
+
+
+def assert_same_float(x, y):
+    assert x == y and math.copysign(1.0, x) == math.copysign(1.0, y), (x, y)
+
+
+@pytest.mark.parametrize("spec", [figure_preset("fig7"), bistable_full_sweep()],
+                         ids=["fig7", "bistable_delta_c"])
+def test_batch_equals_single_rows(spec):
+    """Every row of a stacked evaluation is bit-equal to the row on its own."""
+    values = [float(v) for v in np.linspace(spec.lo, spec.hi, spec.points)]
+    counts = set()
+    for _, params in _expand_configs(spec):
+        d = derive_quantities(params)
+        diffusion = diffusion_matrix(d)
+        per_point = [_branches_at(spec.variable, v, params, d) for v in values]
+        counts.update(len(branches) for branches in per_point)
+        branches = [b for point in per_point for b in point]
+        verdicts, measures = evaluate_branches(branches, d, diffusion)
+        assert len(verdicts) == len(measures) == len(branches)
+        for branch, verdict, measure in zip(branches, verdicts, measures):
+            (alone_verdict,), (alone,) = evaluate_branches([branch], d, diffusion)
+            assert verdict == alone_verdict
+            assert (measure is None) == (alone is None)
+            for key in alone or {}:
+                assert_same_float(measure[key], alone[key])
+    if spec.variable == "delta_c":
+        assert 3 in counts, "the sweep misses the bistability window"
+
+
+def test_failure_inside_batch_names_its_point(monkeypatch):
+    import optobec.sweep as sweep
+    from optobec import NumericalError
+
+    solve = sweep.solve_lyapunov
+    params = baseline_params(power=0.05, sw_frequency=2.0 * MIRROR_FREQ)
+    spec = SweepSpec(variable="Delta_effective", lo=MIRROR_FREQ,
+                     hi=1.2 * MIRROR_FREQ, points=5, params=params, mode="full")
+    second = float(np.linspace(spec.lo, spec.hi, spec.points)[1])
+
+    def boom(a, d):
+        # a[..., 0, 1] is the effective detuning of each drift matrix
+        if np.any(a[..., 0, 1] == second):
+            raise NumericalError("singular covariance system")
+        return solve(a, d)
+
+    monkeypatch.setattr(sweep, "solve_lyapunov", boom)
+    with pytest.raises(NumericalError,
+                       match=f"^base: Delta_effective={second:.12g}, "
+                             "branch unique: singular covariance system$"):
+        run_sweep(spec)
