@@ -18,7 +18,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict
 from typing import List, Optional
 
 from .config import ConfigError, load_config
@@ -64,14 +63,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _as_dict(obj) -> dict:
+    """``dataclasses.asdict`` without its deep copy: nested dataclasses become
+    dicts and every other field value is taken as it is (the report's
+    dataclasses have no ``ClassVar`` or ``InitVar`` pseudo-fields)."""
+    out = {}
+    for name in obj.__dataclass_fields__:
+        value = getattr(obj, name)
+        out[name] = _as_dict(value) if hasattr(value, "__dataclass_fields__") else value
+    return out
+
+
 def _point_report(params) -> dict:
     d = derive_quantities(params)
-    branches = solve_mean_field(params)
+    branches = solve_mean_field(params, d=d)
     verdicts, measures = evaluate_branches(branches, d, diffusion_matrix(d))
     return {
-        "params": asdict(params),
-        "derived_quantities": asdict(d),
-        "branches": [dict(asdict(branch), stability=verdict, measures=measure)
+        "params": _as_dict(params),
+        "derived_quantities": _as_dict(d),
+        "branches": [dict(_as_dict(branch), stability=verdict, measures=measure)
                      for branch, verdict, measure in zip(branches, verdicts, measures)],
     }
 

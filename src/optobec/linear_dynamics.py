@@ -157,22 +157,17 @@ def _sign_changes(column) -> int:
     return changes
 
 
-def is_stable(coeffs) -> str:
-    """Routh-Hurwitz verdict for a monic polynomial, ascending coefficients.
+def _routh_table_verdict(coeffs: List[float]) -> str:
+    """Verdict of one polynomial from the list-based Routh table.
 
-    Returns ``stable``, ``unstable`` or ``marginal``.  Any non-positive
-    coefficient short-circuits to ``unstable`` (the positivity of every
-    coefficient is necessary for strict stability; an exact zero always
-    signals at least loss of strict stability).  ``marginal`` is returned
-    when the sign decision depends on the epsilon perturbation of a zero
-    pivot, or when an auxiliary-row replacement reveals imaginary-axis
-    roots without any right-half-plane ones.
+    Handles the cases the stacked recurrence in :func:`is_stable` leaves
+    out: an exact-zero first-column entry (epsilon or auxiliary row) and a
+    non-positive leading coefficient (``ValueError``).
     """
-    coeffs = [float(c) for c in coeffs]
     if len(coeffs) < 2:
         raise ValueError("polynomial must have degree >= 1")
     lead = coeffs[-1]
-    if lead <= 0.0:
+    if not lead > 0.0:
         raise ValueError("polynomial must be monic (positive leading coefficient)")
     if lead != 1.0:
         coeffs = [c / lead for c in coeffs]
@@ -192,6 +187,66 @@ def is_stable(coeffs) -> str:
     if changes_p == 0:
         return "marginal" if (aux_p or aux_m or eps_p or eps_m) else "stable"
     return "unstable"
+
+
+def _routh_columns(monic: np.ndarray) -> np.ndarray:
+    """First Routh columns of an ``(N, n + 1)`` stack (ascending), as ``(n + 1, N)``.
+
+    The plain recurrence of :func:`_routh_first_column`, without epsilon or
+    auxiliary rows, in the same operations and order, so a polynomial whose
+    column has no exact zero gets the bits of the list-based table.
+    """
+    count, n = monic.shape[0], monic.shape[1] - 1
+    table = np.zeros((n + 1, n // 2 + 1, count))
+    table[0, :(n + 2) // 2] = monic[:, n::-2].T
+    table[1, :(n + 1) // 2] = monic[:, n - 1::-2].T
+    heads, tails = list(table[:, 0]), list(table[:, 1:])
+    for j in range(2, n + 1):
+        pivot = heads[j - 1]
+        np.divide(pivot * tails[j - 2] - heads[j - 2] * tails[j - 1], pivot,
+                  out=table[j, :-1])
+    return table[:, 0]
+
+
+def is_stable(coeffs) -> Union[str, List]:
+    """Routh-Hurwitz verdict for monic polynomials, ascending coefficients.
+
+    One polynomial ``(n + 1,)`` gives one verdict; a stack ``(..., n + 1)``
+    gives a (nested) list of verdicts.  A verdict is ``stable``,
+    ``unstable`` or ``marginal``.  Any non-positive coefficient
+    short-circuits to ``unstable`` (the positivity of every coefficient is
+    necessary for strict stability; an exact zero always signals at least
+    loss of strict stability).  ``marginal`` is returned when the sign
+    decision depends on the epsilon perturbation of a zero pivot, or when an
+    auxiliary-row replacement reveals imaginary-axis roots without any
+    right-half-plane ones.
+
+    The whole stack runs through one Routh recurrence: a row is ``stable``
+    iff every coefficient and every first-column entry is positive.  Only a
+    row with an exact-zero first-column entry or a non-positive leading
+    coefficient goes through the list-based table, which adds the epsilon
+    and auxiliary rows (or raises ``ValueError``).
+    """
+    c = np.asarray(coeffs, dtype=float)
+    if c.ndim == 0 or c.shape[-1] < 2:
+        raise ValueError("polynomial must have degree >= 1")
+    stack = c.reshape(-1, c.shape[-1])
+    lead = stack[:, -1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        monic = stack / lead[:, None]
+        column = _routh_columns(monic)
+    # min() keeps a NaN, which then fails the comparison
+    stable = np.minimum(monic.min(axis=1), column.min(axis=0)) > 0.0
+    verdicts = ["stable" if s else "unstable" for s in stable.tolist()]
+    plain = column.all(axis=0) & (lead > 0.0)
+    if not plain.all():
+        for i in np.flatnonzero(~plain):
+            verdicts[i] = _routh_table_verdict(stack[i].tolist())
+    if c.ndim == 1:
+        return verdicts[0]
+    if c.ndim == 2:
+        return verdicts
+    return np.array(verdicts, dtype=object).reshape(c.shape[:-1]).tolist()
 
 
 def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:

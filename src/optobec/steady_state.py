@@ -166,15 +166,19 @@ _LABELS = {1: ("unique",), 2: ("lower", "upper"), 3: ("lower", "middle", "upper"
 
 def solve_mean_field(params: SystemParams,
                      delta_c: Optional[float] = None,
-                     power: Optional[float] = None) -> List[MeanFieldBranch]:
+                     power: Optional[float] = None,
+                     d: Optional[DerivedQuantities] = None) -> List[MeanFieldBranch]:
     """All mean-field branches at the given detuning and drive power.
 
     Defaults to the detuning and power stored in ``params``.  Branches come
     back sorted by ascending photon number; with three real roots they are
     labelled lower/middle/upper, a single root is ``unique`` and a flagged
     knee pair is lower/upper with ``degenerate`` set on the double root.
+    A caller that already holds ``derive_quantities(params)`` passes it as
+    ``d``; the drive rate always follows ``power``.
     """
-    d = derive_quantities(params)
+    if d is None:
+        d = derive_quantities(params)
     if delta_c is None:
         delta_c = params.cavity.detuning
     if power is None:

@@ -159,7 +159,7 @@ def evaluate_branches(branches: Sequence[MeanFieldBranch], d: DerivedQuantities,
     measures: List[Optional[Dict[str, float]]] = [None] * len(branches)
     for start in range(0, len(branches), BATCH_ROWS):
         a = drift_matrix(branches[start:start + BATCH_ROWS], d)
-        verdicts.extend(is_stable(c) for c in characteristic_polynomial(a))
+        verdicts.extend(is_stable(characteristic_polynomial(a)))
         stable = [i for i in range(len(a)) if verdicts[start + i] == "stable"]
         if diffusion is not None and stable:
             v = solve_lyapunov(a[stable], diffusion)
@@ -188,10 +188,10 @@ def _branches_at(variable: str, value: float, params: SystemParams,
         n = d.eta ** 2 / (value ** 2 + d.kappa ** 2)
         return [build_branch(n, value, d, "unique")]
     if variable == "delta_c":
-        return solve_mean_field(params, delta_c=value)
+        return solve_mean_field(params, delta_c=value, d=d)
     if variable == "power":
-        return solve_mean_field(params, power=value)
-    return solve_mean_field(params)
+        return solve_mean_field(params, power=value, d=d)
+    return solve_mean_field(params, d=d)
 
 
 def _named(exc: Exception, config: str, variable: str, value: float,

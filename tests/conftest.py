@@ -3,10 +3,12 @@ covariances built from closed-form symplectic blocks."""
 
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import optobec.model
 from optobec import baseline_params, figure_preset, run_sweep
 
 
@@ -26,6 +28,24 @@ def preset_rows():
 def cooling_runs(preset_rows):
     """Rows of the fig5a-c presets (fig6a-c are the same sweeps)."""
     return {fig: preset_rows(fig) for fig in ("fig5a", "fig5b", "fig5c")}
+
+
+@pytest.fixture
+def derive_calls(monkeypatch):
+    """List that records every ``derive_quantities`` call, through every
+    module binding of the function."""
+    original = optobec.model.derive_quantities
+    calls = []
+
+    def counted(params):
+        calls.append(params)
+        return original(params)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "optobec"
+                and getattr(module, "derive_quantities", None) is original):
+            monkeypatch.setattr(module, "derive_quantities", counted)
+    return calls
 
 
 def random_stable_matrix(rng, n=6, margin=0.05):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,7 +7,8 @@ import sys
 import pytest
 
 import optobec
-from optobec.cli import main
+from optobec import derive_quantities, solve_mean_field
+from optobec.cli import _as_dict, main
 from optobec.presets import MIRROR_FREQ
 
 
@@ -246,3 +248,18 @@ def test_reused_parser_matches_fresh_processes(tmp_path, capsys):
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == fresh[tuple(argv)]
     assert (tmp_path / "figures" / "fig2a.csv").read_bytes() == csv
+
+
+def test_point_derives_once_per_request(tmp_path, capsys, derive_calls):
+    path = write_config(tmp_path)
+    assert main(["point", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["branches"]
+    assert len(derive_calls) == 1
+
+
+def test_field_map_equals_asdict(reference):
+    d = derive_quantities(reference)
+    objects = [reference, dataclasses.replace(reference, xi_override=0.5 * d.xi), d,
+               *solve_mean_field(reference, delta_c=4.0 * d.kappa, power=0.3)]
+    for obj in objects:
+        assert _as_dict(obj) == dataclasses.asdict(obj)

@@ -9,7 +9,7 @@ import pytest
 
 from optobec import (ParameterError, SweepSpec, derive_quantities,
                      diffusion_matrix, emit, evaluate_branches, figure_preset,
-                     run_sweep, threshold_power)
+                     run_sweep, solve_mean_field, threshold_power)
 from optobec.presets import (FIGURE_IDS, MIRROR_FREQ, baseline_params,
                              reference_kappa, reference_xi)
 from optobec.sweep import _branches_at, _expand_configs, rows_to_csv
@@ -334,3 +334,24 @@ def test_failure_inside_batch_names_its_point(monkeypatch):
                        match=f"^base: Delta_effective={second:.12g}, "
                              "branch unique: singular covariance system$"):
         run_sweep(spec)
+
+
+@pytest.mark.parametrize("spec, derives", [
+    (figure_preset("fig2a"), 4),   # one per configuration
+    (SweepSpec(variable="omega_sw", lo=0.0, hi=2.0 * MIRROR_FREQ, points=5,
+               params=baseline_params(power=0.05)), 5),   # one per grid point
+], ids=["fig2a", "omega_sw"])
+def test_sweep_derives_once_per_configuration(spec, derives, derive_calls):
+    run_sweep(spec)
+    assert len(derive_calls) == derives
+
+
+def test_caller_derived_quantities_give_the_same_branches():
+    params = baseline_params(power=0.3)
+    d = derive_quantities(params)
+    for delta_c in np.linspace(-2.0, 6.0, 9) * d.kappa:
+        assert (solve_mean_field(params, delta_c=delta_c, d=d)
+                == solve_mean_field(params, delta_c=delta_c))
+    for power in (0.0, 0.1, 0.5):
+        assert (solve_mean_field(params, delta_c=4.0 * d.kappa, power=power, d=d)
+                == solve_mean_field(params, delta_c=4.0 * d.kappa, power=power))
