@@ -8,14 +8,14 @@ Subcommands:
 * ``threshold --config FILE``        bistability window in mW
 
 Exit codes: 0 success, 1 invalid configuration or usage, 2 numerical
-failure (marginal stability or a singular covariance solve).
+failure (marginal stability, a singular covariance solve or a covariance
+that is not physical).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from typing import List, Optional
@@ -25,7 +25,7 @@ from .linear_dynamics import NumericalError, diffusion_matrix
 from .model import ParameterError, derive_quantities
 from .presets import FIGURE_IDS, figure_preset
 from .steady_state import bistability_window, solve_mean_field
-from .sweep import emit, evaluate_branches, run_sweep
+from .sweep import as_dict, emit, evaluate_branches, run_sweep, to_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,25 +63,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _as_dict(obj) -> dict:
-    """``dataclasses.asdict`` without its deep copy: nested dataclasses become
-    dicts and every other field value is taken as it is (the report's
-    dataclasses have no ``ClassVar`` or ``InitVar`` pseudo-fields)."""
-    out = {}
-    for name in obj.__dataclass_fields__:
-        value = getattr(obj, name)
-        out[name] = _as_dict(value) if hasattr(value, "__dataclass_fields__") else value
-    return out
-
-
 def _point_report(params) -> dict:
     d = derive_quantities(params)
     branches = solve_mean_field(params, d=d)
     verdicts, measures = evaluate_branches(branches, d, diffusion_matrix(d))
     return {
-        "params": _as_dict(params),
-        "derived_quantities": _as_dict(d),
-        "branches": [dict(_as_dict(branch), stability=verdict, measures=measure)
+        "params": as_dict(params),
+        "derived_quantities": as_dict(d),
+        "branches": [dict(as_dict(branch), stability=verdict, measures=measure)
                      for branch, verdict, measure in zip(branches, verdicts, measures)],
     }
 
@@ -101,7 +90,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "point":
             params, _ = load_config(args.config)
             report = _point_report(params)
-            _write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+            _write_text(to_json(report), args.out)
         elif args.command == "sweep":
             params, spec = load_config(args.config)
             if spec is None:

@@ -28,8 +28,8 @@ import math
 from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
-from .model import (C_LIGHT, BecParams, CavityParams, DriveParams,
-                    MirrorParams, ParameterError, SystemParams)
+from .model import (BecParams, CavityParams, DriveParams, MirrorParams,
+                    ParameterError, SystemParams)
 from .sweep import SweepSpec
 
 
@@ -91,7 +91,7 @@ def params_from_dict(doc: Dict) -> SystemParams:
         wavelength=_number(cav, "cavity", "wavelength"),
         finesse=_number(cav, "cavity", "finesse"),
         detuning=0.0)
-    kappa = math.pi * C_LIGHT / (cavity.length * cavity.finesse)
+    kappa = cavity.kappa
     omega_m = _number(mir, "mirror", "frequency")
     freq_unit = omega_m if normalized else 1.0
     det_unit = kappa if normalized else 1.0
@@ -141,7 +141,7 @@ def sweep_from_dict(doc: Dict, params: SystemParams) -> SweepSpec:
     unit = 1.0
     if normalized:
         if variable == "delta_c":
-            unit = math.pi * C_LIGHT / (params.cavity.length * params.cavity.finesse)
+            unit = params.cavity.kappa
         elif variable in ("Delta_effective", "omega_sw", "xi"):
             unit = params.mirror.frequency
 

@@ -64,19 +64,15 @@ def drift_matrix(branches: Union[MeanFieldBranch, Sequence[MeanFieldBranch]],
     return a[0] if single else a
 
 
-def diffusion_matrix(d: DerivedQuantities, bec_thermal: bool = False) -> np.ndarray:
+def diffusion_matrix(d: DerivedQuantities) -> np.ndarray:
     """Diagonal noise-covariance matrix feeding the Lyapunov equation.
 
-    diag[kappa, kappa, 0, gamma_m (2 nbar + 1), gamma_c, gamma_c].  With
-    ``bec_thermal`` the condensate entries pick up the thermal factor
-    gamma_c (2 nbar_bec + 1) evaluated at the mode resonance; default off,
-    matching the bare-damping convention for an isolated condensate.
+    diag[kappa, kappa, 0, gamma_m (2 nbar + 1), gamma_c, gamma_c]: the
+    condensate entries carry the bare damping, the convention for an
+    isolated condensate.
     """
-    g_c = d.gamma_c
-    if bec_thermal:
-        g_c = d.gamma_c * (2.0 * d.nbar_bec + 1.0)
     return np.diag([d.kappa, d.kappa, 0.0,
-                    d.gamma_m * (2.0 * d.nbar + 1.0), g_c, g_c])
+                    d.gamma_m * (2.0 * d.nbar + 1.0), d.gamma_c, d.gamma_c])
 
 
 def characteristic_polynomial(a: np.ndarray) -> np.ndarray:
@@ -180,13 +176,8 @@ def _routh_table_verdict(coeffs: List[float]) -> str:
     if not eps_p and not aux_p:
         return "stable" if changes_p == 0 else "unstable"
 
-    col_m, eps_m, aux_m = _routh_first_column(desc, -1.0)
-    changes_m = _sign_changes(col_m)
-    if changes_p != changes_m:
-        return "marginal"
-    if changes_p == 0:
-        return "marginal" if (aux_p or aux_m or eps_p or eps_m) else "stable"
-    return "unstable"
+    changes_m = _sign_changes(_routh_first_column(desc, -1.0)[0])
+    return "marginal" if changes_p == 0 or changes_p != changes_m else "unstable"
 
 
 def _routh_columns(monic: np.ndarray) -> np.ndarray:

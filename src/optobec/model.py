@@ -67,6 +67,11 @@ class CavityParams:
         _positive(self.finesse, "cavity.finesse")
         _require(math.isfinite(self.detuning), "cavity.detuning", "must be finite")
 
+    @property
+    def kappa(self) -> float:
+        """Cavity amplitude decay rate pi c / (L F), rad/s."""
+        return math.pi * C_LIGHT / (self.length * self.finesse)
+
 
 @dataclass(frozen=True)
 class MirrorParams:
@@ -238,7 +243,7 @@ def derive_quantities(params: SystemParams) -> DerivedQuantities:
     cav, mir, bec, drv = params.cavity, params.mirror, params.bec, params.drive
 
     omega_cav = 2.0 * math.pi * C_LIGHT / cav.wavelength
-    kappa = math.pi * C_LIGHT / (cav.length * cav.finesse)
+    kappa = cav.kappa
     if params.xi_override is not None:
         xi = params.xi_override
     else:

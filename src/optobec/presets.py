@@ -34,9 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from .model import (C_LIGHT, BecParams, CavityParams, DriveParams,
-                    MirrorParams, ParameterError, SystemParams,
-                    derive_quantities)
+from .model import (BecParams, CavityParams, DriveParams, MirrorParams,
+                    ParameterError, SystemParams, derive_quantities)
 from .sweep import SweepSpec, Variant
 
 CAVITY_LENGTH = 1e-3        # m
@@ -54,7 +53,7 @@ FIG4_COUPLING = 330.0       # rad/s, round coupling used by the fig4 grid
 
 
 def reference_kappa() -> float:
-    return math.pi * C_LIGHT / (CAVITY_LENGTH * FINESSE)
+    return CavityParams(CAVITY_LENGTH, WAVELENGTH, FINESSE).kappa
 
 
 def reference_xi() -> float:

@@ -26,7 +26,6 @@ cooling and entanglement curves.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -153,7 +152,8 @@ def evaluate_branches(branches: Sequence[MeanFieldBranch], d: DerivedQuantities,
     log-negativities of the stationary covariance; it is None for a
     non-stable branch or when no ``diffusion`` is given (mean-field mode).
     The branches go through the solvers as stacks of at most ``BATCH_ROWS``,
-    and every row sees the same arithmetic as it would on its own.
+    and every row sees the same arithmetic as it would on its own.  A
+    covariance that fails the physicality check raises :class:`NumericalError`.
     """
     verdicts: List[str] = []
     measures: List[Optional[Dict[str, float]]] = [None] * len(branches)
@@ -164,15 +164,23 @@ def evaluate_branches(branches: Sequence[MeanFieldBranch], d: DerivedQuantities,
         if diffusion is not None and stable:
             v = solve_lyapunov(a[stable], diffusion)
             splits = np.stack([gm.reduce_bipartition(v, bp) for bp in _SPLITS])
+            try:
+                e_n = gm.log_negativity(splits).log_negativity
+            except ValueError as exc:   # the covariance is not physical
+                raise NumericalError(str(exc)) from exc
             columns = np.stack([gm.mirror_phonons(v), gm.bogoliubov_excitations(v),
-                                *gm.log_negativity(splits).log_negativity], axis=1)
+                                *e_n], axis=1)
             for i, row in zip(stable, columns.tolist()):
                 measures[start + i] = dict(zip(CSV_COLUMNS[-5:], row))
     return verdicts, measures
 
 
 def _point_params(variable: str, value: float, params: SystemParams) -> SystemParams:
-    """``params`` with an ``omega_sw`` or ``xi`` grid value installed."""
+    """``params`` with an ``omega_sw`` or ``xi`` grid value installed.
+
+    Any other variable leaves the derived rates alone and gets ``params``
+    itself, so a new object means a new ``d``.
+    """
     if variable == "omega_sw":
         return replace(params, bec=replace(params.bec, sw_frequency=value))
     if variable == "xi":
@@ -206,23 +214,19 @@ def _evaluate_group(config: str, variable: str, d: DerivedQuantities,
     """Rows of the (value, branch) pairs that share ``d``, as one batch.
 
     When the batch fails it is re-run branch by branch, so the error names
-    the first failing value and branch in grid order.
+    the first failing value and branch in grid order; a failure that no
+    single branch repeats is raised as it is.
     """
     diffusion = diffusion_matrix(d) if mode == "full" else None
-    branches = [branch for _, branch in points]
     try:
-        verdicts, measures = evaluate_branches(branches, d, diffusion)
-    except (NumericalError, ValueError):
-        # ValueError too: a non-physical covariance must also be the first
-        # one in grid order, not the first one in the stack
-        verdicts, measures = [], []
+        verdicts, measures = evaluate_branches([b for _, b in points], d, diffusion)
+    except NumericalError:
         for value, branch in points:
             try:
-                (verdict,), (measure,) = evaluate_branches([branch], d, diffusion)
-            except (ParameterError, NumericalError) as exc:
+                evaluate_branches([branch], d, diffusion)
+            except NumericalError as exc:
                 raise _named(exc, config, variable, value, branch) from exc
-            verdicts.append(verdict)
-            measures.append(measure)
+        raise
     return [SweepRow(config, value, branch.label, branch.n, branch.alpha,
                      branch.Delta, verdict, branch.degenerate, **(measure or {}))
             for (value, branch), verdict, measure in zip(points, verdicts, measures)]
@@ -232,16 +236,16 @@ def _config_rows(config: str, variable: str, values: Sequence[float],
                  params: SystemParams, mode: str) -> List[SweepRow]:
     """Rows of one configuration, in grid order.
 
-    ``omega_sw`` and ``xi`` change the derived rates at every point, so each
-    of their points is its own batch; for the other variables ``d`` is
-    derived once and all branches of the configuration are one batch.
+    Points share a batch and one ``d`` while :func:`_point_params` hands
+    back ``params`` itself; a new parameter object starts a new batch with
+    its own ``d``.
     """
     groups: List[Tuple[DerivedQuantities, List[Tuple[float, MeanFieldBranch]]]] = []
     failure = None
     try:
         for value in values:
             point_params = _point_params(variable, value, params)
-            if variable in ("omega_sw", "xi") or not groups:
+            if not groups or point_params is not params:
                 groups.append((derive_quantities(point_params), []))
             d, points = groups[-1]
             points.extend((value, b) for b in _branches_at(variable, value, point_params, d))
@@ -288,25 +292,36 @@ def rows_to_csv(rows: Sequence[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _spec_to_dict(spec: SweepSpec) -> Dict:
-    return {
-        "variable": spec.variable, "lo": spec.lo, "hi": spec.hi,
-        "points": spec.points, "mode": spec.mode, "bec": spec.bec,
-        "params": dataclasses.asdict(spec.params),
-        "variants": [
-            {"label": v.label, "params": dataclasses.asdict(v.params)}
-            for v in spec.variants
-        ],
-    }
+def as_dict(obj):
+    """Field map of a report value, without a deep copy.
+
+    A dataclass becomes a dict of its fields and a list or tuple a list, each
+    walked in turn; every other value is taken as it is (the report's
+    dataclasses have no ``ClassVar`` or ``InitVar`` pseudo-fields).
+    """
+    if isinstance(obj, (list, tuple)):
+        return [as_dict(x) for x in obj]
+    out = {}
+    for name in obj.__dataclass_fields__:
+        value = getattr(obj, name)
+        if hasattr(value, "__dataclass_fields__") or isinstance(value, (list, tuple)):
+            value = as_dict(value)
+        out[name] = value
+    return out
+
+
+def to_json(doc) -> str:
+    """Report text: sorted keys, two-space indent, one trailing newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def report_dict(rows: Sequence[SweepRow], spec: Optional[SweepSpec] = None) -> Dict:
     """JSON-ready report object: sweep description, derived rates, rows."""
-    doc: Dict = {"rows": [dataclasses.asdict(r) for r in rows]}
+    doc: Dict = {"rows": [as_dict(r) for r in rows]}
     if spec is not None:
-        doc["spec"] = _spec_to_dict(spec)
+        doc["spec"] = as_dict(spec)
         doc["derived_quantities"] = {
-            label: dataclasses.asdict(derive_quantities(params))
+            label: as_dict(derive_quantities(params))
             for label, params in _expand_configs(spec)
         }
     return doc
@@ -322,8 +337,7 @@ def emit(rows: Sequence[SweepRow], fmt: str, destination,
     if fmt == "csv":
         payload = rows_to_csv(rows).encode()
     elif fmt == "json":
-        payload = (json.dumps(report_dict(rows, spec), indent=2, sort_keys=True)
-                   + "\n").encode()
+        payload = to_json(report_dict(rows, spec)).encode()
     else:
         raise ParameterError(f"format: {fmt!r} is not one of ('csv', 'json')")
 

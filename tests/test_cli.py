@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import optobec
-from optobec import derive_quantities, solve_mean_field
-from optobec.cli import _as_dict, main
+from optobec import derive_quantities, figure_preset, run_sweep, solve_mean_field
+from optobec.cli import main
 from optobec.presets import MIRROR_FREQ
+from optobec.sweep import as_dict, to_json
 
 
 BASE_CONFIG = {
@@ -191,14 +193,22 @@ def test_negative_power_sweep_exit_code(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_lyapunov_failure_names_point(tmp_path, capsys, monkeypatch):
+def _singular_covariance(a, d):
+    raise optobec.NumericalError("singular covariance system")
+
+
+def _zero_covariance(a, d):
+    return np.zeros_like(a)
+
+
+@pytest.mark.parametrize("fake, message", [
+    (_singular_covariance, "singular covariance system"),
+    (_zero_covariance, "covariance is not physical"),
+], ids=["raising", "zero_covariance"])
+def test_lyapunov_failure_names_point(fake, message, tmp_path, capsys, monkeypatch):
     import optobec.sweep as sweep
-    from optobec import NumericalError
 
-    def boom(a, d):
-        raise NumericalError("singular covariance system")
-
-    monkeypatch.setattr(sweep, "solve_lyapunov", boom)
+    monkeypatch.setattr(sweep, "solve_lyapunov", fake)
     lo = BASE_CONFIG["cavity"]["detuning"]
     path = write_config(tmp_path, extra={"sweep": {
         "variable": "delta_c", "lo": lo, "hi": 1.5 * lo, "points": 3,
@@ -207,8 +217,11 @@ def test_lyapunov_failure_names_point(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: base: ")
     assert f"delta_c={lo:.12g}" in err
+    assert message in err
     assert main(["point", "--config", path]) == 2
-    assert "singular covariance system" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ")
+    assert message in err
 
 
 def test_point_agrees_with_first_sweep_row(tmp_path, capsys):
@@ -262,4 +275,9 @@ def test_field_map_equals_asdict(reference):
     objects = [reference, dataclasses.replace(reference, xi_override=0.5 * d.xi), d,
                *solve_mean_field(reference, delta_c=4.0 * d.kappa, power=0.3)]
     for obj in objects:
-        assert _as_dict(obj) == dataclasses.asdict(obj)
+        assert as_dict(obj) == dataclasses.asdict(obj)
+    # a tuple of nested dataclasses becomes a list, which encodes the same
+    spec = figure_preset("fig2a")
+    assert len(spec.variants) == 4
+    for obj in (spec, run_sweep(dataclasses.replace(spec, points=3))[0]):
+        assert to_json(as_dict(obj)) == to_json(dataclasses.asdict(obj))

@@ -103,10 +103,9 @@ def test_diffusion_reference_bath():
 def test_diffusion_condensate_thermal_flag():
     d = derive_quantities(baseline_params(sw_frequency=MIRROR_FREQ))
     cold = diffusion_matrix(d)
-    warm = diffusion_matrix(d, bec_thermal=True)
     assert cold[4, 4] == d.gamma_c
-    assert warm[4, 4] == pytest.approx(d.gamma_c * (2 * d.nbar_bec + 1), rel=1e-12)
-    # at 0.1 uK the mode is far above the bath scale, the factor is 1
+    # at 0.1 uK the mode is far above the bath scale, so a thermal factor
+    # 2 nbar_bec + 1 on the condensate entries would be 1
     assert d.nbar_bec == 0.0
 
 

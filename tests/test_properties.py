@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from optobec import (characteristic_polynomial, derive_quantities,
                      diffusion_matrix, drift_matrix, evaluate_branches,
-                     is_stable, solve_mean_field)
+                     is_stable, solve_lyapunov, solve_mean_field)
 from optobec.config import params_from_dict
 from optobec.linear_dynamics import _routh_table_verdict
 from optobec.steady_state import build_branch
@@ -25,6 +25,9 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 from workloads import point_config  # noqa: E402
 
 PROPERTY = dict(derandomize=True, database=None, deadline=None)
+
+# symplectic form of the three modes, quadratures ordered (x, p) per mode
+OMEGA = np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]])
 
 
 class DrawnRandom:
@@ -56,6 +59,34 @@ def test_routh_verdict_matches_eigenvalue_sign(data):
         if abs(growth) <= 1e-9 * np.abs(matrix).max():
             continue   # inside the roundoff band of the eigenvalues
         assert is_stable(coeffs) == ("stable" if growth < 0.0 else "unstable")
+
+
+@settings(max_examples=100, **PROPERTY)
+@given(st.data())
+def test_branches_solve_the_cubic(data):
+    params = drawn_params(data)
+    d = derive_quantities(params)
+    delta_c = params.cavity.detuning
+    branches = solve_mean_field(params, d=d)
+    assert branches
+    for b in branches:
+        residual = b.n * ((delta_c - d.beta * b.n) ** 2 + d.kappa ** 2) - d.eta ** 2
+        assert abs(residual) <= 1e-10 * d.eta ** 2
+
+
+@settings(max_examples=100, **PROPERTY)
+@given(st.data())
+def test_stable_covariances_are_physical(data):
+    """V + i Omega / 2 >= 0 (Simon, PRL 84, 2726 (2000)) at every stable branch."""
+    params = drawn_params(data)
+    d = derive_quantities(params)
+    a = drift_matrix(solve_mean_field(params, d=d), d)
+    stable = [i for i, v in enumerate(is_stable(characteristic_polynomial(a)))
+              if v == "stable"]
+    if not stable:
+        return
+    for v in solve_lyapunov(a[stable], diffusion_matrix(d)):
+        assert np.linalg.eigvalsh(v + 0.5j * OMEGA).min() >= -1e-9 * np.abs(v).max()
 
 
 @settings(max_examples=80, **PROPERTY)

@@ -340,7 +340,10 @@ def test_failure_inside_batch_names_its_point(monkeypatch):
     (figure_preset("fig2a"), 4),   # one per configuration
     (SweepSpec(variable="omega_sw", lo=0.0, hi=2.0 * MIRROR_FREQ, points=5,
                params=baseline_params(power=0.05)), 5),   # one per grid point
-], ids=["fig2a", "omega_sw"])
+    (SweepSpec(variable="xi", lo=100.0, hi=600.0, points=5,
+               params=baseline_params(power=0.05)), 5),
+    (figure_preset("fig5a"), 2),   # Delta_effective, bec and no_bec
+], ids=["fig2a", "omega_sw", "xi", "fig5a"])
 def test_sweep_derives_once_per_configuration(spec, derives, derive_calls):
     run_sweep(spec)
     assert len(derive_calls) == derives
