@@ -5,19 +5,15 @@ cooling figures of merit and bipartite Gaussian entanglement.
 """
 
 from .model import (HBAR, K_B, C_LIGHT, BecParams, CavityParams,
-                    DerivedQuantities, DriveParams, EffectiveBecParams,
-                    MicroscopicBecParams, MirrorParams, ParameterError,
-                    SystemParams, bose_occupation, derive_quantities,
-                    drive_rate, effective_from_microscopic)
+                    DerivedQuantities, DriveParams, MirrorParams,
+                    ParameterError, SystemParams, bose_occupation,
+                    derive_quantities, drive_rate)
 from .steady_state import (BistabilityWindow, MeanFieldBranch,
-                           bistability_window, mean_field_cubic,
-                           power_at_photon_number, solve_mean_field,
-                           threshold_power)
+                           bistability_window, solve_mean_field)
 from .linear_dynamics import (NumericalError, characteristic_polynomial,
                               diffusion_matrix, drift_matrix, is_stable,
                               solve_lyapunov)
-from .gaussian_measures import (ATOM_FIELD, BIPARTITIONS, MIRROR_ATOM,
-                                MIRROR_FIELD, Bipartition,
+from .gaussian_measures import (ATOM_FIELD, MIRROR_ATOM, MIRROR_FIELD,
                                 EntanglementResult, bogoliubov_excitations,
                                 log_negativity, mirror_phonons,
                                 reduce_bipartition)
@@ -31,16 +27,14 @@ __version__ = "0.1.0"
 __all__ = [
     "HBAR", "K_B", "C_LIGHT",
     "BecParams", "CavityParams", "DerivedQuantities", "DriveParams",
-    "EffectiveBecParams", "MicroscopicBecParams", "MirrorParams",
-    "ParameterError", "SystemParams", "bose_occupation", "derive_quantities",
-    "drive_rate", "effective_from_microscopic",
+    "MirrorParams", "ParameterError", "SystemParams", "bose_occupation",
+    "derive_quantities", "drive_rate",
     "BistabilityWindow", "MeanFieldBranch", "bistability_window",
-    "mean_field_cubic", "power_at_photon_number", "solve_mean_field",
-    "threshold_power",
+    "solve_mean_field",
     "NumericalError", "characteristic_polynomial", "diffusion_matrix",
     "drift_matrix", "is_stable", "solve_lyapunov",
-    "ATOM_FIELD", "BIPARTITIONS", "MIRROR_ATOM", "MIRROR_FIELD",
-    "Bipartition", "EntanglementResult", "bogoliubov_excitations",
+    "ATOM_FIELD", "MIRROR_ATOM", "MIRROR_FIELD",
+    "EntanglementResult", "bogoliubov_excitations",
     "log_negativity", "mirror_phonons", "reduce_bipartition",
     "SweepRow", "SweepSpec", "Variant", "emit", "evaluate_branches", "run_sweep",
     "FIGURE_IDS", "baseline_params", "figure_preset",

@@ -8,8 +8,9 @@ Subcommands:
 * ``threshold --config FILE``        bistability window in mW
 
 Exit codes: 0 success, 1 invalid configuration or usage, 2 numerical
-failure (marginal stability, a singular covariance solve or a covariance
-that is not physical).
+failure (a singular or ill-conditioned Lyapunov solve, or a covariance that
+is not physical).  A ``marginal`` Routh-Hurwitz verdict is reported in the
+stability field and does not change the exit code.
 """
 
 from __future__ import annotations

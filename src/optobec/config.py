@@ -57,7 +57,10 @@ def _number(section: Dict, path: str, key: str, default=None):
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name}: must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:   # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ConfigError(f"{name}: must be finite")
     return value

@@ -21,28 +21,11 @@ import numpy as np
 _DISC_GUARD = 1e-12
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """Two-mode selection out of the [field, mirror, condensate] ordering.
-
-    ``first`` and ``second`` are the 0-based quadrature index pairs of the
-    two modes; the reduced covariance lists ``first`` before ``second``.
-    """
-
-    name: str
-    first: Tuple[int, int]
-    second: Tuple[int, int]
-
-    @property
-    def indices(self) -> Tuple[int, int, int, int]:
-        return self.first + self.second
-
-
-MIRROR_FIELD = Bipartition("mirror-field", (2, 3), (0, 1))
-ATOM_FIELD = Bipartition("atom-field", (4, 5), (0, 1))
-MIRROR_ATOM = Bipartition("mirror-atom", (2, 3), (4, 5))
-
-BIPARTITIONS = {bp.name: bp for bp in (MIRROR_FIELD, ATOM_FIELD, MIRROR_ATOM)}
+# Two-mode splits out of the [field, mirror, condensate] ordering: the
+# quadrature indices of the first-listed mode, then those of the second.
+MIRROR_FIELD = (2, 3, 0, 1)
+ATOM_FIELD = (4, 5, 0, 1)
+MIRROR_ATOM = (2, 3, 4, 5)
 
 
 @dataclass(frozen=True)
@@ -74,12 +57,14 @@ def bogoliubov_excitations(v: np.ndarray) -> float:
     return 0.5 * (v[..., 4, 4] + v[..., 5, 5] - 1.0)
 
 
-def reduce_bipartition(v: np.ndarray, bp: Bipartition) -> np.ndarray:
-    """4x4 covariance of the two selected modes, first-listed mode first.
+def reduce_bipartition(v: np.ndarray,
+                       indices: Tuple[int, int, int, int]) -> np.ndarray:
+    """4x4 covariance of the two modes named by a split such as
+    ``MIRROR_FIELD``, first-listed mode first.
 
     A ``(..., 6, 6)`` stack gives a ``(..., 4, 4)`` stack.
     """
-    idx = np.array(bp.indices)
+    idx = np.array(indices)
     return np.asarray(v, dtype=float)[..., idx[:, None], idx]
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from typing import Optional
 
 HBAR = 1.054571817e-34  # J s
 K_B = 1.380649e-23      # J/K
@@ -118,39 +118,6 @@ class BecParams:
                      "bec.recoil", "must be > 0 when the condensate is present")
         else:
             _non_negative(self.recoil, "bec.recoil")
-
-
-@dataclass(frozen=True)
-class MicroscopicBecParams:
-    """Microscopic condensate description, an optional alternative input.
-
-    Only atom number, the dispersive lattice depth (vacuum Rabi frequency
-    squared over the atomic detuning) and the trap/beam geometry are needed
-    to produce the effective mode parameters; see
-    :func:`effective_from_microscopic`.  The atomic transition itself enters
-    only through the far-detuned assumption, so ``atomic_detuning`` must be
-    nonzero.
-    """
-
-    atom_number: float
-    vacuum_rabi: float        # rad/s
-    atomic_detuning: float    # rad/s, pump minus atomic transition
-    scattering_length: float  # m
-    atom_mass: float          # kg
-    beam_waist: float         # m
-    pump_detuning: float      # rad/s, bare cavity-pump detuning
-
-    def __post_init__(self):
-        _require(self.atom_number >= 0, "micro.atom_number", "must be >= 0")
-        _require(self.atomic_detuning != 0, "micro.atomic_detuning",
-                 "must be nonzero (dispersive regime)")
-        _require(self.beam_waist > 0, "micro.beam_waist", "must be > 0")
-        _require(self.atom_mass > 0, "micro.atom_mass", "must be > 0")
-
-    @property
-    def lattice_depth(self) -> float:
-        """Optical lattice barrier height per photon, rad/s."""
-        return self.vacuum_rabi ** 2 / self.atomic_detuning
 
 
 @dataclass(frozen=True)
@@ -280,26 +247,3 @@ def derive_quantities(params: SystemParams) -> DerivedQuantities:
         nbar_bec=nbar_bec,
         beta=beta,
     )
-
-
-class EffectiveBecParams(NamedTuple):
-    coupling: float      # rad/s, zeta
-    sw_frequency: float  # rad/s
-    detuning: float      # rad/s, Stark-shifted effective detuning
-
-
-def effective_from_microscopic(micro: MicroscopicBecParams,
-                               cavity: CavityParams) -> EffectiveBecParams:
-    """Convert a microscopic condensate description to effective mode parameters.
-
-    coupling      = sqrt(N)/2 * g0^2/Delta_a
-    sw_frequency  = 8*pi*hbar*a_s*N / (m0*L*w^2)
-    detuning      = Delta_c + N/2 * g0^2/Delta_a
-    """
-    n_atoms = micro.atom_number
-    u0 = micro.lattice_depth
-    coupling = 0.5 * math.sqrt(n_atoms) * u0
-    sw_frequency = (8.0 * math.pi * HBAR * micro.scattering_length * n_atoms
-                    / (micro.atom_mass * cavity.length * micro.beam_waist ** 2))
-    detuning = micro.pump_detuning + 0.5 * n_atoms * u0
-    return EffectiveBecParams(coupling, sw_frequency, detuning)

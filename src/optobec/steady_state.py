@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from .model import (HBAR, DerivedQuantities, SystemParams, derive_quantities,
                     drive_rate)
 
@@ -61,20 +59,6 @@ class BistabilityWindow:
     power_high: float   # W
     n_knee_low: float   # photon number at the power_low turning point
     n_knee_high: float  # photon number at the power_high turning point
-
-
-def mean_field_cubic(d: DerivedQuantities, delta_c: float) -> np.ndarray:
-    """Cubic coefficients in the photon number, descending powers.
-
-    Returns [beta^2, -2 delta_c beta, delta_c^2 + kappa^2, -eta^2]; the
-    degree degrades gracefully to 1 when beta = 0.
-    """
-    return np.array([
-        d.beta ** 2,
-        -2.0 * delta_c * d.beta,
-        delta_c ** 2 + d.kappa ** 2,
-        -d.eta ** 2,
-    ])
 
 
 def _real_cubic_roots(a3, a2, a1, a0):
@@ -203,23 +187,14 @@ def solve_mean_field(params: SystemParams,
             for (n, flag), label in zip(kept, _LABELS[len(kept)])]
 
 
-def power_at_photon_number(params: SystemParams, delta_c: float, n: float) -> float:
-    """Drive power that sustains photon number ``n`` at the given detuning.
-
-    Inverse of the fixed-point condition, using P = eta^2 hbar omega_c/(2 kappa).
-    """
-    d = derive_quantities(params)
-    eta_sq = n * ((delta_c - d.beta * n) ** 2 + d.kappa ** 2)
-    return eta_sq * HBAR * d.omega_cav / (2.0 * d.kappa)
-
-
 def bistability_window(params: SystemParams,
                        delta_c: float) -> Optional[BistabilityWindow]:
     """Closed-form bistability window, or None when the response is single-valued.
 
-    A window exists only for delta_c > sqrt(3) kappa and beta > 0; the
-    turning points of the drive power versus photon number are
-    n = (2 delta_c -+ sqrt(delta_c^2 - 3 kappa^2)) / (3 beta).
+    A window exists only for delta_c > sqrt(3) kappa and beta > 0.  The
+    drive power that sustains n photons is
+    P(n) = n ((delta_c - beta n)^2 + kappa^2) hbar omega_c / (2 kappa), and
+    its turning points are n = (2 delta_c -+ sqrt(delta_c^2 - 3 kappa^2)) / (3 beta).
     """
     d = derive_quantities(params)
     if d.beta == 0.0 or delta_c <= math.sqrt(3.0) * d.kappa:
@@ -227,15 +202,7 @@ def bistability_window(params: SystemParams,
     s = math.sqrt(delta_c ** 2 - 3.0 * d.kappa ** 2)
     n_hi = (2.0 * delta_c + s) / (3.0 * d.beta)
     n_lo = (2.0 * delta_c - s) / (3.0 * d.beta)
-    return BistabilityWindow(
-        power_low=power_at_photon_number(params, delta_c, n_hi),
-        power_high=power_at_photon_number(params, delta_c, n_lo),
-        n_knee_low=n_hi,
-        n_knee_high=n_lo,
-    )
-
-
-def threshold_power(params: SystemParams, delta_c: float) -> Optional[float]:
-    """Onset power of the three-branch region when sweeping the drive upward."""
-    window = bistability_window(params, delta_c)
-    return None if window is None else window.power_low
+    p_hi, p_lo = (n * ((delta_c - d.beta * n) ** 2 + d.kappa ** 2)
+                  * HBAR * d.omega_cav / (2.0 * d.kappa) for n in (n_hi, n_lo))
+    return BistabilityWindow(power_low=p_hi, power_high=p_lo,
+                             n_knee_low=n_hi, n_knee_high=n_lo)

@@ -5,6 +5,8 @@ from typing import Optional
 
 import numpy as np
 
+from optobec import HBAR, derive_quantities
+
 
 def _rk4_step_matrix(a: np.ndarray, h: float) -> np.ndarray:
     """One-step propagator of the classical 4th-order scheme for du/dt = A u."""
@@ -63,3 +65,14 @@ def stability_oracle(a: np.ndarray, rng: Optional[np.random.Generator] = None) -
     tail = slice(32, 64)
     slope = np.polyfit(times[tail], logs[tail], 1)[0]
     return float(slope)
+
+
+def power_at_photon_number(params, delta_c: float, n: float) -> float:
+    """Drive power that sustains photon number ``n`` at the detuning ``delta_c``.
+
+    Inverse of the mean-field fixed-point condition:
+    P = n ((delta_c - beta n)^2 + kappa^2) hbar omega_c / (2 kappa).
+    """
+    d = derive_quantities(params)
+    eta_sq = n * ((delta_c - d.beta * n) ** 2 + d.kappa ** 2)
+    return eta_sq * HBAR * d.omega_cav / (2.0 * d.kappa)

@@ -13,7 +13,7 @@ import pytest
 from optobec import (bistability_window, characteristic_polynomial,
                      derive_quantities, drift_matrix, is_stable,
                      log_negativity, run_sweep, solve_lyapunov,
-                     solve_mean_field, threshold_power)
+                     solve_mean_field)
 from optobec.model import drive_rate
 from optobec.presets import (MIRROR_FREQ, baseline_params, figure_preset,
                              reference_kappa)
@@ -74,7 +74,7 @@ def test_criterion_3_threshold_powers():
         (baseline_params(sw_frequency=1.0 * MIRROR_FREQ), 0.140),
     ]
     for params, quoted in cases:
-        onset = threshold_power(params, delta_c)
+        onset = bistability_window(params, delta_c).power_low
         scan_low, _ = brute_force_window(params, delta_c)
         assert abs(onset - scan_low) <= 1e-3 * scan_low, quoted
         assert abs(onset - quoted) <= 0.15 * quoted, (onset, quoted)

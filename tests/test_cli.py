@@ -181,6 +181,11 @@ def test_non_finite_sweep_bound_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, xi_override=float("nan"))
     assert main(["point", "--config", path]) == 1
     assert "xi_override: must be finite" in capsys.readouterr().err
+    # an integer too large for a float
+    path = write_config(tmp_path, cavity=dict(BASE_CONFIG["cavity"], finesse=10 ** 400))
+    for command in ("point", "threshold"):
+        assert main([command, "--config", path]) == 1
+        assert "cavity.finesse: must be finite" in capsys.readouterr().err
 
 
 def test_negative_power_sweep_exit_code(tmp_path, capsys):
@@ -263,10 +268,15 @@ def test_reused_parser_matches_fresh_processes(tmp_path, capsys):
     assert (tmp_path / "figures" / "fig2a.csv").read_bytes() == csv
 
 
-def test_point_derives_once_per_request(tmp_path, capsys, derive_calls):
+@pytest.mark.parametrize("command", ["point", "threshold"])
+def test_point_derives_once_per_request(command, tmp_path, capsys, derive_calls):
     path = write_config(tmp_path)
-    assert main(["point", "--config", path]) == 0
-    assert json.loads(capsys.readouterr().out)["branches"]
+    assert main([command, "--config", path]) == 0
+    out = capsys.readouterr().out
+    if command == "point":
+        assert json.loads(out)["branches"]
+    else:
+        assert len(out.split()) == 2   # the two knee powers
     assert len(derive_calls) == 1
 
 

@@ -3,9 +3,8 @@ import math
 import pytest
 
 from optobec import (HBAR, K_B, C_LIGHT, BecParams, CavityParams,
-                     DriveParams, MicroscopicBecParams, MirrorParams,
-                     ParameterError, bose_occupation, derive_quantities,
-                     drive_rate, effective_from_microscopic)
+                     DriveParams, MirrorParams, ParameterError,
+                     bose_occupation, derive_quantities, drive_rate)
 from optobec.presets import MIRROR_FREQ, baseline_params
 
 
@@ -129,42 +128,6 @@ def test_absent_condensate_drops_coupling():
 def test_validation_names_offending_field(builder, message_part):
     with pytest.raises(ParameterError, match=message_part):
         builder()
-
-
-def _micro(n_atoms, rabi=1.0, detuning=1.0, a_s=5e-9, mass=1.44e-25,
-           waist=25e-6, pump_detuning=-1e6):
-    return MicroscopicBecParams(
-        atom_number=n_atoms, vacuum_rabi=rabi, atomic_detuning=detuning,
-        scattering_length=a_s, atom_mass=mass, beam_waist=waist,
-        pump_detuning=pump_detuning)
-
-
-def test_effective_from_microscopic_empty_condensate():
-    cavity = CavityParams(length=1e-3, wavelength=1.064e-6, finesse=3e4)
-    eff = effective_from_microscopic(_micro(0.0), cavity)
-    assert eff.coupling == 0.0
-    assert eff.sw_frequency == 0.0
-    assert eff.detuning == -1e6
-
-
-def test_effective_from_microscopic_scaling():
-    cavity = CavityParams(length=1e-3, wavelength=1.064e-6, finesse=3e4)
-    one = effective_from_microscopic(_micro(1e5), cavity)
-    four = effective_from_microscopic(_micro(4e5), cavity)
-    assert four.coupling == pytest.approx(2.0 * one.coupling, rel=1e-12)
-    assert four.sw_frequency == pytest.approx(4.0 * one.sw_frequency, rel=1e-12)
-
-
-def test_effective_from_microscopic_unit_lattice():
-    # N = 4 with g0^2/Delta_a = 1 rad/s gives coupling sqrt(4)/2 = 1 rad/s
-    cavity = CavityParams(length=1e-3, wavelength=1.064e-6, finesse=3e4)
-    eff = effective_from_microscopic(_micro(4.0, rabi=1.0, detuning=1.0), cavity)
-    assert eff.coupling == pytest.approx(1.0, rel=1e-15)
-
-
-def test_microscopic_rejects_resonant_pump():
-    with pytest.raises(ParameterError, match="atomic_detuning"):
-        _micro(10.0, detuning=0.0)
 
 
 def test_xi_override_validation(reference):

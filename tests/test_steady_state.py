@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from optobec import (HBAR, bistability_window, derive_quantities, drive_rate,
-                     mean_field_cubic, power_at_photon_number,
-                     solve_mean_field, threshold_power)
+                     solve_mean_field)
 from optobec.presets import MIRROR_FREQ, baseline_params, reference_kappa
+
+from oracles import power_at_photon_number
 
 
 def brute_force_window(params, delta_c, n_points=10 ** 6):
@@ -57,10 +58,7 @@ def test_cubic_coefficients_empty_cavity():
     params = baseline_params(power=0.01, bec_present=False)
     params = dataclasses.replace(params, xi_override=0.0)
     d = derive_quantities(params)
-    coeffs = mean_field_cubic(d, 0.0)
-    assert coeffs[0] == 0.0 and coeffs[1] == 0.0
-    assert coeffs[2] == pytest.approx(d.kappa ** 2, rel=1e-15)
-    assert coeffs[3] == pytest.approx(-d.eta ** 2, rel=1e-15)
+    assert d.beta == 0.0
     # Lorentzian root for arbitrary detuning
     delta_c = 2.3 * d.kappa
     branches = solve_mean_field(params, delta_c=delta_c)
@@ -134,7 +132,6 @@ def test_no_window_below_critical_detuning(reference):
     kappa = reference_kappa()
     assert bistability_window(reference, kappa) is None
     assert bistability_window(reference, 1.7 * kappa) is None  # sqrt(3) ~ 1.732
-    assert threshold_power(reference, kappa) is None
 
 
 def test_no_window_without_pull():
@@ -172,7 +169,7 @@ def test_threshold_agrees_with_bisection():
     delta_c = 4 * reference_kappa()
     for params in (baseline_params(bec_present=False),
                    baseline_params(sw_frequency=MIRROR_FREQ)):
-        expected = threshold_power(params, delta_c)
+        expected = bistability_window(params, delta_c).power_low
         measured = bisect_threshold(params, delta_c, 0.5 * expected, 1.5 * expected)
         assert measured == pytest.approx(expected, rel=1e-6)
 
@@ -183,12 +180,13 @@ def test_threshold_decreases_with_pull():
     thresholds = []
     for zeta in (0.0, 200.0, 400.0):
         params = baseline_params(zeta=zeta, bec_present=zeta > 0)
-        thresholds.append(threshold_power(params, delta_c))
+        thresholds.append(bistability_window(params, delta_c).power_low)
     assert thresholds[0] > thresholds[1] > thresholds[2]
 
     # collisions push it back up at fixed coupling
-    t_weak = threshold_power(baseline_params(sw_frequency=0.0), delta_c)
-    t_strong = threshold_power(baseline_params(sw_frequency=MIRROR_FREQ), delta_c)
+    t_weak = bistability_window(baseline_params(sw_frequency=0.0), delta_c).power_low
+    t_strong = bistability_window(baseline_params(sw_frequency=MIRROR_FREQ),
+                                  delta_c).power_low
     assert t_weak < t_strong
 
 

@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from optobec import (ParameterError, SweepSpec, derive_quantities,
-                     diffusion_matrix, emit, evaluate_branches, figure_preset,
-                     run_sweep, solve_mean_field, threshold_power)
+from optobec import (ParameterError, SweepSpec, bistability_window,
+                     derive_quantities, diffusion_matrix, emit,
+                     evaluate_branches, figure_preset, run_sweep,
+                     solve_mean_field)
 from optobec.presets import (FIGURE_IDS, MIRROR_FREQ, baseline_params,
                              reference_kappa, reference_xi)
 from optobec.sweep import _branches_at, _expand_configs, rows_to_csv
@@ -96,7 +97,7 @@ def test_fig2d_threshold_ordering():
     kappa = reference_kappa()
     spec = figure_preset("fig2d")
     by_label = {v.label: v.params for v in spec.variants}
-    onset = {label: threshold_power(p, 4.0 * kappa)
+    onset = {label: bistability_window(p, 4.0 * kappa).power_low
              for label, p in by_label.items()}
     assert onset["sw_0.0"] < onset["sw_0.5"] < onset["sw_1.0"] < onset["no_bec"]
 
