@@ -8,7 +8,7 @@ from .model import (HBAR, K_B, C_LIGHT, BecParams, CavityParams,
                     DerivedQuantities, DriveParams, MirrorParams,
                     ParameterError, SystemParams, bose_occupation,
                     derive_quantities, drive_rate)
-from .steady_state import (BistabilityWindow, MeanFieldBranch,
+from .steady_state import (BistabilityWindow, BranchColumns, MeanFieldBranch,
                            bistability_window, solve_mean_field)
 from .linear_dynamics import (NumericalError, characteristic_polynomial,
                               diffusion_matrix, drift_matrix, is_stable,
@@ -29,7 +29,7 @@ __all__ = [
     "BecParams", "CavityParams", "DerivedQuantities", "DriveParams",
     "MirrorParams", "ParameterError", "SystemParams", "bose_occupation",
     "derive_quantities", "drive_rate",
-    "BistabilityWindow", "MeanFieldBranch", "bistability_window",
+    "BistabilityWindow", "BranchColumns", "MeanFieldBranch", "bistability_window",
     "solve_mean_field",
     "NumericalError", "characteristic_polynomial", "diffusion_matrix",
     "drift_matrix", "is_stable", "solve_lyapunov",

@@ -25,7 +25,7 @@ from .config import ConfigError, load_config
 from .linear_dynamics import NumericalError, diffusion_matrix
 from .model import ParameterError, derive_quantities
 from .presets import FIGURE_IDS, figure_preset
-from .steady_state import bistability_window, solve_mean_field
+from .steady_state import BranchColumns, bistability_window, solve_mean_field
 from .sweep import as_dict, emit, evaluate_branches, run_sweep, to_json
 
 
@@ -67,7 +67,8 @@ def _build_parser() -> _Parser:
 def _point_report(params) -> dict:
     d = derive_quantities(params)
     branches = solve_mean_field(params, d=d)
-    verdicts, measures = evaluate_branches(branches, d, diffusion_matrix(d))
+    verdicts, measures = evaluate_branches(BranchColumns.of(branches), d,
+                                           diffusion_matrix(d))
     return {
         "params": as_dict(params),
         "derived_quantities": as_dict(d),

@@ -28,6 +28,8 @@ import math
 from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from .model import (BecParams, CavityParams, DriveParams, MirrorParams,
                     ParameterError, SystemParams)
 from .sweep import SweepSpec
@@ -35,6 +37,10 @@ from .sweep import SweepSpec
 
 class ConfigError(ParameterError):
     """A configuration document is malformed or names invalid values."""
+
+
+# the most float64 grid values numpy can address in one array
+_MAX_POINTS = np.iinfo(np.intp).max // 8
 
 
 def _section(doc: Dict, name: str, required: bool) -> Optional[Dict]:
@@ -151,6 +157,8 @@ def sweep_from_dict(doc: Dict, params: SystemParams) -> SweepSpec:
     points = section.get("points", 600)
     if isinstance(points, bool) or not isinstance(points, int):
         raise ConfigError("sweep.points: must be an integer")
+    if points > _MAX_POINTS:
+        raise ConfigError(f"sweep.points: must be at most {_MAX_POINTS}")
 
     return SweepSpec(
         variable=variable,

@@ -13,12 +13,11 @@ eigen/Schur machinery.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Union
+from typing import List, Union
 
 import numpy as np
 
 from .model import DerivedQuantities
-from .steady_state import MeanFieldBranch
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -30,22 +29,22 @@ class NumericalError(RuntimeError):
     """A linear solve hit a singular or marginal system."""
 
 
-def drift_matrix(branches: Union[MeanFieldBranch, Sequence[MeanFieldBranch]],
-                 d: DerivedQuantities) -> np.ndarray:
+def drift_matrix(branches, d: DerivedQuantities) -> np.ndarray:
     """Drift matrix of the linearized dynamics around a mean-field branch.
 
-    One branch gives a ``(6, 6)`` matrix, a sequence of branches an
-    ``(N, 6, 6)`` stack.  A condensate-absent configuration has zeta = 0,
-    which decouples the last two rows and columns; they are kept so the
-    state dimension never changes.
+    One :class:`MeanFieldBranch` gives a ``(6, 6)`` matrix, the
+    :class:`BranchColumns` of N branches an ``(N, 6, 6)`` stack; only their
+    ``alpha`` and ``Delta`` enter.  A condensate-absent configuration has
+    zeta = 0, which decouples the last two rows and columns; they are kept
+    so the state dimension never changes.
     """
-    single = isinstance(branches, MeanFieldBranch)
-    group = [branches] if single else branches
-    alpha = np.array([b.alpha for b in group], dtype=float)
+    alpha = np.asarray(branches.alpha, dtype=float)
+    single = alpha.ndim == 0
+    alpha = alpha.reshape(-1)
     g_m = _SQRT2 * d.xi * alpha
     g_c = _SQRT2 * d.zeta * alpha
-    delta = np.array([b.Delta for b in group], dtype=float)
-    a = np.zeros((len(group), 6, 6))
+    delta = np.asarray(branches.Delta, dtype=float).reshape(-1)
+    a = np.zeros((len(alpha), 6, 6))
     a[:, 0, 0] = -d.kappa
     a[:, 0, 1] = delta
     a[:, 1, 0] = -delta
@@ -258,11 +257,14 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
     n = a.shape[-1]
-    eye = np.eye(n)
     batch = a.shape[:-2]
-    # kron(I, A) + kron(A, I), elementwise the same products np.kron forms
-    coefficient = (eye[:, None, :, None] * a[..., None, :, None, :]
-                   + a[..., :, None, :, None] * eye[None, :, None, :])
+    # kron(I, A) + kron(A, I), scattered into its nonzero blocks: entry
+    # ((i, j), (k, l)) is delta_ik A_jl + A_ik delta_jl
+    coefficient = np.zeros(batch + (n, n, n, n))
+    for i in range(n):
+        coefficient[..., i, :, i, :] = a
+    for k in range(n):
+        coefficient[..., :, k, :, k] += a
     coefficient = coefficient.reshape(batch + (n * n, n * n))
     rhs = np.broadcast_to(-d, batch + (n, n)).reshape(batch + (n * n,))
     try:

@@ -8,15 +8,21 @@ cubic in the intracavity photon number n,
 whose real roots are the steady-state branches.  Roots are found by the
 closed-form depressed-cubic solution (the trigonometric form in the
 three-real-root regime, so the branch count is exact) and each root gets one
-Newton polish step on the original cubic.  Turning points of the drive power
-as a function of n give the bistability window in closed form.
+Newton polish step on the original cubic.  A whole ``delta_c`` or ``power``
+grid is solved as one stack of cubics (:func:`solve_mean_field_grid`), each
+row in the operations of the scalar kernel, and its branches come back as
+columns.  Turning points of the drive power as a function of n give the
+bistability window in closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from itertools import repeat
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from .model import (HBAR, DerivedQuantities, SystemParams, derive_quantities,
                     drive_rate)
@@ -44,6 +50,41 @@ class MeanFieldBranch:
     P_s: float     # condensate momentum quadrature
     label: str     # lower | middle | upper | unique
     degenerate: bool = False
+
+
+@dataclass(frozen=True, eq=False)
+class BranchColumns:
+    """Mean-field branches as columns, one entry per branch.
+
+    ``index`` is the grid point each branch belongs to (0 for the branches
+    of a single point), in grid order, branches of one point by ascending
+    photon number.  The displacement quadratures are left out: no sweep
+    output carries them.
+    """
+
+    index: np.ndarray        # int, grid point of each branch
+    n: np.ndarray            # mean photon number
+    alpha: np.ndarray        # field amplitude, sqrt(n)
+    Delta: np.ndarray        # rad/s, effective detuning
+    label: List[str]         # lower | middle | upper | unique
+    degenerate: np.ndarray   # bool, root on a bistability knee
+
+    @classmethod
+    def of(cls, branches: Sequence[MeanFieldBranch]) -> "BranchColumns":
+        """Columns of the branches of one point."""
+        return cls(index=np.zeros(len(branches), dtype=int),
+                   n=np.array([b.n for b in branches], dtype=float),
+                   alpha=np.array([b.alpha for b in branches], dtype=float),
+                   Delta=np.array([b.Delta for b in branches], dtype=float),
+                   label=[b.label for b in branches],
+                   degenerate=np.array([b.degenerate for b in branches], dtype=bool))
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def __getitem__(self, rows: slice) -> "BranchColumns":
+        return BranchColumns(self.index[rows], self.n[rows], self.alpha[rows],
+                             self.Delta[rows], self.label[rows], self.degenerate[rows])
 
 
 @dataclass(frozen=True)
@@ -131,6 +172,85 @@ def _real_cubic_roots(a3, a2, a1, a0):
     return [(polish(shift + t), False)]
 
 
+def _each(fn, x: np.ndarray, *args) -> np.ndarray:
+    # fn(entry, *args) in Python floats for every entry: libm's pow, acos and
+    # cos, whose last bit numpy's own versions do not always match
+    return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), dtype=float,
+                       count=len(x))
+
+
+def _polish(x, a3, a2, a1, a0):
+    f = ((a3 * x + a2) * x + a1) * x + a0
+    fp = (3.0 * a3 * x + 2.0 * a2) * x + a1
+    return np.where(fp != 0.0, x - f / fp, x)
+
+
+def _stacked_cubic_roots(a3, a2, a1, a0):
+    """Real roots of a stack of cubics, each row as :func:`_real_cubic_roots`.
+
+    Takes 1-D coefficient arrays (floats broadcast) and returns
+    ``(row, root, degenerate)`` columns, rows in order and the roots of a
+    row ascending.  The trigonometric and Cardano forms and the Newton
+    polish run over the stack in the operations of the scalar kernel, with
+    its powers and its acos and cos taken per entry in Python floats, so
+    every root has the scalar kernel's bits.  A row with ``a3 == 0``,
+    ``a0 == 0`` or a discriminant within tolerance of zero (a knee) goes
+    through :func:`_real_cubic_roots` itself.
+    """
+    a3, a2, a1, a0 = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (a3, a2, a1, a0)))
+    rows = np.flatnonzero((a3 != 0.0) & (a0 != 0.0))
+    a3_, a2_, a1_, a0_ = a3[rows], a2[rows], a1[rows], a0[rows]
+    with np.errstate(all="ignore"):
+        b = a2_ / a3_
+        c = a1_ / a3_
+        dd = a0_ / a3_
+        p = c - b * b / 3.0
+        q = 2.0 * _each(pow, b, 3) / 27.0 - b * c / 3.0 + dd
+        shift = -b / 3.0
+        p3 = _each(pow, p, 3)
+        disc = -4.0 * p3 - 27.0 * q * q
+        disc_scale = _each(pow, np.maximum(
+            np.abs(p), _each(pow, np.abs(q), 2.0 / 3.0)), 3)
+        knee = (disc_scale == 0.0) | (np.abs(disc) <= _DEGENERACY_RTOL * disc_scale)
+
+        three = ~knee & (disc > 0.0)
+        coeffs = [x[three, None] for x in (a3_, a2_, a1_, a0_)]
+        m = 2.0 * np.sqrt(-p[three] / 3.0)
+        arg = 3.0 * q[three] / (p[three] * m)
+        arg = np.where(arg > -1.0, arg, -1.0)   # max(-1.0, arg)
+        arg = np.where(arg < 1.0, arg, 1.0)     # min(1.0, arg)
+        theta = _each(math.acos, arg)
+        ts = np.stack([m * _each(math.cos, (theta - 2.0 * math.pi * k) / 3.0)
+                       for k in range(3)], axis=1)
+        ts.sort(axis=1)
+        three_roots = _polish(shift[three, None] + ts, *coeffs)
+
+        one = ~knee & ~(disc > 0.0)
+        coeffs = [x[one] for x in (a3_, a2_, a1_, a0_)]
+        p, q = p[one], q[one]
+        h = np.sqrt(q * q / 4.0 + p3[one] / 27.0)
+        u = -np.copysign(np.abs(q) / 2.0 + h, q)
+        a = np.copysign(_each(pow, np.abs(u), 1.0 / 3.0), u)
+        t = np.where(a != 0.0, a - p / (3.0 * a), 0.0)
+        one_root = _polish(shift[one] + t, *coeffs)
+
+    closed = np.zeros(len(a3), dtype=bool)
+    closed[rows[~knee]] = True
+    scalar_rows = np.flatnonzero(~closed)
+    scalar = [_real_cubic_roots(*coeffs) for coeffs in
+              zip(*(x[scalar_rows].tolist() for x in (a3, a2, a1, a0)))]
+    pairs = np.array([pair for roots in scalar for pair in roots],
+                     dtype=float).reshape(-1, 2)
+    row = np.concatenate([np.repeat(rows[three], 3), rows[one],
+                          np.repeat(scalar_rows, [len(roots) for roots in scalar])])
+    root = np.concatenate([three_roots.ravel(), one_root, pairs[:, 0]])
+    flag = np.concatenate([np.zeros(three_roots.size + one_root.size, dtype=bool),
+                           pairs[:, 1] != 0.0])
+    order = np.argsort(row, kind="stable")
+    return row[order], root[order], flag[order]
+
+
 def build_branch(n: float, Delta: float, d: DerivedQuantities, label: str,
                  degenerate: bool = False) -> MeanFieldBranch:
     """Fixed point, displacements included, at photon number ``n`` and ``Delta``."""
@@ -146,6 +266,16 @@ def build_branch(n: float, Delta: float, d: DerivedQuantities, label: str,
 
 
 _LABELS = {1: ("unique",), 2: ("lower", "upper"), 3: ("lower", "middle", "upper")}
+
+
+def _mean_field_cubic(d: DerivedQuantities, delta_c, delta_c_sq, eta):
+    """Coefficients (a3, a2, a1, a0) of the photon-number cubic.
+
+    ``delta_c``, its square and the drive rate ``eta`` are floats or arrays;
+    the caller squares ``delta_c``, a grid entry by entry in Python floats.
+    """
+    return (d.beta ** 2, -2.0 * delta_c * d.beta, delta_c_sq + d.kappa ** 2,
+            -eta * eta)
 
 
 def solve_mean_field(params: SystemParams,
@@ -169,8 +299,7 @@ def solve_mean_field(params: SystemParams,
         power = params.drive.power
     eta = drive_rate(power, d.kappa, d.omega_cav)
 
-    coeffs = [d.beta ** 2, -2.0 * delta_c * d.beta,
-              delta_c ** 2 + d.kappa ** 2, -eta * eta]
+    coeffs = _mean_field_cubic(d, delta_c, delta_c ** 2, eta)
     roots = _real_cubic_roots(*coeffs)
 
     # photon-number scale of the cubic, for the roundoff window of the
@@ -185,6 +314,53 @@ def solve_mean_field(params: SystemParams,
 
     return [build_branch(n, delta_c - d.beta * n, d, label, flag)
             for (n, flag), label in zip(kept, _LABELS[len(kept)])]
+
+
+def solve_mean_field_grid(d: DerivedQuantities, delta_c, eta) -> BranchColumns:
+    """Mean-field branches over a grid of detunings or drive rates, as columns.
+
+    ``delta_c`` and the drive rate ``eta`` are 1-D arrays over the grid, or
+    floats shared by every grid point.  The grid goes through one stack of
+    cubics, and the negative-root filter, labels and effective detunings are
+    taken on the columns, each with the operations of
+    :func:`solve_mean_field`: a branch has the bits it has there.
+    """
+    delta_c, eta = np.broadcast_arrays(np.asarray(delta_c, dtype=float),
+                                       np.asarray(eta, dtype=float))
+    a3, a2, a1, a0 = _mean_field_cubic(d, delta_c, _each(pow, delta_c, 2), eta)
+    row, root, flag = _stacked_cubic_roots(a3, a2, a1, a0)
+
+    if d.beta > 0.0:
+        scale = np.maximum(np.maximum(
+            np.abs(a2 / a3), _each(pow, np.abs(a1 / a3), 0.5)),
+            _each(pow, np.abs(a0 / a3), 1.0 / 3.0))
+    else:
+        scale = np.zeros(len(delta_c))
+        np.maximum.at(scale, row, np.abs(root))
+    keep = ~(root < -1e-12 * scale[row])
+    row, root, flag = row[keep], root[keep], flag[keep]
+    n = np.where(0.0 > root, 0.0, root)   # max(root, 0.0)
+
+    count = np.bincount(row, minlength=len(delta_c))[row]
+    rank = np.arange(len(row)) - np.searchsorted(row, row)
+    label = [_LABELS[c][k] for c, k in zip(count.tolist(), rank.tolist())]
+    return BranchColumns(index=row, n=n, alpha=np.sqrt(n),
+                         Delta=delta_c[row] - d.beta * n, label=label,
+                         degenerate=flag)
+
+
+def imposed_detuning_branches(d: DerivedQuantities, Delta) -> BranchColumns:
+    """One ``unique`` branch per imposed effective detuning, as columns.
+
+    The detuning fixes the photon number through the field fixed point,
+    n = eta^2 / (Delta^2 + kappa^2); the branch structure of the cubic never
+    enters.
+    """
+    Delta = np.asarray(Delta, dtype=float)
+    n = d.eta ** 2 / (_each(pow, Delta, 2) + d.kappa ** 2)
+    return BranchColumns(index=np.arange(len(Delta)), n=n, alpha=np.sqrt(n),
+                         Delta=Delta, label=["unique"] * len(Delta),
+                         degenerate=np.zeros(len(Delta), dtype=bool))
 
 
 def bistability_window(params: SystemParams,

@@ -5,19 +5,24 @@ Every branch, whether it comes from a sweep point or from a single ``point``
 report, goes through :func:`evaluate_branches`: drift matrix, Routh-Hurwitz
 verdict and, for stable branches in full mode, the Lyapunov covariance and
 the five measures.  A sweep configuration's branches go through it as one
-batch of stacked arrays; each row gets the arithmetic it would get on its
-own, so emitted bytes are deterministic and independent of the batching.
+batch of branch columns (:class:`BranchColumns`); each row gets the
+arithmetic it would get on its own, so emitted bytes are deterministic and
+independent of the batching.
 
 Swept variables:
 
-* ``delta_c``          detuning offset, full self-consistent branch solve
-* ``power``            drive power, full self-consistent branch solve
+* ``delta_c``          detuning offset, full self-consistent branch solve,
+                       the whole grid as one stack of cubics
+* ``power``            drive power, likewise
 * ``Delta_effective``  effective detuning taken as the independent input;
                        the photon number follows directly from the field
                        fixed point and the self-consistency loop is
                        bypassed (single branch per point)
 * ``omega_sw``         collisional frequency
 * ``xi``               mirror coupling rate (installed as an override)
+
+The last two change the derived rates, so each of their grid values gets
+its own scalar :func:`solve_mean_field`.
 
 ``Delta_effective`` differs qualitatively from a ``delta_c`` sweep: the
 branch structure of the cubic never enters, which is the natural x-axis for
@@ -37,8 +42,9 @@ from .linear_dynamics import (NumericalError, characteristic_polynomial,
                               diffusion_matrix, drift_matrix, is_stable,
                               solve_lyapunov)
 from .model import (DerivedQuantities, ParameterError, SystemParams,
-                    derive_quantities)
-from .steady_state import MeanFieldBranch, build_branch, solve_mean_field
+                    derive_quantities, drive_rate)
+from .steady_state import (BranchColumns, imposed_detuning_branches,
+                           solve_mean_field, solve_mean_field_grid)
 
 SWEEP_VARIABLES = ("delta_c", "power", "Delta_effective", "omega_sw", "xi")
 SWEEP_MODES = ("mean_field", "full")
@@ -52,10 +58,14 @@ CSV_COLUMNS = (
 # bipartitions of the three e_n_* columns, in column order
 _SPLITS = (gm.MIRROR_FIELD, gm.ATOM_FIELD, gm.MIRROR_ATOM)
 
-#: Rows per stack in :func:`evaluate_branches`.  Peak RSS of the four
-#: full-mode presets: 32.5 MB one row at a time, 34.1 MB at 64 rows,
+#: Rows per Lyapunov stack in :func:`evaluate_branches`.  Peak RSS of the
+#: four full-mode presets: 32.5 MB one row at a time, 34.1 MB at 64 rows,
 #: 44.6 MB unchunked; larger chunks gain little speed.
 BATCH_ROWS = 64
+#: Rows per drift-to-verdict stack in :func:`evaluate_branches`.  Peak RSS
+#: of the six mean-field presets: 42.6 MB at 64 rows, 42.5 MB at 512,
+#: 43.9 MB for a whole configuration; 512 is as fast as the whole.
+VERDICT_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -142,76 +152,72 @@ def _expand_configs(spec: SweepSpec) -> List[Tuple[str, SystemParams]]:
     return configs
 
 
-def evaluate_branches(branches: Sequence[MeanFieldBranch], d: DerivedQuantities,
+def evaluate_branches(branches: BranchColumns, d: DerivedQuantities,
                       diffusion: Optional[np.ndarray] = None
                       ) -> Tuple[List[str], List[Optional[Dict[str, float]]]]:
     """Stability verdicts of branches and, given the diffusion matrix, their measures.
 
-    Returns ``(verdicts, measures)``, one entry per branch.  ``measures[i]``
-    maps the last five ``CSV_COLUMNS`` to the occupations and
-    log-negativities of the stationary covariance; it is None for a
+    Returns ``(verdicts, measures)``, one entry per branch of the columns.
+    ``measures[i]`` maps the last five ``CSV_COLUMNS`` to the occupations
+    and log-negativities of the stationary covariance; it is None for a
     non-stable branch or when no ``diffusion`` is given (mean-field mode).
-    The branches go through the solvers as stacks of at most ``BATCH_ROWS``,
-    and every row sees the same arithmetic as it would on its own.  A
+    The drift matrices go through the characteristic polynomial and the
+    Routh test in stacks of ``VERDICT_ROWS`` and the stable ones through the
+    Lyapunov solve and the measures in stacks of ``BATCH_ROWS``; every row
+    sees the same arithmetic as it would on its own.  A
     covariance that fails the physicality check raises :class:`NumericalError`.
     """
-    verdicts: List[str] = []
-    measures: List[Optional[Dict[str, float]]] = [None] * len(branches)
-    for start in range(0, len(branches), BATCH_ROWS):
-        a = drift_matrix(branches[start:start + BATCH_ROWS], d)
-        verdicts.extend(is_stable(characteristic_polynomial(a)))
-        stable = [i for i in range(len(a)) if verdicts[start + i] == "stable"]
-        if diffusion is not None and stable:
-            v = solve_lyapunov(a[stable], diffusion)
-            splits = np.stack([gm.reduce_bipartition(v, bp) for bp in _SPLITS])
-            try:
-                e_n = gm.log_negativity(splits).log_negativity
-            except ValueError as exc:   # the covariance is not physical
-                raise NumericalError(str(exc)) from exc
-            columns = np.stack([gm.mirror_phonons(v), gm.bogoliubov_excitations(v),
-                                *e_n], axis=1)
-            for i, row in zip(stable, columns.tolist()):
-                measures[start + i] = dict(zip(CSV_COLUMNS[-5:], row))
+    drift = drift_matrix(branches, d)
+    verdicts = [verdict for start in range(0, len(drift), VERDICT_ROWS)
+                for verdict in is_stable(characteristic_polynomial(
+                    drift[start:start + VERDICT_ROWS]))]
+    measures: List[Optional[Dict[str, float]]] = [None] * len(drift)
+    if diffusion is None:
+        return verdicts, measures
+    stable = [i for i, verdict in enumerate(verdicts) if verdict == "stable"]
+    for start in range(0, len(stable), BATCH_ROWS):
+        rows = stable[start:start + BATCH_ROWS]
+        v = solve_lyapunov(drift[rows], diffusion)
+        splits = np.stack([gm.reduce_bipartition(v, bp) for bp in _SPLITS])
+        try:
+            e_n = gm.log_negativity(splits).log_negativity
+        except ValueError as exc:   # the covariance is not physical
+            raise NumericalError(str(exc)) from exc
+        columns = np.stack([gm.mirror_phonons(v), gm.bogoliubov_excitations(v),
+                            *e_n], axis=1)
+        for i, row in zip(rows, columns.tolist()):
+            measures[i] = dict(zip(CSV_COLUMNS[-5:], row))
     return verdicts, measures
 
 
 def _point_params(variable: str, value: float, params: SystemParams) -> SystemParams:
-    """``params`` with an ``omega_sw`` or ``xi`` grid value installed.
-
-    Any other variable leaves the derived rates alone and gets ``params``
-    itself, so a new object means a new ``d``.
-    """
+    """``params`` with an ``omega_sw`` or ``xi`` grid value installed."""
     if variable == "omega_sw":
         return replace(params, bec=replace(params.bec, sw_frequency=value))
-    if variable == "xi":
-        return replace(params, xi_override=value)
-    return params
+    return replace(params, xi_override=value)
 
 
-def _branches_at(variable: str, value: float, params: SystemParams,
-                 d: DerivedQuantities) -> List[MeanFieldBranch]:
-    """Branches at one grid point of ``params`` from :func:`_point_params`."""
-    if variable == "Delta_effective":
-        # the imposed effective detuning fixes n through the field fixed point
-        n = d.eta ** 2 / (value ** 2 + d.kappa ** 2)
-        return [build_branch(n, value, d, "unique")]
+def _grid_branches(variable: str, values: Sequence[float], params: SystemParams,
+                   d: DerivedQuantities) -> BranchColumns:
+    """Branches of a ``delta_c``, ``power`` or ``Delta_effective`` grid, as columns."""
     if variable == "delta_c":
-        return solve_mean_field(params, delta_c=value, d=d)
+        return solve_mean_field_grid(d, values, d.eta)
     if variable == "power":
-        return solve_mean_field(params, power=value, d=d)
-    return solve_mean_field(params, d=d)
+        eta = [drive_rate(power, d.kappa, d.omega_cav) for power in values]
+        return solve_mean_field_grid(d, params.cavity.detuning, eta)
+    return imposed_detuning_branches(d, values)
 
 
 def _named(exc: Exception, config: str, variable: str, value: float,
-           branch: Optional[MeanFieldBranch] = None) -> Exception:
-    at_branch = "" if branch is None else f", branch {branch.label}"
+           label: Optional[str] = None) -> Exception:
+    at_branch = "" if label is None else f", branch {label}"
     return type(exc)(f"{config}: {variable}={value:.12g}{at_branch}: {exc}")
 
 
 def _evaluate_group(config: str, variable: str, d: DerivedQuantities,
-                    points: List[Tuple[float, MeanFieldBranch]],
+                    values: Sequence[float], branches: BranchColumns,
                     mode: str) -> List[SweepRow]:
-    """Rows of the (value, branch) pairs that share ``d``, as one batch.
+    """Rows of branch columns over grid ``values`` that share ``d``, as one batch.
 
     When the batch fails it is re-run branch by branch, so the error names
     the first failing value and branch in grid order; a failure that no
@@ -219,42 +225,53 @@ def _evaluate_group(config: str, variable: str, d: DerivedQuantities,
     """
     diffusion = diffusion_matrix(d) if mode == "full" else None
     try:
-        verdicts, measures = evaluate_branches([b for _, b in points], d, diffusion)
+        verdicts, measures = evaluate_branches(branches, d, diffusion)
     except NumericalError:
-        for value, branch in points:
+        for i in range(len(branches)):
             try:
-                evaluate_branches([branch], d, diffusion)
+                evaluate_branches(branches[i:i + 1], d, diffusion)
             except NumericalError as exc:
-                raise _named(exc, config, variable, value, branch) from exc
+                raise _named(exc, config, variable, values[branches.index[i]],
+                             branches.label[i]) from exc
         raise
-    return [SweepRow(config, value, branch.label, branch.n, branch.alpha,
-                     branch.Delta, verdict, branch.degenerate, **(measure or {}))
-            for (value, branch), verdict, measure in zip(points, verdicts, measures)]
+    return [SweepRow(config, values[i], label, n, alpha, Delta, verdict, flag,
+                     **(measure or {}))
+            for i, label, n, alpha, Delta, flag, verdict, measure in zip(
+                branches.index.tolist(), branches.label, branches.n.tolist(),
+                branches.alpha.tolist(), branches.Delta.tolist(),
+                branches.degenerate.tolist(), verdicts, measures)]
 
 
 def _config_rows(config: str, variable: str, values: Sequence[float],
                  params: SystemParams, mode: str) -> List[SweepRow]:
     """Rows of one configuration, in grid order.
 
-    Points share a batch and one ``d`` while :func:`_point_params` hands
-    back ``params`` itself; a new parameter object starts a new batch with
-    its own ``d``.
+    A ``delta_c``, ``power`` or ``Delta_effective`` grid shares one ``d``
+    and goes through as one set of branch columns.  Every ``omega_sw`` or
+    ``xi`` value gets its own parameters, ``d`` and scalar
+    :func:`solve_mean_field`.
     """
-    groups: List[Tuple[DerivedQuantities, List[Tuple[float, MeanFieldBranch]]]] = []
+    groups: List[Tuple[DerivedQuantities, Sequence[float], BranchColumns]] = []
     failure = None
+    # the grid ascends, so a grid-wide failure (a negative power) is at its
+    # first value, with no point before it
+    value = values[0]
     try:
-        for value in values:
-            point_params = _point_params(variable, value, params)
-            if not groups or point_params is not params:
-                groups.append((derive_quantities(point_params), []))
-            d, points = groups[-1]
-            points.extend((value, b) for b in _branches_at(variable, value, point_params, d))
+        if variable in ("omega_sw", "xi"):
+            for value in values:
+                point_params = _point_params(variable, value, params)
+                d = derive_quantities(point_params)
+                groups.append((d, [value], BranchColumns.of(
+                    solve_mean_field(point_params, d=d))))
+        else:
+            d = derive_quantities(params)
+            groups.append((d, values, _grid_branches(variable, values, params, d)))
     except (ParameterError, NumericalError) as exc:
         failure = exc
     # the points before a failing one are evaluated first, so that an
     # earlier failure is the one reported, as in a point-by-point run
-    rows = [row for d, points in groups
-            for row in _evaluate_group(config, variable, d, points, mode)]
+    rows = [row for d, group_values, branches in groups
+            for row in _evaluate_group(config, variable, d, group_values, branches, mode)]
     if failure is not None:
         raise _named(failure, config, variable, value) from failure
     return rows
@@ -267,28 +284,25 @@ def run_sweep(spec: SweepSpec) -> List[SweepRow]:
             for row in _config_rows(label, spec.variable, values, params, spec.mode)]
 
 
-def _format_number(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    return format(float(x), ".12g")
+# one CSV line per row: rows from a sweep carry all five measures or none
+_CSV_ROW = "%s,%.12g,%s,%.12g,%.12g,%.12g,%s,%s"
+_CSV_MEASURED = _CSV_ROW + ",%.12g,%.12g,%.12g,%.12g,%.12g"
+_CSV_UNMEASURED = _CSV_ROW + ",,,,,"
+_NO_MEASURES = (None,) * 5
 
 
 def rows_to_csv(rows: Sequence[SweepRow]) -> str:
     """CSV text: fixed header, 12 significant digits, LF line endings."""
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        lines.append(",".join((
-            row.config, _format_number(row.value), row.branch,
-            _format_number(row.n), _format_number(row.alpha),
-            _format_number(row.Delta), row.stability,
-            _format_number(row.degenerate),
-            _format_number(row.delta_n_m), _format_number(row.delta_n_c),
-            _format_number(row.e_n_mirror_field),
-            _format_number(row.e_n_atom_field),
-            _format_number(row.e_n_mirror_atom),
-        )))
+        head = (row.config, row.value, row.branch, row.n, row.alpha, row.Delta,
+                row.stability, "true" if row.degenerate else "false")
+        measures = (row.delta_n_m, row.delta_n_c, row.e_n_mirror_field,
+                    row.e_n_atom_field, row.e_n_mirror_atom)
+        if measures == _NO_MEASURES:
+            lines.append(_CSV_UNMEASURED % head)
+        else:
+            lines.append(_CSV_MEASURED % (head + measures))
     return "\n".join(lines) + "\n"
 
 

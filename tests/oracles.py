@@ -6,6 +6,7 @@ from typing import Optional
 import numpy as np
 
 from optobec import HBAR, derive_quantities
+from optobec.sweep import CSV_COLUMNS
 
 
 def _rk4_step_matrix(a: np.ndarray, h: float) -> np.ndarray:
@@ -76,3 +77,28 @@ def power_at_photon_number(params, delta_c: float, n: float) -> float:
     d = derive_quantities(params)
     eta_sq = n * ((delta_c - d.beta * n) ** 2 + d.kappa ** 2)
     return eta_sq * HBAR * d.omega_cav / (2.0 * d.kappa)
+
+
+def _format_number(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return format(float(x), ".12g")
+
+
+def rows_to_csv(rows) -> str:
+    """CSV text of sweep rows, written field by field with ``format(x, ".12g")``."""
+    lines = [",".join(CSV_COLUMNS)]
+    for row in rows:
+        lines.append(",".join((
+            row.config, _format_number(row.value), row.branch,
+            _format_number(row.n), _format_number(row.alpha),
+            _format_number(row.Delta), row.stability,
+            _format_number(row.degenerate),
+            _format_number(row.delta_n_m), _format_number(row.delta_n_c),
+            _format_number(row.e_n_mirror_field),
+            _format_number(row.e_n_atom_field),
+            _format_number(row.e_n_mirror_atom),
+        )))
+    return "\n".join(lines) + "\n"

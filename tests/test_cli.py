@@ -198,6 +198,17 @@ def test_negative_power_sweep_exit_code(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("points", [10 ** 400, 10 ** 30, 2 ** 63],
+                         ids=["10**400", "10**30", "2**63"])
+def test_huge_sweep_points_exit_code(points, tmp_path, capsys):
+    path = write_config(tmp_path, extra={"sweep": {
+        "variable": "delta_c", "lo": 0.0, "hi": 1e8, "points": points}})
+    assert main(["sweep", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep.points: must be at most ")
+    assert "Traceback" not in err
+
+
 def _singular_covariance(a, d):
     raise optobec.NumericalError("singular covariance system")
 

@@ -7,7 +7,7 @@ from optobec import (NumericalError, characteristic_polynomial,
                      derive_quantities, diffusion_matrix, drift_matrix,
                      is_stable, solve_lyapunov, solve_mean_field)
 from optobec.presets import MIRROR_FREQ, baseline_params, reference_kappa
-from optobec.steady_state import MeanFieldBranch
+from optobec.steady_state import BranchColumns, MeanFieldBranch
 
 from conftest import random_stable_matrix
 from oracles import stability_oracle
@@ -304,7 +304,7 @@ def test_drift_stack_equals_each_branch():
     d = derive_quantities(baseline_params(power=0.05, sw_frequency=MIRROR_FREQ))
     branches = [_branch(n, delta) for n, delta in
                 ((1e3, -1e7), (2.5e5, 0.0), (4e6, 6.3e7), (0.0, 1.2e8))]
-    stack = drift_matrix(branches, d)
+    stack = drift_matrix(BranchColumns.of(branches), d)
     assert stack.shape == (4, 6, 6)
     for branch, a in zip(branches, stack):
         assert a.tobytes() == drift_matrix(branch, d).tobytes()

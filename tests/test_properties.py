@@ -19,7 +19,10 @@ from optobec import (characteristic_polynomial, derive_quantities,
                      is_stable, solve_lyapunov, solve_mean_field)
 from optobec.config import params_from_dict
 from optobec.linear_dynamics import _routh_table_verdict
-from optobec.steady_state import build_branch
+from optobec.model import drive_rate
+from optobec.steady_state import (BranchColumns, _real_cubic_roots,
+                                  _stacked_cubic_roots, build_branch,
+                                  solve_mean_field_grid)
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import point_config  # noqa: E402
@@ -53,7 +56,7 @@ def drawn_params(data):
 def test_routh_verdict_matches_eigenvalue_sign(data):
     params = drawn_params(data)
     d = derive_quantities(params)
-    a = drift_matrix(solve_mean_field(params), d)
+    a = drift_matrix(BranchColumns.of(solve_mean_field(params)), d)
     for matrix, coeffs in zip(a, characteristic_polynomial(a)):
         growth = np.linalg.eigvals(matrix).real.max()
         if abs(growth) <= 1e-9 * np.abs(matrix).max():
@@ -80,7 +83,7 @@ def test_stable_covariances_are_physical(data):
     """V + i Omega / 2 >= 0 (Simon, PRL 84, 2726 (2000)) at every stable branch."""
     params = drawn_params(data)
     d = derive_quantities(params)
-    a = drift_matrix(solve_mean_field(params, d=d), d)
+    a = drift_matrix(BranchColumns.of(solve_mean_field(params, d=d)), d)
     stable = [i for i, v in enumerate(is_stable(characteristic_polynomial(a)))
               if v == "stable"]
     if not stable:
@@ -95,13 +98,13 @@ def test_stacked_evaluation_equals_single_rows(data, detunings):
     params = drawn_params(data)
     d = derive_quantities(params)
     # the cubic's branches plus fixed-point branches at imposed detunings
-    branches = solve_mean_field(params) + [
+    branches = BranchColumns.of(solve_mean_field(params) + [
         build_branch(d.eta ** 2 / ((x * d.omega_m) ** 2 + d.kappa ** 2),
-                     x * d.omega_m, d, "unique") for x in detunings]
+                     x * d.omega_m, d, "unique") for x in detunings])
     diffusion = diffusion_matrix(d)
     verdicts, measures = evaluate_branches(branches, d, diffusion)
-    for branch, verdict, measure in zip(branches, verdicts, measures):
-        (alone_verdict,), (alone,) = evaluate_branches([branch], d, diffusion)
+    for i, (verdict, measure) in enumerate(zip(verdicts, measures)):
+        (alone_verdict,), (alone,) = evaluate_branches(branches[i:i + 1], d, diffusion)
         assert verdict == alone_verdict
         assert (measure is None) == (alone is None)
         for key in alone or {}:
@@ -154,3 +157,100 @@ def test_stacked_verdicts_fall_back_on_zero_pivots():
     assert is_stable(stack[:0]) == []
     with pytest.raises(ValueError):
         is_stable([[2.0, 3.0, 1.0], [1.0, 2.0, 0.0]])
+
+
+def _knee_row(r, s, scale, nudge):
+    """Cubic scale (x - r)^2 (x - s), its constant term nudged by a relative
+    ``nudge``: a double root, or a pair just off one."""
+    a3, a2, a1, a0 = (float(c) for c in scale * np.poly([r, r, s]))
+    return (a3, a2, a1, a0 * (1.0 + nudge))
+
+
+_COEFFICIENT = st.one_of(st.integers(-3, 3).map(float), st.floats(-100.0, 100.0))
+_LEAD = st.one_of(st.just(0.0), st.integers(-3, 3).map(float),
+                  st.floats(0.01, 100.0), st.floats(-100.0, -0.01))
+# arbitrary, a0 == 0 and at or near a knee; never an all-zero leading part,
+# which the scalar kernel rejects
+_CUBIC_ROWS = st.one_of(
+    st.tuples(_LEAD, _COEFFICIENT, _COEFFICIENT, _COEFFICIENT),
+    st.tuples(_LEAD, _COEFFICIENT, _COEFFICIENT, st.just(0.0)),
+    st.builds(_knee_row, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
+              st.floats(0.1, 10.0),
+              st.sampled_from([0.0, 1e-13, -1e-11, 1e-9, -1e-8, 1e-6])),
+).filter(lambda c: any(c[:3]))
+
+
+@st.composite
+def cubic_stacks(draw):
+    """Stacks of cubics mixing arbitrary coefficients (small integers hit the
+    exact special cases), ``a3 == 0`` and ``a0 == 0`` rows, rows at or near a
+    knee and dense random rows."""
+    drawn = np.array(draw(st.lists(_CUBIC_ROWS, min_size=1, max_size=16)))
+    # dense random rows, uniform and of the mean-field shape
+    # beta^2 n^3 - 2 delta_c beta n^2 + (delta_c^2 + kappa^2) n - eta^2,
+    # where a last-bit slip of a power or acos shows in a root now and then
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    beta = 10.0 ** rng.uniform(-4.0, 0.0, 64)
+    delta_c = rng.uniform(-2.0, 8.0, 64) * 1e7
+    eta = 10.0 ** rng.uniform(6.0, 11.0, 64)
+    mean_field = np.stack([beta * beta, -2.0 * delta_c * beta,
+                           delta_c * delta_c + 1e14, -eta * eta], axis=1)
+    return np.concatenate([drawn, rng.uniform(-100.0, 100.0, (64, 4)), mean_field])
+
+
+def _signed(roots):
+    return [(x, math.copysign(1.0, x), flag) for x, flag in roots]
+
+
+@settings(max_examples=150, **PROPERTY)
+@given(cubic_stacks())
+def test_stacked_cubic_equals_scalar_kernel(stack):
+    assert_rows_equal_scalar_kernel(stack)
+
+
+def assert_rows_equal_scalar_kernel(stack):
+    row, root, flag = _stacked_cubic_roots(*stack.T)
+    assert np.all(np.diff(row) >= 0)
+    bounds = np.searchsorted(row, np.arange(1, len(stack)))
+    for coeffs, roots, flags in zip(stack.tolist(), np.split(root, bounds),
+                                    np.split(flag, bounds)):
+        assert _signed(zip(roots.tolist(), flags.tolist())) == \
+            _signed(_real_cubic_roots(*coeffs))
+    return row, flag
+
+
+def test_stacked_cubic_special_rows():
+    stack = np.array([[1.0, -3.0, 3.0, -1.0],    # (x - 1)^3, triple root
+                      [1.0, -4.0, 5.0, -2.0],    # (x - 1)^2 (x - 2), knee
+                      [0.0, 1.0, -3.0, 2.0],     # quadratic
+                      [2.0, 0.0, -2.0, 0.0],     # zero root
+                      [1.0, -6.0, 11.0, -6.0],   # three real roots
+                      [1.0, 0.0, 1.0, 1.0]])     # one real root
+    row, flag = assert_rows_equal_scalar_kernel(stack)
+    assert row.tolist() == [0, 1, 1, 2, 2, 3, 3, 3, 4, 4, 4, 5]
+    assert flag.tolist()[:3] == [True, True, False]
+
+
+@settings(max_examples=100, **PROPERTY)
+@given(st.data())
+def test_grid_solve_equals_scalar_solve(data):
+    """A random detuning grid and a random power grid, each solved as one
+    stack, give the branches of solve_mean_field at every value, bit for bit."""
+    params = drawn_params(data)
+    d = derive_quantities(params)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    delta_c = (rng.uniform(-2.0, 8.0, 64) * d.kappa).tolist()
+    power = rng.uniform(0.0, 0.3, 64).tolist()
+    eta = [drive_rate(p, d.kappa, d.omega_cav) for p in power]
+    for grid, per_point in (
+            (solve_mean_field_grid(d, delta_c, d.eta),
+             [solve_mean_field(params, delta_c=x, d=d) for x in delta_c]),
+            (solve_mean_field_grid(d, params.cavity.detuning, eta),
+             [solve_mean_field(params, power=p, d=d) for p in power])):
+        expected = [(i, b) for i, branches in enumerate(per_point) for b in branches]
+        assert grid.index.tolist() == [i for i, _ in expected]
+        assert grid.label == [b.label for _, b in expected]
+        assert grid.degenerate.tolist() == [b.degenerate for _, b in expected]
+        for name in ("n", "alpha", "Delta"):
+            assert _signed(zip(getattr(grid, name).tolist(), grid.degenerate.tolist())) \
+                == _signed((getattr(b, name), b.degenerate) for _, b in expected)

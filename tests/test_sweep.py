@@ -7,13 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from optobec import (ParameterError, SweepSpec, bistability_window,
+from optobec import (ParameterError, SweepRow, SweepSpec, bistability_window,
                      derive_quantities, diffusion_matrix, emit,
                      evaluate_branches, figure_preset, run_sweep,
                      solve_mean_field)
 from optobec.presets import (FIGURE_IDS, MIRROR_FREQ, baseline_params,
                              reference_kappa, reference_xi)
-from optobec.sweep import _branches_at, _expand_configs, rows_to_csv
+from optobec.sweep import _expand_configs, _grid_branches, rows_to_csv
+
+import oracles
 
 # First 16 hex digits of the sha256 of each distinct preset's CSV; any
 # change to these bytes must be deliberate.
@@ -299,13 +301,12 @@ def test_batch_equals_single_rows(spec):
     for _, params in _expand_configs(spec):
         d = derive_quantities(params)
         diffusion = diffusion_matrix(d)
-        per_point = [_branches_at(spec.variable, v, params, d) for v in values]
-        counts.update(len(branches) for branches in per_point)
-        branches = [b for point in per_point for b in point]
+        branches = _grid_branches(spec.variable, values, params, d)
+        counts.update(np.bincount(branches.index).tolist())
         verdicts, measures = evaluate_branches(branches, d, diffusion)
         assert len(verdicts) == len(measures) == len(branches)
-        for branch, verdict, measure in zip(branches, verdicts, measures):
-            (alone_verdict,), (alone,) = evaluate_branches([branch], d, diffusion)
+        for i, (verdict, measure) in enumerate(zip(verdicts, measures)):
+            (alone_verdict,), (alone,) = evaluate_branches(branches[i:i + 1], d, diffusion)
             assert verdict == alone_verdict
             assert (measure is None) == (alone is None)
             for key in alone or {}:
@@ -359,3 +360,44 @@ def test_caller_derived_quantities_give_the_same_branches():
     for power in (0.0, 0.1, 0.5):
         assert (solve_mean_field(params, delta_c=4.0 * d.kappa, power=power, d=d)
                 == solve_mean_field(params, delta_c=4.0 * d.kappa, power=power))
+
+
+@pytest.mark.parametrize("fig_id, labels", [
+    ("fig2a", {"unique"}),   # 10 mW stays below every bistability window
+    ("fig2d", {"unique", "lower", "middle", "upper"}),
+], ids=["fig2a", "fig2d"])
+def test_grid_rows_equal_scalar_solve(fig_id, labels, preset_rows):
+    """Every row of a delta_c or power sweep is bit-equal to the scalar
+    solve_mean_field at its grid value."""
+    spec = figure_preset(fig_id)
+    values = [float(v) for v in np.linspace(spec.lo, spec.hi, spec.points)]
+    rows = preset_rows(fig_id)
+    expected = []
+    for label, params in _expand_configs(spec):
+        d = derive_quantities(params)
+        expected.extend((label, value, branch) for value in values
+                        for branch in solve_mean_field(params, d=d, **{spec.variable: value}))
+    assert len(rows) == len(expected)
+    assert {branch.label for _, _, branch in expected} == labels
+    for row, (label, value, branch) in zip(rows, expected):
+        assert (row.config, row.value, row.branch, row.degenerate) == \
+            (label, value, branch.label, branch.degenerate)
+        for name in ("n", "alpha", "Delta"):
+            assert_same_float(getattr(row, name), getattr(branch, name))
+
+
+INF, NAN = float("inf"), float("nan")
+EDGE_ROWS = [
+    SweepRow("edge", -0.0, "unique", 1e-300, INF, NAN, "marginal", True),
+    SweepRow("edge", 1e-300, "lower", -0.0, 0.0, -INF, "unstable", False),
+    SweepRow("edge/bec", 2.5, "upper", 1e300, 1.0 / 3.0, -1e-7, "stable", False,
+             -0.0, 1e-300, INF, NAN, 0.0),
+    SweepRow("edge/bec", 123456789012345.0, "middle", 0.1, 2.0, 3.0, "stable", True,
+             1.0, 2.0 ** 60, -1e-15, 5e-324, 1.0),
+]
+
+
+@pytest.mark.parametrize("rows", ["fig2a", "fig7", "edge"])
+def test_csv_writer_matches_per_field_writer(rows, preset_rows):
+    rows = EDGE_ROWS if rows == "edge" else preset_rows(rows)
+    assert rows_to_csv(rows) == oracles.rows_to_csv(rows)
