@@ -3,11 +3,12 @@ stability, and the stationary covariance.
 
 The fluctuation state vector is ordered [dX, dY, dq, dp, dQ, dP] (cavity
 quadratures, mirror quadratures, condensate-mode quadratures), with vacuum
-variance 1/2.  Stability is decided purely algebraically from the
-characteristic polynomial (Routh-Hurwitz), and the stationary covariance V
-solves A V + V A^T = -D by direct Kronecker vectorization; at fixed size 6
-the 36-unknown dense solve costs microseconds and stays free of any
-eigen/Schur machinery.
+variance 1/2.  Stability is decided purely algebraically (Routh-Hurwitz)
+from the characteristic polynomial, which the drift's coupling pattern gives
+in closed form straight from a branch's alpha and Delta, with no matrix
+built.  The stationary covariance V solves A V + V A^T = -D by direct
+Kronecker vectorization; at fixed size 6 the 36-unknown dense solve costs
+microseconds and stays free of any eigen/Schur machinery.
 """
 
 from __future__ import annotations
@@ -29,6 +30,14 @@ class NumericalError(RuntimeError):
     """A linear solve hit a singular or marginal system."""
 
 
+def _alpha_delta(branches):
+    """``alpha`` and ``Delta`` of one branch or of columns as 1-D arrays, and
+    whether one branch was given."""
+    alpha = np.asarray(branches.alpha, dtype=float)
+    delta = np.asarray(branches.Delta, dtype=float)
+    return alpha.reshape(-1), delta.reshape(-1), alpha.ndim == 0
+
+
 def drift_matrix(branches, d: DerivedQuantities) -> np.ndarray:
     """Drift matrix of the linearized dynamics around a mean-field branch.
 
@@ -38,12 +47,9 @@ def drift_matrix(branches, d: DerivedQuantities) -> np.ndarray:
     zeta = 0, which decouples the last two rows and columns; they are kept
     so the state dimension never changes.
     """
-    alpha = np.asarray(branches.alpha, dtype=float)
-    single = alpha.ndim == 0
-    alpha = alpha.reshape(-1)
+    alpha, delta, single = _alpha_delta(branches)
     g_m = _SQRT2 * d.xi * alpha
     g_c = _SQRT2 * d.zeta * alpha
-    delta = np.asarray(branches.Delta, dtype=float).reshape(-1)
     a = np.zeros((len(alpha), 6, 6))
     a[:, 0, 0] = -d.kappa
     a[:, 0, 1] = delta
@@ -74,30 +80,39 @@ def diffusion_matrix(d: DerivedQuantities) -> np.ndarray:
                     d.gamma_m * (2.0 * d.nbar + 1.0), d.gamma_c, d.gamma_c])
 
 
-def characteristic_polynomial(a: np.ndarray) -> np.ndarray:
-    """Coefficients of det(lambda I - A), ascending order, leading 1.
+def characteristic_polynomial(branches, d: DerivedQuantities) -> np.ndarray:
+    """Coefficients of det(lambda I - A) of the drift, ascending order, leading 1.
 
-    Trace-based recurrence (no eigendecomposition): with M_1 = I and
-    c_{n-1} = -tr(A), iterate M_k = A M_{k-1} + c_{n-k+1} I and
-    c_{n-k} = -tr(A M_k)/k.  Exact for integer matrices up to rounding.
-    A ``(..., n, n)`` stack gives ``(..., n + 1)`` coefficients, each row
-    computed with the same operations as the matrix alone.
+    Takes the inputs of :func:`drift_matrix` and builds no matrix.  The
+    field quadrature X drives the mirror and condensate momenta and their
+    positions feed back into Y, so with the mirror and condensate factors
+    M = lambda^2 + gamma_m lambda + omega_m^2 and
+    B = (lambda + gamma_c)^2 + Omega_c (Omega_c + omega_sw) and the couplings
+    G_m = sqrt(2) xi alpha, G_c = sqrt(2) zeta alpha,
+
+        det(lambda I - A) = [(lambda + kappa)^2 + Delta^2] M B
+                            - Delta (G_m^2 omega_m B + G_c^2 Omega_c M).
+
+    M B and the coupling polynomial per alpha^2 are fixed by ``d``, so a row
+    costs two products and two sums of 7-vectors: (kappa^2 + Delta^2) and
+    Delta alpha^2 are the only per-branch inputs.  One
+    :class:`MeanFieldBranch` gives ``(7,)``, the :class:`BranchColumns` of N
+    branches ``(N, 7)``, each row with the operations it gets on its own.
     """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[-1]
-    if a.ndim < 2 or a.shape[-2] != n:
-        raise ValueError("matrix must be square")
-    eye = np.eye(n)
-    coeffs = np.empty(a.shape[:-2] + (n + 1,))
-    coeffs[..., n] = 1.0
-    m = eye
-    c = -np.trace(a, axis1=-2, axis2=-1)
-    coeffs[..., n - 1] = c
-    for k in range(2, n + 1):
-        m = a @ m + c[..., None, None] * eye
-        c = -np.einsum("...ij,...ji->...", a, m) / k
-        coeffs[..., n - k] = c
-    return coeffs
+    alpha, delta, single = _alpha_delta(branches)
+    mirror = np.array([d.omega_m ** 2, d.gamma_m, 1.0])
+    condensate = np.array([d.gamma_c ** 2 + d.Omega_c * (d.Omega_c + d.omega_sw),
+                           2.0 * d.gamma_c, 1.0])
+    both = np.zeros(7)
+    both[:5] = np.convolve(mirror, condensate)
+    coupling = np.zeros(7)
+    coupling[:3] = (2.0 * d.xi ** 2 * d.omega_m * condensate
+                    + 2.0 * d.zeta ** 2 * d.Omega_c * mirror)
+    # [(lambda + kappa)^2 + Delta^2] M B without its Delta^2 + kappa^2 term
+    fixed = np.convolve([0.0, 2.0 * d.kappa, 1.0], both[:5])
+    coeffs = ((delta * delta + d.kappa ** 2)[:, None] * both + fixed
+              - (delta * (alpha * alpha))[:, None] * coupling)
+    return coeffs[0] if single else coeffs
 
 
 def _routh_first_column(coeffs_desc: List[float], eps_sign: float):

@@ -118,8 +118,10 @@ def _real_cubic_roots(a3, a2, a1, a0):
         disc2 = a1 * a1 - 4.0 * a2 * a0
         if disc2 < 0.0:
             return []
-        s = math.sqrt(disc2)
-        roots = sorted(((-a1 - s) / (2.0 * a2), (-a1 + s) / (2.0 * a2)))
+        # q = -(a1 + sign(a1) s)/2 adds terms of one sign, so neither root
+        # cancels: the roots are q / a2 and a0 / q (q == 0 only at a double 0)
+        q = -0.5 * (a1 + math.copysign(math.sqrt(disc2), a1))
+        roots = sorted((q / a2, a0 / q)) if q != 0.0 else [0.0, 0.0]
         return [(r, disc2 == 0.0) for r in roots]
 
     if a0 == 0.0:
@@ -303,8 +305,9 @@ def solve_mean_field(params: SystemParams,
     roots = _real_cubic_roots(*coeffs)
 
     # photon-number scale of the cubic, for the roundoff window of the
-    # negative-root filter (genuine negative roots sit at the full scale)
-    if d.beta > 0.0:
+    # negative-root filter (genuine negative roots sit at the full scale);
+    # a beta whose square underflows leaves no cubic term to scale by
+    if coeffs[0] > 0.0:
         scale = max(abs(coeffs[1] / coeffs[0]),
                     abs(coeffs[2] / coeffs[0]) ** 0.5,
                     abs(coeffs[3] / coeffs[0]) ** (1.0 / 3.0))
@@ -330,7 +333,7 @@ def solve_mean_field_grid(d: DerivedQuantities, delta_c, eta) -> BranchColumns:
     a3, a2, a1, a0 = _mean_field_cubic(d, delta_c, _each(pow, delta_c, 2), eta)
     row, root, flag = _stacked_cubic_roots(a3, a2, a1, a0)
 
-    if d.beta > 0.0:
+    if a3 > 0.0:
         scale = np.maximum(np.maximum(
             np.abs(a2 / a3), _each(pow, np.abs(a1 / a3), 0.5)),
             _each(pow, np.abs(a0 / a3), 1.0 / 3.0))

@@ -2,9 +2,9 @@
 deterministic CSV/JSON emission.
 
 Every branch, whether it comes from a sweep point or from a single ``point``
-report, goes through :func:`evaluate_branches`: drift matrix, Routh-Hurwitz
-verdict and, for stable branches in full mode, the Lyapunov covariance and
-the five measures.  A sweep configuration's branches go through it as one
+report, goes through :func:`evaluate_branches`: closed-form characteristic
+polynomial, Routh-Hurwitz verdict and, for stable branches in full mode, the
+drift matrix, the Lyapunov covariance and the five measures.  A sweep configuration's branches go through it as one
 batch of branch columns (:class:`BranchColumns`); each row gets the
 arithmetic it would get on its own, so emitted bytes are deterministic and
 independent of the batching.
@@ -41,7 +41,7 @@ from . import gaussian_measures as gm
 from .linear_dynamics import (NumericalError, characteristic_polynomial,
                               diffusion_matrix, drift_matrix, is_stable,
                               solve_lyapunov)
-from .model import (DerivedQuantities, ParameterError, SystemParams,
+from .model import (HBAR, DerivedQuantities, ParameterError, SystemParams,
                     derive_quantities, drive_rate)
 from .steady_state import (BranchColumns, imposed_detuning_branches,
                            solve_mean_field, solve_mean_field_grid)
@@ -62,10 +62,6 @@ _SPLITS = (gm.MIRROR_FIELD, gm.ATOM_FIELD, gm.MIRROR_ATOM)
 #: four full-mode presets: 32.5 MB one row at a time, 34.1 MB at 64 rows,
 #: 44.6 MB unchunked; larger chunks gain little speed.
 BATCH_ROWS = 64
-#: Rows per drift-to-verdict stack in :func:`evaluate_branches`.  Peak RSS
-#: of the six mean-field presets: 42.6 MB at 64 rows, 42.5 MB at 512,
-#: 43.9 MB for a whole configuration; 512 is as fast as the whole.
-VERDICT_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -161,19 +157,18 @@ def evaluate_branches(branches: BranchColumns, d: DerivedQuantities,
     ``measures[i]`` maps the last five ``CSV_COLUMNS`` to the occupations
     and log-negativities of the stationary covariance; it is None for a
     non-stable branch or when no ``diffusion`` is given (mean-field mode).
-    The drift matrices go through the characteristic polynomial and the
-    Routh test in stacks of ``VERDICT_ROWS`` and the stable ones through the
-    Lyapunov solve and the measures in stacks of ``BATCH_ROWS``; every row
-    sees the same arithmetic as it would on its own.  A
-    covariance that fails the physicality check raises :class:`NumericalError`.
+    The verdicts come from the closed-form characteristic polynomial of the
+    columns in one Routh stack, so mean-field mode builds no drift matrix;
+    in full mode the drift matrices feed only the Lyapunov solve and the
+    measures, in stacks of ``BATCH_ROWS`` stable rows.  Every row sees the
+    same arithmetic as it would on its own.  A covariance that fails the
+    physicality check raises :class:`NumericalError`.
     """
-    drift = drift_matrix(branches, d)
-    verdicts = [verdict for start in range(0, len(drift), VERDICT_ROWS)
-                for verdict in is_stable(characteristic_polynomial(
-                    drift[start:start + VERDICT_ROWS]))]
-    measures: List[Optional[Dict[str, float]]] = [None] * len(drift)
+    verdicts = is_stable(characteristic_polynomial(branches, d))
+    measures: List[Optional[Dict[str, float]]] = [None] * len(verdicts)
     if diffusion is None:
         return verdicts, measures
+    drift = drift_matrix(branches, d)
     stable = [i for i, verdict in enumerate(verdicts) if verdict == "stable"]
     for start in range(0, len(stable), BATCH_ROWS):
         rows = stable[start:start + BATCH_ROWS]
@@ -203,7 +198,13 @@ def _grid_branches(variable: str, values: Sequence[float], params: SystemParams,
     if variable == "delta_c":
         return solve_mean_field_grid(d, values, d.eta)
     if variable == "power":
-        eta = [drive_rate(power, d.kappa, d.omega_cav) for power in values]
+        power = np.asarray(values, dtype=float)
+        invalid = np.flatnonzero(~(np.isfinite(power) & (power >= 0.0)))
+        if len(invalid):
+            # the scalar check raises the ParameterError of the first bad power
+            drive_rate(values[invalid[0]], d.kappa, d.omega_cav)
+        # drive_rate over the grid, in its operations and order
+        eta = np.sqrt(2.0 * power * d.kappa / (HBAR * d.omega_cav))
         return solve_mean_field_grid(d, params.cavity.detuning, eta)
     return imposed_detuning_branches(d, values)
 

@@ -9,6 +9,36 @@ from optobec import HBAR, derive_quantities
 from optobec.sweep import CSV_COLUMNS
 
 
+def matrix_charpoly(a: np.ndarray) -> np.ndarray:
+    """Coefficients of det(lambda I - A) of any square matrix, ascending order,
+    leading 1.
+
+    Trace-based recurrence (Faddeev-LeVerrier, no eigendecomposition): with
+    M_1 = I and c_{n-1} = -tr(A), iterate M_k = A M_{k-1} + c_{n-k+1} I and
+    c_{n-k} = -tr(A M_k)/k.  Exact for integer matrices up to rounding.
+    A ``(..., n, n)`` stack gives ``(..., n + 1)`` coefficients, each row
+    computed with the same operations as the matrix alone.  Runs in the
+    input's float type, so an ``np.longdouble`` stack gives an
+    extended-precision reference.
+    """
+    a = np.asarray(a)
+    a = a.astype(np.promote_types(a.dtype, float))
+    n = a.shape[-1]
+    if a.ndim < 2 or a.shape[-2] != n:
+        raise ValueError("matrix must be square")
+    eye = np.eye(n, dtype=a.dtype)
+    coeffs = np.empty(a.shape[:-2] + (n + 1,), dtype=a.dtype)
+    coeffs[..., n] = 1.0
+    m = eye
+    c = -np.trace(a, axis1=-2, axis2=-1)
+    coeffs[..., n - 1] = c
+    for k in range(2, n + 1):
+        m = a @ m + c[..., None, None] * eye
+        c = -np.einsum("...ij,...ji->...", a, m) / k
+        coeffs[..., n - k] = c
+    return coeffs
+
+
 def _rk4_step_matrix(a: np.ndarray, h: float) -> np.ndarray:
     """One-step propagator of the classical 4th-order scheme for du/dt = A u."""
     ha = h * a

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+import optobec.sweep
 from optobec import (NumericalError, characteristic_polynomial,
                      derive_quantities, diffusion_matrix, drift_matrix,
-                     is_stable, solve_lyapunov, solve_mean_field)
+                     figure_preset, is_stable, run_sweep, solve_lyapunov,
+                     solve_mean_field)
 from optobec.presets import MIRROR_FREQ, baseline_params, reference_kappa
 from optobec.steady_state import BranchColumns, MeanFieldBranch
 
 from conftest import random_stable_matrix
-from oracles import stability_oracle
+from oracles import matrix_charpoly, stability_oracle
+from test_sweep import PRESET_LOCK
 
 
 def _branch(n, delta):
@@ -115,13 +118,13 @@ def test_diffusion_condensate_thermal_flag():
 def test_charpoly_known_spectra():
     a = np.diag([-1.0, -2.0, -3.0, -4.0, -5.0, -6.0])
     np.testing.assert_allclose(
-        characteristic_polynomial(a),
+        matrix_charpoly(a),
         [720.0, 1764.0, 1624.0, 735.0, 175.0, 21.0, 1.0], rtol=1e-12)
     np.testing.assert_allclose(
-        characteristic_polynomial(np.zeros((6, 6))),
+        matrix_charpoly(np.zeros((6, 6))),
         [0, 0, 0, 0, 0, 0, 1], atol=1e-30)
     np.testing.assert_allclose(
-        characteristic_polynomial(-np.eye(6)),
+        matrix_charpoly(-np.eye(6)),
         [1, 6, 15, 20, 15, 6, 1], rtol=1e-12)
 
 
@@ -130,7 +133,7 @@ def test_charpoly_interpolation_oracle():
     rng = np.random.default_rng(11)
     for _ in range(25):
         a = rng.normal(size=(6, 6)) * 10.0 ** rng.integers(-2, 3)
-        coeffs = characteristic_polynomial(a)
+        coeffs = matrix_charpoly(a)
         scale = max(1.0, np.abs(a).max()) * 2.0
         nodes = scale * np.cos((2 * np.arange(7) + 1) / 14.0 * np.pi)
         samples = [np.linalg.det(s * np.eye(6) - a) for s in nodes]
@@ -142,21 +145,60 @@ def test_charpoly_interpolation_oracle():
 
 def test_charpoly_rejects_non_square():
     with pytest.raises(ValueError):
-        characteristic_polynomial(np.zeros((2, 3)))
+        matrix_charpoly(np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        characteristic_polynomial(np.zeros((4, 2, 3)))
+        matrix_charpoly(np.zeros((4, 2, 3)))
 
 
 def test_charpoly_stack_equals_each_matrix():
     rng = np.random.default_rng(5)
     stack = np.stack([rng.normal(size=(6, 6)) * 10.0 ** rng.integers(-3, 8)
                       for _ in range(40)] + [np.zeros((6, 6)), -np.eye(6)])
-    coeffs = characteristic_polynomial(stack)
+    coeffs = matrix_charpoly(stack)
     assert coeffs.shape == (42, 7)
     for a, row in zip(stack, coeffs):
-        assert row.tobytes() == characteristic_polynomial(a).tobytes()
-    nested = characteristic_polynomial(stack[:40].reshape(5, 8, 6, 6))
+        assert row.tobytes() == matrix_charpoly(a).tobytes()
+    nested = matrix_charpoly(stack[:40].reshape(5, 8, 6, 6))
     assert nested.tobytes() == coeffs[:40].tobytes()
+
+
+def test_closed_form_dark_cavity_factorizes():
+    """With no field the drift is three 2x2 blocks, so det(lambda I - A) is
+    the product of the field, mirror and condensate quadratics."""
+    d = derive_quantities(baseline_params(sw_frequency=MIRROR_FREQ))
+    delta = 0.7 * d.kappa
+    roots = [-d.kappa + 1j * delta, -d.kappa - 1j * delta,
+             *np.roots([1.0, d.gamma_m, d.omega_m ** 2]),
+             -d.gamma_c + 1j * d.omega_B, -d.gamma_c - 1j * d.omega_B]
+    coeffs = characteristic_polynomial(_branch(0.0, delta), d)
+    assert coeffs.shape == (7,) and coeffs[6] == 1.0
+    np.testing.assert_allclose(coeffs, np.poly(roots)[::-1].real, rtol=1e-12)
+
+
+def test_closed_form_verdicts_on_every_preset_row(monkeypatch):
+    """Every row of the ten presets gets the verdict of the recurrence on its
+    drift, and the worst coefficient error against the extended-precision
+    recurrence is no larger than that of the float64 recurrence."""
+    calls = []
+
+    def recorded(branches, d):
+        calls.append((branches, d))
+        return characteristic_polynomial(branches, d)
+
+    monkeypatch.setattr(optobec.sweep, "characteristic_polynomial", recorded)
+    for fig in sorted(PRESET_LOCK):
+        run_sweep(figure_preset(fig))
+    rows, worst_closed, worst_oracle = 0, 0.0, 0.0
+    for branches, d in calls:
+        closed = characteristic_polynomial(branches, d)
+        a = drift_matrix(branches, d)
+        oracle, exact = matrix_charpoly(a), matrix_charpoly(a.astype(np.longdouble))
+        assert is_stable(closed) == is_stable(oracle)
+        worst_closed = max(worst_closed, (np.abs(closed - exact) / np.abs(exact)).max())
+        worst_oracle = max(worst_oracle, (np.abs(oracle - exact) / np.abs(exact)).max())
+        rows += len(closed)
+    assert rows == 24816
+    assert worst_closed <= worst_oracle
 
 
 # ------------------------------------------------- Routh-Hurwitz
@@ -196,7 +238,7 @@ def test_middle_branch_always_unstable():
         branches = solve_mean_field(params, delta_c=delta_c, power=power)
         assert len(branches) == 3
         middle = branches[1]
-        verdict = is_stable(characteristic_polynomial(drift_matrix(middle, d)))
+        verdict = is_stable(characteristic_polynomial(middle, d))
         assert verdict == "unstable"
 
 
@@ -211,7 +253,7 @@ def test_verdicts_match_decay_oracle():
         spectral = np.linalg.eigvals(a).real.max()
         if abs(spectral) < 1e-3 * scale:
             continue  # marginal band, excluded
-        verdict = is_stable(characteristic_polynomial(a))
+        verdict = is_stable(matrix_charpoly(a))
         rate = stability_oracle(a, rng=rng)
         assert verdict in ("stable", "unstable")
         assert (verdict == "stable") == (rate < 0.0), \
@@ -324,10 +366,10 @@ def test_covariance_uncertainty_bound():
     for ratio in (0.3, 0.8, 1.0, 1.5, 2.2, 2.9):
         delta = ratio * d.omega_m
         n = d.eta ** 2 / (delta ** 2 + d.kappa ** 2)
-        a = drift_matrix(_branch(n, delta), d)
-        if is_stable(characteristic_polynomial(a)) != "stable":
+        branch = _branch(n, delta)
+        if is_stable(characteristic_polynomial(branch, d)) != "stable":
             continue
-        v = solve_lyapunov(a, diffusion)
+        v = solve_lyapunov(drift_matrix(branch, d), diffusion)
         for k in range(3):
             block = v[2 * k: 2 * k + 2, 2 * k: 2 * k + 2]
             assert np.linalg.det(block) >= 0.25 - 1e-9

@@ -24,6 +24,8 @@ from optobec.steady_state import (BranchColumns, _real_cubic_roots,
                                   _stacked_cubic_roots, build_branch,
                                   solve_mean_field_grid)
 
+from oracles import matrix_charpoly
+
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import point_config  # noqa: E402
 
@@ -56,8 +58,9 @@ def drawn_params(data):
 def test_routh_verdict_matches_eigenvalue_sign(data):
     params = drawn_params(data)
     d = derive_quantities(params)
-    a = drift_matrix(BranchColumns.of(solve_mean_field(params)), d)
-    for matrix, coeffs in zip(a, characteristic_polynomial(a)):
+    branches = BranchColumns.of(solve_mean_field(params))
+    for matrix, coeffs in zip(drift_matrix(branches, d),
+                              characteristic_polynomial(branches, d)):
         growth = np.linalg.eigvals(matrix).real.max()
         if abs(growth) <= 1e-9 * np.abs(matrix).max():
             continue   # inside the roundoff band of the eigenvalues
@@ -83,24 +86,51 @@ def test_stable_covariances_are_physical(data):
     """V + i Omega / 2 >= 0 (Simon, PRL 84, 2726 (2000)) at every stable branch."""
     params = drawn_params(data)
     d = derive_quantities(params)
-    a = drift_matrix(BranchColumns.of(solve_mean_field(params, d=d)), d)
-    stable = [i for i, v in enumerate(is_stable(characteristic_polynomial(a)))
+    branches = BranchColumns.of(solve_mean_field(params, d=d))
+    stable = [i for i, v in enumerate(is_stable(characteristic_polynomial(branches, d)))
               if v == "stable"]
     if not stable:
         return
-    for v in solve_lyapunov(a[stable], diffusion_matrix(d)):
+    for v in solve_lyapunov(drift_matrix(branches, d)[stable], diffusion_matrix(d)):
         assert np.linalg.eigvalsh(v + 0.5j * OMEGA).min() >= -1e-9 * np.abs(v).max()
 
 
+def drawn_branches(params, d, detunings):
+    """The cubic's branches plus fixed-point branches at imposed detunings,
+    given as multiples of the mirror frequency."""
+    return solve_mean_field(params, d=d) + [
+        build_branch(d.eta ** 2 / ((x * d.omega_m) ** 2 + d.kappa ** 2),
+                     x * d.omega_m, d, "unique") for x in detunings]
+
+
+DETUNINGS = st.lists(st.floats(-1.0, 3.0), min_size=1, max_size=8)
+
+
+@settings(max_examples=100, **PROPERTY)
+@given(st.data(), DETUNINGS)
+def test_closed_form_charpoly_matches_recurrence(data, detunings):
+    """The closed-form coefficients agree with the recurrence on the drift,
+    run in float64 and in extended precision, to 1e-10 relative; a stack
+    gives every branch the bits it gets on its own."""
+    params = drawn_params(data)
+    d = derive_quantities(params)
+    branches = drawn_branches(params, d, detunings)
+    columns = BranchColumns.of(branches)
+    coeffs = characteristic_polynomial(columns, d)
+    a = drift_matrix(columns, d)
+    for reference in (matrix_charpoly(a), matrix_charpoly(a.astype(np.longdouble))):
+        assert np.all(np.abs(coeffs - reference) <= 1e-10 * np.abs(reference))
+    assert coeffs.shape == (len(branches), 7)
+    for branch, row in zip(branches, coeffs):
+        assert characteristic_polynomial(branch, d).tobytes() == row.tobytes()
+
+
 @settings(max_examples=80, **PROPERTY)
-@given(st.data(), st.lists(st.floats(-1.0, 3.0), min_size=1, max_size=8))
+@given(st.data(), DETUNINGS)
 def test_stacked_evaluation_equals_single_rows(data, detunings):
     params = drawn_params(data)
     d = derive_quantities(params)
-    # the cubic's branches plus fixed-point branches at imposed detunings
-    branches = BranchColumns.of(solve_mean_field(params) + [
-        build_branch(d.eta ** 2 / ((x * d.omega_m) ** 2 + d.kappa ** 2),
-                     x * d.omega_m, d, "unique") for x in detunings])
+    branches = BranchColumns.of(drawn_branches(params, d, detunings))
     diffusion = diffusion_matrix(d)
     verdicts, measures = evaluate_branches(branches, d, diffusion)
     for i, (verdict, measure) in enumerate(zip(verdicts, measures)):

@@ -7,6 +7,7 @@ import pytest
 from optobec import (HBAR, bistability_window, derive_quantities, drive_rate,
                      solve_mean_field)
 from optobec.presets import MIRROR_FREQ, baseline_params, reference_kappa
+from optobec.steady_state import solve_mean_field_grid
 
 from oracles import power_at_photon_number
 
@@ -83,6 +84,22 @@ def test_decoupled_cavity_branch():
     assert b.label == "unique"
     assert b.n == pytest.approx(d.eta ** 2 / d.kappa ** 2, rel=1e-12)
     assert b.q_s == 0.0 and b.Q_s == 0.0 and b.p_s == 0.0
+
+
+def test_underflowing_pull_keeps_the_physical_root():
+    """A pull whose square underflows leaves a quadratic: the scalar and the
+    grid solve agree and give its small root eta^2 / (delta_c^2 + kappa^2)."""
+    params = dataclasses.replace(baseline_params(power=0.05, bec_present=False),
+                                 xi_override=1e-100)
+    d = derive_quantities(params)
+    assert d.beta > 0.0 and d.beta ** 2 == 0.0
+    delta_c = d.kappa
+    branches = solve_mean_field(params, delta_c=delta_c, d=d)
+    grid = solve_mean_field_grid(d, [delta_c], d.eta)
+    assert grid.n.tolist() == [b.n for b in branches]
+    assert grid.label == [b.label for b in branches]
+    assert branches[0].n == pytest.approx(
+        d.eta ** 2 / (delta_c ** 2 + d.kappa ** 2), rel=1e-12)
 
 
 def test_zero_power_single_dark_branch(reference):
