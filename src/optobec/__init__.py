@@ -17,8 +17,8 @@ from .gaussian_measures import (ATOM_FIELD, MIRROR_ATOM, MIRROR_FIELD,
                                 EntanglementResult, bogoliubov_excitations,
                                 log_negativity, mirror_phonons,
                                 reduce_bipartition)
-from .sweep import (SweepRow, SweepSpec, Variant, emit, evaluate_branches,
-                    run_sweep)
+from .sweep import (SweepRow, SweepSpec, SweepTable, Variant, emit,
+                    evaluate_branches, run_sweep)
 from .presets import FIGURE_IDS, baseline_params, figure_preset
 from .config import ConfigError, load_config
 
@@ -36,7 +36,8 @@ __all__ = [
     "ATOM_FIELD", "MIRROR_ATOM", "MIRROR_FIELD",
     "EntanglementResult", "bogoliubov_excitations",
     "log_negativity", "mirror_phonons", "reduce_bipartition",
-    "SweepRow", "SweepSpec", "Variant", "emit", "evaluate_branches", "run_sweep",
+    "SweepRow", "SweepSpec", "SweepTable", "Variant", "emit", "evaluate_branches",
+    "run_sweep",
     "FIGURE_IDS", "baseline_params", "figure_preset",
     "ConfigError", "load_config",
     "__version__",

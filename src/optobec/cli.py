@@ -26,7 +26,8 @@ from .linear_dynamics import NumericalError, diffusion_matrix
 from .model import ParameterError, derive_quantities
 from .presets import FIGURE_IDS, figure_preset
 from .steady_state import BranchColumns, bistability_window, solve_mean_field
-from .sweep import as_dict, emit, evaluate_branches, run_sweep, to_json
+from .sweep import (CSV_COLUMNS, as_dict, emit, evaluate_branches, run_sweep,
+                    to_json)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,7 +73,9 @@ def _point_report(params) -> dict:
     return {
         "params": as_dict(params),
         "derived_quantities": as_dict(d),
-        "branches": [dict(as_dict(branch), stability=verdict, measures=measure)
+        "branches": [dict(as_dict(branch), stability=verdict,
+                          measures=None if measure is None
+                          else dict(zip(CSV_COLUMNS[-5:], measure)))
                      for branch, verdict, measure in zip(branches, verdicts, measures)],
     }
 

@@ -65,7 +65,9 @@ class CavityParams:
         _positive(self.length, "cavity.length")
         _positive(self.wavelength, "cavity.wavelength")
         _positive(self.finesse, "cavity.finesse")
-        _require(math.isfinite(self.detuning), "cavity.detuning", "must be finite")
+        # the mean-field cubic squares the detuning
+        _require(math.isfinite(self.detuning * self.detuning), "cavity.detuning",
+                 "must be finite, with a finite square")
 
     @property
     def kappa(self) -> float:

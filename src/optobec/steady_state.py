@@ -268,6 +268,10 @@ def build_branch(n: float, Delta: float, d: DerivedQuantities, label: str,
 
 
 _LABELS = {1: ("unique",), 2: ("lower", "upper"), 3: ("lower", "middle", "upper")}
+# the labels of _LABELS in one array; a point's labels start at _LABEL_START[count]
+_LABEL_NAMES = np.array([label for count in (1, 2, 3) for label in _LABELS[count]],
+                        dtype=object)
+_LABEL_START = np.array([0, 0, 1, 3])
 
 
 def _mean_field_cubic(d: DerivedQuantities, delta_c, delta_c_sq, eta):
@@ -346,9 +350,9 @@ def solve_mean_field_grid(d: DerivedQuantities, delta_c, eta) -> BranchColumns:
 
     count = np.bincount(row, minlength=len(delta_c))[row]
     rank = np.arange(len(row)) - np.searchsorted(row, row)
-    label = [_LABELS[c][k] for c, k in zip(count.tolist(), rank.tolist())]
     return BranchColumns(index=row, n=n, alpha=np.sqrt(n),
-                         Delta=delta_c[row] - d.beta * n, label=label,
+                         Delta=delta_c[row] - d.beta * n,
+                         label=_LABEL_NAMES[_LABEL_START[count] + rank].tolist(),
                          degenerate=flag)
 
 

@@ -4,10 +4,11 @@ deterministic CSV/JSON emission.
 Every branch, whether it comes from a sweep point or from a single ``point``
 report, goes through :func:`evaluate_branches`: closed-form characteristic
 polynomial, Routh-Hurwitz verdict and, for stable branches in full mode, the
-drift matrix, the Lyapunov covariance and the five measures.  A sweep configuration's branches go through it as one
-batch of branch columns (:class:`BranchColumns`); each row gets the
-arithmetic it would get on its own, so emitted bytes are deterministic and
-independent of the batching.
+drift matrix, the Lyapunov covariance and the five measures.  A sweep
+configuration's branches go through it as one batch of branch columns
+(:class:`BranchColumns`); each row gets the arithmetic it would get on its
+own, so emitted bytes are deterministic and independent of the batching.
+The rows stay columns (:class:`SweepTable`) from there to the CSV text.
 
 Swept variables:
 
@@ -32,7 +33,10 @@ cooling and entanglement curves.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
+from itertools import chain, groupby, islice, repeat
+from operator import add, is_
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -106,6 +110,15 @@ class SweepSpec:
             raise ParameterError("sweep.points: must be >= 2")
         if not (self.lo < self.hi):
             raise ParameterError("sweep.lo: must be < sweep.hi")
+        if not math.isfinite(self.hi - self.lo):
+            raise ParameterError("sweep.hi: sweep.hi - sweep.lo must be finite")
+        if self.variable in ("delta_c", "Delta_effective"):
+            # the solvers square a detuning
+            for name, bound in (("lo", self.lo), ("hi", self.hi)):
+                if not math.isfinite(bound * bound):
+                    raise ParameterError(
+                        f"sweep.{name}: must have a finite square for a "
+                        f"{self.variable} sweep")
 
 
 @dataclass
@@ -131,6 +144,44 @@ class SweepRow:
     e_n_mirror_atom: Optional[float] = None
 
 
+@dataclass(frozen=True)
+class SweepTable(Sequence[SweepRow]):
+    """The rows of a sweep as columns of plain Python values.
+
+    ``measures`` has one entry per row: None, or the five measures in
+    ``CSV_COLUMNS`` order.  The table reads as a sequence of rows: indexing
+    and iteration build a :class:`SweepRow` view on demand.
+    """
+
+    config: List[str]
+    value: List[float]
+    branch: List[str]
+    n: List[float]
+    alpha: List[float]
+    Delta: List[float]
+    stability: List[str]
+    degenerate: List[bool]
+    measures: List[Optional[List[float]]]
+
+    def __len__(self) -> int:
+        return len(self.config)
+
+    def __getitem__(self, i: int) -> SweepRow:
+        return SweepRow(self.config[i], self.value[i], self.branch[i], self.n[i],
+                        self.alpha[i], self.Delta[i], self.stability[i],
+                        self.degenerate[i], *(self.measures[i] or ()))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
+def _joined(blocks: Sequence[SweepTable]) -> SweepTable:
+    """The rows of the blocks, one after another, as one table."""
+    return SweepTable(*(list(chain.from_iterable(getattr(block, f.name)
+                                                 for block in blocks))
+                        for f in fields(SweepTable)))
+
+
 def _expand_configs(spec: SweepSpec) -> List[Tuple[str, SystemParams]]:
     base = list(spec.variants) if spec.variants else [Variant("base", spec.params)]
     configs: List[Tuple[str, SystemParams]] = []
@@ -150,13 +201,14 @@ def _expand_configs(spec: SweepSpec) -> List[Tuple[str, SystemParams]]:
 
 def evaluate_branches(branches: BranchColumns, d: DerivedQuantities,
                       diffusion: Optional[np.ndarray] = None
-                      ) -> Tuple[List[str], List[Optional[Dict[str, float]]]]:
+                      ) -> Tuple[List[str], List[Optional[List[float]]]]:
     """Stability verdicts of branches and, given the diffusion matrix, their measures.
 
     Returns ``(verdicts, measures)``, one entry per branch of the columns.
-    ``measures[i]`` maps the last five ``CSV_COLUMNS`` to the occupations
-    and log-negativities of the stationary covariance; it is None for a
-    non-stable branch or when no ``diffusion`` is given (mean-field mode).
+    ``measures[i]`` lists the occupations and log-negativities of the
+    stationary covariance in the order of the last five ``CSV_COLUMNS``; it
+    is None for a non-stable branch or when no ``diffusion`` is given
+    (mean-field mode).
     The verdicts come from the closed-form characteristic polynomial of the
     columns in one Routh stack, so mean-field mode builds no drift matrix;
     in full mode the drift matrices feed only the Lyapunov solve and the
@@ -165,7 +217,7 @@ def evaluate_branches(branches: BranchColumns, d: DerivedQuantities,
     physicality check raises :class:`NumericalError`.
     """
     verdicts = is_stable(characteristic_polynomial(branches, d))
-    measures: List[Optional[Dict[str, float]]] = [None] * len(verdicts)
+    measures: List[Optional[List[float]]] = [None] * len(verdicts)
     if diffusion is None:
         return verdicts, measures
     drift = drift_matrix(branches, d)
@@ -181,7 +233,7 @@ def evaluate_branches(branches: BranchColumns, d: DerivedQuantities,
         columns = np.stack([gm.mirror_phonons(v), gm.bogoliubov_excitations(v),
                             *e_n], axis=1)
         for i, row in zip(rows, columns.tolist()):
-            measures[i] = dict(zip(CSV_COLUMNS[-5:], row))
+            measures[i] = row
     return verdicts, measures
 
 
@@ -217,7 +269,7 @@ def _named(exc: Exception, config: str, variable: str, value: float,
 
 def _evaluate_group(config: str, variable: str, d: DerivedQuantities,
                     values: Sequence[float], branches: BranchColumns,
-                    mode: str) -> List[SweepRow]:
+                    mode: str) -> SweepTable:
     """Rows of branch columns over grid ``values`` that share ``d``, as one batch.
 
     When the batch fails it is re-run branch by branch, so the error names
@@ -235,17 +287,17 @@ def _evaluate_group(config: str, variable: str, d: DerivedQuantities,
                 raise _named(exc, config, variable, values[branches.index[i]],
                              branches.label[i]) from exc
         raise
-    return [SweepRow(config, values[i], label, n, alpha, Delta, verdict, flag,
-                     **(measure or {}))
-            for i, label, n, alpha, Delta, flag, verdict, measure in zip(
-                branches.index.tolist(), branches.label, branches.n.tolist(),
-                branches.alpha.tolist(), branches.Delta.tolist(),
-                branches.degenerate.tolist(), verdicts, measures)]
+    return SweepTable(config=[config] * len(branches),
+                      value=list(map(values.__getitem__, branches.index.tolist())),
+                      branch=branches.label, n=branches.n.tolist(),
+                      alpha=branches.alpha.tolist(), Delta=branches.Delta.tolist(),
+                      stability=verdicts, degenerate=branches.degenerate.tolist(),
+                      measures=measures)
 
 
 def _config_rows(config: str, variable: str, values: Sequence[float],
-                 params: SystemParams, mode: str) -> List[SweepRow]:
-    """Rows of one configuration, in grid order.
+                 params: SystemParams, mode: str) -> List[SweepTable]:
+    """Blocks of rows of one configuration, in grid order.
 
     A ``delta_c``, ``power`` or ``Delta_effective`` grid shares one ``d``
     and goes through as one set of branch columns.  Every ``omega_sw`` or
@@ -271,39 +323,48 @@ def _config_rows(config: str, variable: str, values: Sequence[float],
         failure = exc
     # the points before a failing one are evaluated first, so that an
     # earlier failure is the one reported, as in a point-by-point run
-    rows = [row for d, group_values, branches in groups
-            for row in _evaluate_group(config, variable, d, group_values, branches, mode)]
+    blocks = [_evaluate_group(config, variable, d, group_values, branches, mode)
+              for d, group_values, branches in groups]
     if failure is not None:
         raise _named(failure, config, variable, value) from failure
-    return rows
+    return blocks
 
 
-def run_sweep(spec: SweepSpec) -> List[SweepRow]:
+def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the sweep; rows are grouped by configuration, ascending value."""
-    values = [float(v) for v in np.linspace(spec.lo, spec.hi, spec.points)]
-    return [row for label, params in _expand_configs(spec)
-            for row in _config_rows(label, spec.variable, values, params, spec.mode)]
+    values = np.linspace(spec.lo, spec.hi, spec.points).tolist()
+    return _joined([block for label, params in _expand_configs(spec)
+                    for block in _config_rows(label, spec.variable, values,
+                                              params, spec.mode)])
 
 
 # one CSV line per row: rows from a sweep carry all five measures or none
 _CSV_ROW = "%s,%.12g,%s,%.12g,%.12g,%.12g,%s,%s"
 _CSV_MEASURED = _CSV_ROW + ",%.12g,%.12g,%.12g,%.12g,%.12g"
 _CSV_UNMEASURED = _CSV_ROW + ",,,,,"
-_NO_MEASURES = (None,) * 5
+_CSV_FLAG = {True: "true", False: "false"}
 
 
-def rows_to_csv(rows: Sequence[SweepRow]) -> str:
-    """CSV text: fixed header, 12 significant digits, LF line endings."""
+def rows_to_csv(table: SweepTable) -> str:
+    """CSV text: fixed header, 12 significant digits, LF line endings.
+
+    Written from the columns, one run of measured or unmeasured rows at a
+    time, with the template of the run mapped over its zipped columns.
+    """
+    heads = zip(table.config, table.value, table.branch, table.n, table.alpha,
+                table.Delta, table.stability,
+                map(_CSV_FLAG.__getitem__, table.degenerate))
     lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        head = (row.config, row.value, row.branch, row.n, row.alpha, row.Delta,
-                row.stability, "true" if row.degenerate else "false")
-        measures = (row.delta_n_m, row.delta_n_c, row.e_n_mirror_field,
-                    row.e_n_atom_field, row.e_n_mirror_atom)
-        if measures == _NO_MEASURES:
-            lines.append(_CSV_UNMEASURED % head)
+    start = 0
+    for unmeasured, run in groupby(map(is_, table.measures, repeat(None))):
+        stop = start + len(list(run))
+        run_heads = islice(heads, stop - start)
+        if unmeasured:
+            lines.extend(map(_CSV_UNMEASURED.__mod__, run_heads))
         else:
-            lines.append(_CSV_MEASURED % (head + measures))
+            lines.extend(map(_CSV_MEASURED.__mod__, map(
+                add, run_heads, map(tuple, table.measures[start:stop]))))
+        start = stop
     return "\n".join(lines) + "\n"
 
 
@@ -330,7 +391,7 @@ def to_json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def report_dict(rows: Sequence[SweepRow], spec: Optional[SweepSpec] = None) -> Dict:
+def report_dict(rows: SweepTable, spec: Optional[SweepSpec] = None) -> Dict:
     """JSON-ready report object: sweep description, derived rates, rows."""
     doc: Dict = {"rows": [as_dict(r) for r in rows]}
     if spec is not None:
@@ -342,7 +403,7 @@ def report_dict(rows: Sequence[SweepRow], spec: Optional[SweepSpec] = None) -> D
     return doc
 
 
-def emit(rows: Sequence[SweepRow], fmt: str, destination,
+def emit(rows: SweepTable, fmt: str, destination,
          spec: Optional[SweepSpec] = None) -> int:
     """Write rows as ``csv`` or ``json``; returns the number of bytes written.
 

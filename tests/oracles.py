@@ -5,7 +5,7 @@ from typing import Optional
 
 import numpy as np
 
-from optobec import HBAR, derive_quantities
+from optobec import HBAR, SweepTable, derive_quantities
 from optobec.sweep import CSV_COLUMNS
 
 
@@ -132,3 +132,12 @@ def rows_to_csv(rows) -> str:
             _format_number(row.e_n_mirror_atom),
         )))
     return "\n".join(lines) + "\n"
+
+
+def sweep_table(rows) -> SweepTable:
+    """The table of sweep rows given one :class:`SweepRow` at a time."""
+    measured = CSV_COLUMNS[-5:]
+    columns = {name: [getattr(row, name) for row in rows] for name in CSV_COLUMNS[:-5]}
+    measures = [[getattr(row, name) for name in measured] for row in rows]
+    return SweepTable(**columns, measures=[
+        None if measure == [None] * 5 else measure for measure in measures])

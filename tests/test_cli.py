@@ -209,6 +209,26 @@ def test_huge_sweep_points_exit_code(points, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, sweep, cavity, field", [
+    ("sweep", {"variable": "delta_c", "lo": -1e155, "hi": 1e155}, {}, "sweep.lo"),
+    ("sweep", {"variable": "Delta_effective", "lo": -1e155, "hi": 1e155}, {},
+     "sweep.lo"),
+    ("sweep", {"variable": "delta_c", "lo": -1e308, "hi": 1e308}, {}, "sweep.hi"),
+    ("point", None, {"detuning": 1e160}, "cavity.detuning"),
+    ("threshold", None, {"detuning": 1e160}, "cavity.detuning"),
+], ids=["delta_c_1e155", "Delta_effective_1e155", "delta_c_1e308",
+        "point_detuning_1e160", "threshold_detuning_1e160"])
+def test_huge_detuning_exit_code(command, sweep, cavity, field, tmp_path, capsys):
+    """A detuning whose square overflows is rejected where it enters."""
+    extra = sweep and {"sweep": dict(sweep, points=3, mode="full")}
+    path = write_config(tmp_path, extra=extra,
+                        cavity=dict(BASE_CONFIG["cavity"], **cavity))
+    assert main([command, "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ")
+    assert "Traceback" not in err
+
+
 def _singular_covariance(a, d):
     raise optobec.NumericalError("singular covariance system")
 

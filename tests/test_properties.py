@@ -137,9 +137,9 @@ def test_stacked_evaluation_equals_single_rows(data, detunings):
         (alone_verdict,), (alone,) = evaluate_branches(branches[i:i + 1], d, diffusion)
         assert verdict == alone_verdict
         assert (measure is None) == (alone is None)
-        for key in alone or {}:
-            assert measure[key] == alone[key]
-            assert math.copysign(1.0, measure[key]) == math.copysign(1.0, alone[key])
+        for x, y in zip(measure or (), alone or ()):
+            assert x == y
+            assert math.copysign(1.0, x) == math.copysign(1.0, y)
 
 
 # Ascending coefficients of polynomials with roots on the imaginary axis.

@@ -1,15 +1,17 @@
+import ast
 import dataclasses
 import hashlib
 import io
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from optobec import (ParameterError, SweepRow, SweepSpec, bistability_window,
-                     derive_quantities, diffusion_matrix, emit,
-                     evaluate_branches, figure_preset, run_sweep,
+from optobec import (ParameterError, SweepRow, SweepSpec, SweepTable,
+                     bistability_window, derive_quantities, diffusion_matrix,
+                     emit, evaluate_branches, figure_preset, run_sweep,
                      solve_mean_field)
 from optobec.presets import (FIGURE_IDS, MIRROR_FREQ, baseline_params,
                              reference_kappa, reference_xi)
@@ -171,7 +173,7 @@ def test_emit_csv_deterministic(tmp_path):
 
 
 def test_emit_csv_format():
-    text = rows_to_csv([])
+    text = rows_to_csv(oracles.sweep_table([]))
     assert text == ("config,value,branch,n,alpha,Delta,stability,degenerate,"
                     "delta_n_m,delta_n_c,e_n_mirror_field,e_n_atom_field,"
                     "e_n_mirror_atom\n")
@@ -309,8 +311,8 @@ def test_batch_equals_single_rows(spec):
             (alone_verdict,), (alone,) = evaluate_branches(branches[i:i + 1], d, diffusion)
             assert verdict == alone_verdict
             assert (measure is None) == (alone is None)
-            for key in alone or {}:
-                assert_same_float(measure[key], alone[key])
+            for x, y in zip(measure or (), alone or ()):
+                assert_same_float(x, y)
     if spec.variable == "delta_c":
         assert 3 in counts, "the sweep misses the bistability window"
 
@@ -397,7 +399,58 @@ EDGE_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("rows", ["fig2a", "fig7", "edge"])
+@pytest.mark.parametrize("rows", [*sorted(PRESET_LOCK), "edge"])
 def test_csv_writer_matches_per_field_writer(rows, preset_rows):
-    rows = EDGE_ROWS if rows == "edge" else preset_rows(rows)
-    assert rows_to_csv(rows) == oracles.rows_to_csv(rows)
+    table = oracles.sweep_table(EDGE_ROWS) if rows == "edge" else preset_rows(rows)
+    assert rows_to_csv(table) == oracles.rows_to_csv(table)
+
+
+# First 16 hex digits of the sha256 of emit(rows, "json", ..., spec=spec).
+JSON_LOCK = [
+    (dataclasses.replace(figure_preset("fig2a"), points=7), "78036a6f2148ba5f"),
+    (dataclasses.replace(figure_preset("fig7"), points=7), "ef72a6635a31093a"),
+    (SweepSpec("omega_sw", 0.0, 2.0 * MIRROR_FREQ, 7,
+               baseline_params(detuning=MIRROR_FREQ), mode="full", bec="both"),
+     "ea81630bf4f27aa7"),
+]
+
+
+@pytest.mark.parametrize("spec, digest", JSON_LOCK, ids=["fig2a", "fig7", "omega_sw"])
+def test_json_report_lock(spec, digest):
+    buffer = io.BytesIO()
+    emit(run_sweep(spec), "json", buffer, spec=spec)
+    assert hashlib.sha256(buffer.getvalue()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("fig_id", ["fig2d", "fig7"])
+def test_row_views_hold_plain_values(fig_id, preset_rows):
+    """Every field of a row view is a Python float, bool, str or None,
+    never a numpy scalar."""
+    table = preset_rows(fig_id)
+    assert isinstance(table, SweepTable)
+    plain = {float, bool, str, type(None)}
+    kinds = {type(value) for row in table for value in dataclasses.astuple(row)}
+    assert kinds <= plain
+    assert float in kinds and bool in kinds and str in kinds
+
+
+def test_csv_path_builds_no_row_objects(tmp_path, monkeypatch):
+    import optobec.sweep as sweep
+    from optobec.cli import main
+
+    def no_rows(*args):
+        raise AssertionError("a SweepRow was built")
+
+    monkeypatch.setattr(sweep, "SweepRow", no_rows)
+    assert main(["figure", "fig3", "--out", str(tmp_path)]) == 0
+    spec = dataclasses.replace(figure_preset("fig7"), points=7)
+    emit(run_sweep(spec), "csv", io.BytesIO())
+
+
+def test_lock_copies_agree():
+    """The benchmark pins the preset CSVs to the same hashes as PRESET_LOCK."""
+    source = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    locks = [ast.literal_eval(node.value) for node in ast.parse(source.read_text()).body
+             if isinstance(node, ast.Assign)
+             and [getattr(t, "id", None) for t in node.targets] == ["LOCK_HASHES"]]
+    assert locks == [PRESET_LOCK]
