@@ -25,6 +25,16 @@ _SQRT2 = math.sqrt(2.0)
 #: accepted Lyapunov residual, relative to the diffusion scale
 LYAPUNOV_RESIDUAL_RTOL = 1e-8
 
+#: Most rows of one stacked solve in :func:`solve_lyapunov`.  Its
+#: ``(rows, n^2, n^2)`` coefficient is the only buffer of the pipeline that
+#: grows like n^4 (1.3 MB per 128 rows at n = 6); the stack is solved in
+#: pieces of this many rows, so that buffer stays bounded however many rows
+#: come in.  Peak RSS of the full-mode benchmark, whole configurations in one
+#: call (perfbench full_presets, 2-core VM): 41.6 MB at 64 rows, 42.0-42.2
+#: MB at 128 and 43.6-43.7 MB at 256, with rows/s within run-to-run noise
+#: of each other.
+LYAPUNOV_STACK_ROWS = 128
+
 
 class NumericalError(RuntimeError):
     """A linear solve hit a singular or marginal system."""
@@ -254,6 +264,37 @@ def is_stable(coeffs) -> Union[str, List]:
     return np.array(verdicts, dtype=object).reshape(c.shape[:-1]).tolist()
 
 
+def _solve_lyapunov_rows(a: np.ndarray, d: np.ndarray, first: int) -> np.ndarray:
+    """:func:`solve_lyapunov` of an ``(N, n, n)`` piece of a stack whose row
+    ``first`` is the piece's row 0."""
+    count, n = a.shape[0], a.shape[-1]
+    # kron(I, A) + kron(A, I), scattered into its nonzero blocks: entry
+    # ((i, j), (k, l)) is delta_ik A_jl + A_ik delta_jl
+    coefficient = np.zeros((count, n, n, n, n))
+    for i in range(n):
+        coefficient[:, i, :, i, :] = a
+    for k in range(n):
+        coefficient[:, :, k, :, k] += a
+    coefficient = coefficient.reshape(count, n * n, n * n)
+    rhs = (-d).reshape(count, n * n)
+    try:
+        vec = np.linalg.solve(coefficient, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"Lyapunov system is singular: {exc}") from exc
+    v = vec.reshape(count, n, n)
+    v = 0.5 * (v + np.swapaxes(v, -1, -2))
+    scale = np.abs(d).max(axis=(-2, -1))
+    residual = np.abs(a @ v + v @ np.swapaxes(a, -1, -2) + d).max(axis=(-2, -1))
+    bad = ~np.isfinite(residual) | (residual > LYAPUNOV_RESIDUAL_RTOL * scale)
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise NumericalError(
+            f"Lyapunov residual {residual[i]:.3e} exceeds "
+            f"{LYAPUNOV_RESIDUAL_RTOL:.0e} * {scale[i]:.3e} at stack row "
+            f"{first + i}; drift is marginal or ill-conditioned")
+    return v
+
+
 def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Stationary covariance V solving A V + V A^T = -D.
 
@@ -261,40 +302,23 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     n^2 x n^2 system by LU with partial pivoting, then symmetrizes.  The
     residual is checked against ``LYAPUNOV_RESIDUAL_RTOL`` times the largest
     diffusion entry; a singular or marginal drift raises
-    :class:`NumericalError` instead of returning garbage.  The caller is
+    :class:`NumericalError` instead of returning garbage, a residual failure
+    naming the first bad row of the flattened stack.  The caller is
     expected to have verified stability first.
 
     ``a`` may be a ``(..., n, n)`` stack, with ``d`` one ``(n, n)`` matrix
-    or a stack of the same shape; the stack goes through one stacked solve,
-    every row with the same arithmetic and the same residual check as on
-    its own.
+    or a stack of the same shape.  The stack is flattened and solved in
+    pieces of at most ``LYAPUNOV_STACK_ROWS`` rows, every row with the same
+    arithmetic and the same residual check as on its own.
     """
     a = np.asarray(a, dtype=float)
     d = np.asarray(d, dtype=float)
     n = a.shape[-1]
     batch = a.shape[:-2]
-    # kron(I, A) + kron(A, I), scattered into its nonzero blocks: entry
-    # ((i, j), (k, l)) is delta_ik A_jl + A_ik delta_jl
-    coefficient = np.zeros(batch + (n, n, n, n))
-    for i in range(n):
-        coefficient[..., i, :, i, :] = a
-    for k in range(n):
-        coefficient[..., :, k, :, k] += a
-    coefficient = coefficient.reshape(batch + (n * n, n * n))
-    rhs = np.broadcast_to(-d, batch + (n, n)).reshape(batch + (n * n,))
-    try:
-        vec = np.linalg.solve(coefficient, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Lyapunov system is singular: {exc}") from exc
-    v = vec.reshape(batch + (n, n))
-    v = 0.5 * (v + np.swapaxes(v, -1, -2))
-    scale = np.broadcast_to(np.abs(d).max(axis=(-2, -1)), batch)
-    residual = np.abs(a @ v + v @ np.swapaxes(a, -1, -2) + d).max(axis=(-2, -1))
-    bad = ~np.isfinite(residual) | (residual > LYAPUNOV_RESIDUAL_RTOL * scale)
-    if bad.any():
-        i = np.flatnonzero(bad)[0]
-        raise NumericalError(
-            f"Lyapunov residual {residual.flat[i]:.3e} exceeds "
-            f"{LYAPUNOV_RESIDUAL_RTOL:.0e} * {scale.flat[i]:.3e}; "
-            "drift is marginal or ill-conditioned")
-    return v
+    a_rows = a.reshape(-1, n, n)
+    d_rows = np.broadcast_to(d, batch + (n, n)).reshape(-1, n, n)
+    # an empty stack is one empty piece
+    pieces = [_solve_lyapunov_rows(a_rows[start:start + LYAPUNOV_STACK_ROWS],
+                                   d_rows[start:start + LYAPUNOV_STACK_ROWS], start)
+              for start in range(0, max(len(a_rows), 1), LYAPUNOV_STACK_ROWS)]
+    return np.concatenate(pieces).reshape(batch + (n, n))

@@ -17,6 +17,7 @@ rates the dynamics needs are computed once per configuration by
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -201,7 +202,11 @@ def bose_occupation(omega: float, temperature: float) -> float:
 def drive_rate(power: float, kappa: float, omega_cav: float) -> float:
     """Coherent drive amplitude rate for a given input power."""
     _non_negative(power, "drive.power")
-    return math.sqrt(2.0 * power * kappa / (HBAR * omega_cav))
+    eta = math.sqrt(2.0 * power * kappa / (HBAR * omega_cav))
+    # the mean-field cubic squares the rate
+    _require(math.isfinite(eta * eta), "drive.power",
+             "must give a drive rate with a finite square")
+    return eta
 
 
 def derive_quantities(params: SystemParams) -> DerivedQuantities:
@@ -231,6 +236,12 @@ def derive_quantities(params: SystemParams) -> DerivedQuantities:
     beta = xi ** 2 / mir.frequency
     if zeta > 0.0:
         beta += zeta ** 2 / (Omega_c + omega_sw + bec.damping ** 2 / Omega_c)
+    # beta^2 leads the mean-field cubic: once it underflows, what is left is
+    # a quadratic with a root the cubic does not have
+    if 0.0 < beta and beta * beta < sys.float_info.min:
+        raise ParameterError(
+            f"xi_override/bec.coupling: the detuning pull beta = {beta:.3e} "
+            "rad/s per photon is too weak: beta^2 underflows")
 
     return DerivedQuantities(
         omega_cav=omega_cav,

@@ -24,6 +24,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .linear_dynamics import NumericalError
 from .model import (HBAR, DerivedQuantities, SystemParams, derive_quantities,
                     drive_rate)
 
@@ -284,6 +285,12 @@ def _mean_field_cubic(d: DerivedQuantities, delta_c, delta_c_sq, eta):
             -eta * eta)
 
 
+def _out_of_range(exc: Exception) -> NumericalError:
+    # an overflow inside the closed form: pow raises OverflowError, and an
+    # inf - inf under a square root raises a math-domain ValueError
+    return NumericalError(f"mean-field cubic leaves the float range: {exc}")
+
+
 def solve_mean_field(params: SystemParams,
                      delta_c: Optional[float] = None,
                      power: Optional[float] = None,
@@ -306,7 +313,10 @@ def solve_mean_field(params: SystemParams,
     eta = drive_rate(power, d.kappa, d.omega_cav)
 
     coeffs = _mean_field_cubic(d, delta_c, delta_c ** 2, eta)
-    roots = _real_cubic_roots(*coeffs)
+    try:
+        roots = _real_cubic_roots(*coeffs)
+    except (OverflowError, ValueError) as exc:
+        raise _out_of_range(exc) from exc
 
     # photon-number scale of the cubic, for the roundoff window of the
     # negative-root filter (genuine negative roots sit at the full scale);
@@ -335,7 +345,10 @@ def solve_mean_field_grid(d: DerivedQuantities, delta_c, eta) -> BranchColumns:
     delta_c, eta = np.broadcast_arrays(np.asarray(delta_c, dtype=float),
                                        np.asarray(eta, dtype=float))
     a3, a2, a1, a0 = _mean_field_cubic(d, delta_c, _each(pow, delta_c, 2), eta)
-    row, root, flag = _stacked_cubic_roots(a3, a2, a1, a0)
+    try:
+        row, root, flag = _stacked_cubic_roots(a3, a2, a1, a0)
+    except (OverflowError, ValueError) as exc:
+        raise _out_of_range(exc) from exc
 
     if a3 > 0.0:
         scale = np.maximum(np.maximum(

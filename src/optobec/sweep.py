@@ -62,11 +62,6 @@ CSV_COLUMNS = (
 # bipartitions of the three e_n_* columns, in column order
 _SPLITS = (gm.MIRROR_FIELD, gm.ATOM_FIELD, gm.MIRROR_ATOM)
 
-#: Rows per Lyapunov stack in :func:`evaluate_branches`.  Peak RSS of the
-#: four full-mode presets: 32.5 MB one row at a time, 34.1 MB at 64 rows,
-#: 44.6 MB unchunked; larger chunks gain little speed.
-BATCH_ROWS = 64
-
 
 @dataclass(frozen=True)
 class Variant:
@@ -211,29 +206,29 @@ def evaluate_branches(branches: BranchColumns, d: DerivedQuantities,
     (mean-field mode).
     The verdicts come from the closed-form characteristic polynomial of the
     columns in one Routh stack, so mean-field mode builds no drift matrix;
-    in full mode the drift matrices feed only the Lyapunov solve and the
-    measures, in stacks of ``BATCH_ROWS`` stable rows.  Every row sees the
-    same arithmetic as it would on its own.  A covariance that fails the
-    physicality check raises :class:`NumericalError`.
+    in full mode the drift matrices of the stable rows go through one
+    Lyapunov call (which bounds its own memory) and one pass of the
+    measures.  Every row sees the same arithmetic as it would on its own.
+    A covariance that fails the physicality check raises
+    :class:`NumericalError`.
     """
     verdicts = is_stable(characteristic_polynomial(branches, d))
     measures: List[Optional[List[float]]] = [None] * len(verdicts)
     if diffusion is None:
         return verdicts, measures
-    drift = drift_matrix(branches, d)
     stable = [i for i, verdict in enumerate(verdicts) if verdict == "stable"]
-    for start in range(0, len(stable), BATCH_ROWS):
-        rows = stable[start:start + BATCH_ROWS]
-        v = solve_lyapunov(drift[rows], diffusion)
-        splits = np.stack([gm.reduce_bipartition(v, bp) for bp in _SPLITS])
-        try:
-            e_n = gm.log_negativity(splits).log_negativity
-        except ValueError as exc:   # the covariance is not physical
-            raise NumericalError(str(exc)) from exc
-        columns = np.stack([gm.mirror_phonons(v), gm.bogoliubov_excitations(v),
-                            *e_n], axis=1)
-        for i, row in zip(rows, columns.tolist()):
-            measures[i] = row
+    if not stable:
+        return verdicts, measures
+    v = solve_lyapunov(drift_matrix(branches, d)[stable], diffusion)
+    splits = np.stack([gm.reduce_bipartition(v, bp) for bp in _SPLITS])
+    try:
+        e_n = gm.log_negativity(splits).log_negativity
+    except ValueError as exc:   # the covariance is not physical
+        raise NumericalError(str(exc)) from exc
+    columns = np.stack([gm.mirror_phonons(v), gm.bogoliubov_excitations(v),
+                        *e_n], axis=1)
+    for i, row in zip(stable, columns.tolist()):
+        measures[i] = row
     return verdicts, measures
 
 
@@ -251,12 +246,14 @@ def _grid_branches(variable: str, values: Sequence[float], params: SystemParams,
         return solve_mean_field_grid(d, values, d.eta)
     if variable == "power":
         power = np.asarray(values, dtype=float)
-        invalid = np.flatnonzero(~(np.isfinite(power) & (power >= 0.0)))
+        # drive_rate over the grid, in its operations, order and checks
+        with np.errstate(over="ignore", invalid="ignore"):
+            eta = np.sqrt(2.0 * power * d.kappa / (HBAR * d.omega_cav))
+            invalid = np.flatnonzero(~(np.isfinite(power) & (power >= 0.0)
+                                       & np.isfinite(eta * eta)))
         if len(invalid):
             # the scalar check raises the ParameterError of the first bad power
             drive_rate(values[invalid[0]], d.kappa, d.omega_cav)
-        # drive_rate over the grid, in its operations and order
-        eta = np.sqrt(2.0 * power * d.kappa / (HBAR * d.omega_cav))
         return solve_mean_field_grid(d, params.cavity.detuning, eta)
     return imposed_detuning_branches(d, values)
 
@@ -306,8 +303,7 @@ def _config_rows(config: str, variable: str, values: Sequence[float],
     """
     groups: List[Tuple[DerivedQuantities, Sequence[float], BranchColumns]] = []
     failure = None
-    # the grid ascends, so a grid-wide failure (a negative power) is at its
-    # first value, with no point before it
+    # a configuration that fails to derive is named at its first value
     value = values[0]
     try:
         if variable in ("omega_sw", "xi"):
@@ -318,7 +314,14 @@ def _config_rows(config: str, variable: str, values: Sequence[float],
                     solve_mean_field(point_params, d=d))))
         else:
             d = derive_quantities(params)
-            groups.append((d, values, _grid_branches(variable, values, params, d)))
+            try:
+                groups.append((d, values, _grid_branches(variable, values, params, d)))
+            except (ParameterError, NumericalError):
+                # re-solve value by value, so that the first failing value
+                # raises and is named
+                for value in values:
+                    groups.append((d, [value],
+                                   _grid_branches(variable, [value], params, d)))
     except (ParameterError, NumericalError) as exc:
         failure = exc
     # the points before a failing one are evaluated first, so that an

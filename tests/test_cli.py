@@ -229,6 +229,48 @@ def test_huge_detuning_exit_code(command, sweep, cavity, field, tmp_path, capsys
     assert "Traceback" not in err
 
 
+NO_BEC_NORMALIZED = {
+    "units": "normalized",
+    "cavity": {"length": 1e-3, "wavelength": 1.064e-6, "finesse": 3e4,
+               "detuning": 1.0},
+    "mirror": {"mass": 5e-11, "frequency": MIRROR_FREQ, "quality": 1e5,
+               "temperature": 0.4},
+    "drive": {"power": 0.05},
+}
+
+
+@pytest.mark.parametrize("command, changes, code, named", [
+    ("point", {"xi_override": 1e-100}, 1, "error: xi_override/bec.coupling: "),
+    ("point", {"xi_override": 1e-150}, 1, "error: xi_override/bec.coupling: "),
+    ("point", {"drive": {"power": 1e285}}, 1, "error: drive.power: "),
+    ("sweep", {"sweep": {"variable": "power", "lo": 0.0, "hi": 1e300, "points": 5}},
+     1, "error: base: power=2.5e+299: drive.power: "),
+    ("point", {"cavity": {"detuning": 1e100}}, 2,
+     "numerical failure: mean-field cubic leaves the float range"),
+    ("sweep", {"sweep": {"variable": "delta_c", "lo": -1e60, "hi": 1e60,
+                         "points": 5}},
+     2, "numerical failure: base: delta_c=-3.13941927885e+67: mean-field cubic"),
+], ids=["xi_1e-100", "xi_1e-150", "power_1e285", "power_sweep_1e300",
+        "detuning_1e100", "delta_c_sweep_1e60"])
+def test_out_of_range_pull_drive_and_detuning(command, changes, code, named,
+                                              tmp_path, capsys):
+    """An underflowing pull or an overflowing drive is rejected where it
+    enters; a cubic that overflows is a numerical failure naming its value."""
+    doc = json.loads(json.dumps(NO_BEC_NORMALIZED))
+    for key, value in changes.items():
+        if key in doc:
+            doc[key].update(value)
+        else:
+            doc[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(named)
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def _singular_covariance(a, d):
     raise optobec.NumericalError("singular covariance system")
 

@@ -342,6 +342,39 @@ def test_lyapunov_stack_equals_each_matrix():
             assert row.tobytes() == solve_lyapunov(a, diffusion).tobytes()
 
 
+def test_lyapunov_pieces_equal_one_stack(monkeypatch):
+    """Ragged pieces, the default bound and a reshaped stack give the same bits."""
+    import optobec.linear_dynamics as ld
+
+    rng = np.random.default_rng(10)
+    stack = np.stack([random_stable_matrix(rng) for _ in range(300)])
+    diffusion = np.diag(rng.uniform(0.1, 2.0, 6))
+    assert ld.LYAPUNOV_STACK_ROWS < 300
+    whole = solve_lyapunov(stack, diffusion)
+    reshaped = solve_lyapunov(stack.reshape(2, 150, 6, 6), diffusion)
+    monkeypatch.setattr(ld, "LYAPUNOV_STACK_ROWS", 7)
+    ragged = solve_lyapunov(stack, diffusion)
+    assert whole.shape == ragged.shape == (300, 6, 6)
+    assert reshaped.shape == (2, 150, 6, 6)
+    assert ragged.tobytes() == whole.tobytes() == reshaped.tobytes()
+
+
+def test_lyapunov_residual_failure_names_its_row(monkeypatch):
+    import optobec.linear_dynamics as ld
+
+    rng = np.random.default_rng(11)
+    stack = np.stack([random_stable_matrix(rng) for _ in range(30)])
+    # a near-defective drift: stable, but the solve misses the residual bound
+    stack[16] = -np.eye(6)
+    stack[16, :2, :2] = [[-1e-6, 1e6], [0.0, -1e-6]]
+    diffusion = np.eye(6)
+    for rows in (7, ld.LYAPUNOV_STACK_ROWS):   # row 16 in the third piece, in the first
+        monkeypatch.setattr(ld, "LYAPUNOV_STACK_ROWS", rows)
+        with pytest.raises(NumericalError,
+                           match=r"^Lyapunov residual .* at stack row 16; "):
+            solve_lyapunov(stack, diffusion)
+
+
 def test_drift_stack_equals_each_branch():
     d = derive_quantities(baseline_params(power=0.05, sw_frequency=MIRROR_FREQ))
     branches = [_branch(n, delta) for n, delta in

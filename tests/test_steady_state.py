@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from optobec import (HBAR, bistability_window, derive_quantities, drive_rate,
-                     solve_mean_field)
+from optobec import (HBAR, NumericalError, ParameterError, bistability_window,
+                     derive_quantities, drive_rate, solve_mean_field)
 from optobec.presets import MIRROR_FREQ, baseline_params, reference_kappa
 from optobec.steady_state import solve_mean_field_grid
 
@@ -86,20 +87,24 @@ def test_decoupled_cavity_branch():
     assert b.q_s == 0.0 and b.Q_s == 0.0 and b.p_s == 0.0
 
 
-def test_underflowing_pull_keeps_the_physical_root():
-    """A pull whose square underflows leaves a quadratic: the scalar and the
-    grid solve agree and give its small root eta^2 / (delta_c^2 + kappa^2)."""
-    params = dataclasses.replace(baseline_params(power=0.05, bec_present=False),
-                                 xi_override=1e-100)
+def test_underflowing_pull_is_rejected():
+    """A pull whose square underflows would leave a quadratic with a root the
+    cubic does not have: it is rejected where it is derived.  A pull with a
+    normal square whose cubic overflows is a numerical failure, in the
+    scalar and the grid solve alike."""
+    base = baseline_params(power=0.05, bec_present=False)
+    for xi in (1e-100, 1e-155):   # beta^2 == 0; beta itself subnormal
+        params = dataclasses.replace(base, xi_override=xi)
+        with pytest.raises(ParameterError,
+                           match=r"^xi_override/bec\.coupling: .*beta\^2 underflows"):
+            derive_quantities(params)
+    params = dataclasses.replace(base, xi_override=1e-70)
     d = derive_quantities(params)
-    assert d.beta > 0.0 and d.beta ** 2 == 0.0
-    delta_c = d.kappa
-    branches = solve_mean_field(params, delta_c=delta_c, d=d)
-    grid = solve_mean_field_grid(d, [delta_c], d.eta)
-    assert grid.n.tolist() == [b.n for b in branches]
-    assert grid.label == [b.label for b in branches]
-    assert branches[0].n == pytest.approx(
-        d.eta ** 2 / (delta_c ** 2 + d.kappa ** 2), rel=1e-12)
+    assert d.beta * d.beta >= sys.float_info.min
+    with pytest.raises(NumericalError, match="mean-field cubic leaves the float range"):
+        solve_mean_field(params, delta_c=d.kappa, d=d)
+    with pytest.raises(NumericalError, match="mean-field cubic leaves the float range"):
+        solve_mean_field_grid(d, [d.kappa], d.eta)
 
 
 def test_zero_power_single_dark_branch(reference):
