@@ -22,7 +22,7 @@ import sys
 from typing import List, Optional
 
 from .config import ConfigError, load_config
-from .linear_dynamics import NumericalError, diffusion_matrix
+from .linear_dynamics import NumericalError
 from .model import ParameterError, derive_quantities
 from .presets import FIGURE_IDS, figure_preset
 from .steady_state import BranchColumns, bistability_window, solve_mean_field
@@ -68,8 +68,7 @@ def _build_parser() -> _Parser:
 def _point_report(params) -> dict:
     d = derive_quantities(params)
     branches = solve_mean_field(params, d=d)
-    verdicts, measures = evaluate_branches(BranchColumns.of(branches), d,
-                                           diffusion_matrix(d))
+    verdicts, measures = evaluate_branches(BranchColumns.of(branches), d, full=True)
     return {
         "params": as_dict(params),
         "derived_quantities": as_dict(d),

@@ -6,9 +6,11 @@ quadratures, mirror quadratures, condensate-mode quadratures), with vacuum
 variance 1/2.  Stability is decided purely algebraically (Routh-Hurwitz)
 from the characteristic polynomial, which the drift's coupling pattern gives
 in closed form straight from a branch's alpha and Delta, with no matrix
-built.  The stationary covariance V solves A V + V A^T = -D by direct
-Kronecker vectorization; at fixed size 6 the 36-unknown dense solve costs
-microseconds and stays free of any eigen/Schur machinery.
+built.  A stack of branches may span configurations: each row gathers the
+constants of its own derived quantities (:func:`per_row`).  The stationary
+covariance V solves A V + V A^T = -D by direct Kronecker vectorization; at
+fixed size 6 the 36-unknown dense solve costs microseconds and stays free
+of any eigen/Schur machinery.
 """
 
 from __future__ import annotations
@@ -40,6 +42,25 @@ class NumericalError(RuntimeError):
     """A linear solve hit a singular or marginal system."""
 
 
+def per_row(d, group, fn):
+    """``fn`` of the derived quantities of the rows of a stack.
+
+    ``d`` is one :class:`DerivedQuantities` shared by every row, which gives
+    ``fn(d)`` itself (``group`` is not read), or a list of them that the
+    int array ``group`` indexes, which gives an array with one entry per
+    entry of ``group``.  ``fn`` runs once per configuration, in Python
+    floats, so a power it takes is libm's, as on a single configuration;
+    the rows only gather its results.  Only the span of configurations the
+    rows use is visited (the last one when there are no rows, for the
+    shape), so pieces of a long stack cost no more than the whole.
+    """
+    if isinstance(d, DerivedQuantities):
+        return fn(d)
+    lo = group.min(initial=len(d) - 1)
+    hi = group.max(initial=lo) + 1
+    return np.array([fn(x) for x in d[lo:hi]])[group - lo]
+
+
 def _alpha_delta(branches):
     """``alpha`` and ``Delta`` of one branch or of columns as 1-D arrays, and
     whether one branch was given."""
@@ -48,16 +69,19 @@ def _alpha_delta(branches):
     return alpha.reshape(-1), delta.reshape(-1), alpha.ndim == 0
 
 
-def drift_matrix(branches, d: DerivedQuantities) -> np.ndarray:
+def drift_matrix(branches, d) -> np.ndarray:
     """Drift matrix of the linearized dynamics around a mean-field branch.
 
     One :class:`MeanFieldBranch` gives a ``(6, 6)`` matrix, the
     :class:`BranchColumns` of N branches an ``(N, 6, 6)`` stack; only their
-    ``alpha`` and ``Delta`` enter.  A condensate-absent configuration has
-    zeta = 0, which decouples the last two rows and columns; they are kept
-    so the state dimension never changes.
+    ``alpha``, ``Delta`` and group enter, with ``d`` as in :func:`per_row`.
+    A condensate-absent configuration has zeta = 0, which decouples the last
+    two rows and columns; they are kept so the state dimension never changes.
     """
     alpha, delta, single = _alpha_delta(branches)
+    if not isinstance(d, DerivedQuantities):   # each field as a column of rows
+        d = DerivedQuantities(*per_row(d, branches.group,
+                                       lambda x: [*vars(x).values()]).T)
     g_m = _SQRT2 * d.xi * alpha
     g_c = _SQRT2 * d.zeta * alpha
     a = np.zeros((len(alpha), 6, 6))
@@ -90,7 +114,7 @@ def diffusion_matrix(d: DerivedQuantities) -> np.ndarray:
                     d.gamma_m * (2.0 * d.nbar + 1.0), d.gamma_c, d.gamma_c])
 
 
-def characteristic_polynomial(branches, d: DerivedQuantities) -> np.ndarray:
+def characteristic_polynomial(branches, d) -> np.ndarray:
     """Coefficients of det(lambda I - A) of the drift, ascending order, leading 1.
 
     Takes the inputs of :func:`drift_matrix` and builds no matrix.  The
@@ -103,26 +127,36 @@ def characteristic_polynomial(branches, d: DerivedQuantities) -> np.ndarray:
         det(lambda I - A) = [(lambda + kappa)^2 + Delta^2] M B
                             - Delta (G_m^2 omega_m B + G_c^2 Omega_c M).
 
-    M B and the coupling polynomial per alpha^2 are fixed by ``d``, so a row
-    costs two products and two sums of 7-vectors: (kappa^2 + Delta^2) and
+    M B and the coupling polynomial per alpha^2 are fixed by a row's
+    configuration (``d`` as in :func:`per_row`), so a row costs two
+    products and two sums of 7-vectors: (kappa^2 + Delta^2) and
     Delta alpha^2 are the only per-branch inputs.  One
     :class:`MeanFieldBranch` gives ``(7,)``, the :class:`BranchColumns` of N
     branches ``(N, 7)``, each row with the operations it gets on its own.
     """
     alpha, delta, single = _alpha_delta(branches)
+    kappa_sq, both, fixed, coupling = per_row(
+        d, getattr(branches, "group", None), _charpoly_terms).swapaxes(-2, 0)
+    coeffs = ((delta * delta + kappa_sq[..., 0])[:, None] * both + fixed
+              - (delta * (alpha * alpha))[:, None] * coupling)
+    return coeffs[0] if single else coeffs
+
+
+def _charpoly_terms(d: DerivedQuantities) -> np.ndarray:
+    """The rows of a ``(4, 7)`` array for one configuration: kappa^2 (in
+    every entry), M B, [(lambda + kappa)^2 + Delta^2] M B without its
+    Delta^2 + kappa^2 term, and the coupling polynomial per alpha^2.  A
+    stack gathers the four rows at once."""
     mirror = np.array([d.omega_m ** 2, d.gamma_m, 1.0])
     condensate = np.array([d.gamma_c ** 2 + d.Omega_c * (d.Omega_c + d.omega_sw),
                            2.0 * d.gamma_c, 1.0])
-    both = np.zeros(7)
-    both[:5] = np.convolve(mirror, condensate)
-    coupling = np.zeros(7)
-    coupling[:3] = (2.0 * d.xi ** 2 * d.omega_m * condensate
+    terms = np.zeros((4, 7))
+    terms[0] = d.kappa ** 2
+    terms[1, :5] = np.convolve(mirror, condensate)
+    terms[2] = np.convolve([0.0, 2.0 * d.kappa, 1.0], terms[1, :5])
+    terms[3, :3] = (2.0 * d.xi ** 2 * d.omega_m * condensate
                     + 2.0 * d.zeta ** 2 * d.Omega_c * mirror)
-    # [(lambda + kappa)^2 + Delta^2] M B without its Delta^2 + kappa^2 term
-    fixed = np.convolve([0.0, 2.0 * d.kappa, 1.0], both[:5])
-    coeffs = ((delta * delta + d.kappa ** 2)[:, None] * both + fixed
-              - (delta * (alpha * alpha))[:, None] * coupling)
-    return coeffs[0] if single else coeffs
+    return terms
 
 
 def _routh_first_column(coeffs_desc: List[float], eps_sign: float):

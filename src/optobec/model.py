@@ -48,6 +48,11 @@ def _non_negative(value: float, name: str) -> None:
     _require(math.isfinite(value) and value >= 0, name, "must be finite and >= 0")
 
 
+def _finite_square(value: float, name: str) -> None:
+    # a value the solvers square, whose square must not overflow
+    _require(math.isfinite(value * value), name, "must be finite, with a finite square")
+
+
 @dataclass(frozen=True)
 class CavityParams:
     """Fabry-Perot geometry and the (Stark-shifted) cavity-pump detuning.
@@ -66,9 +71,7 @@ class CavityParams:
         _positive(self.length, "cavity.length")
         _positive(self.wavelength, "cavity.wavelength")
         _positive(self.finesse, "cavity.finesse")
-        # the mean-field cubic squares the detuning
-        _require(math.isfinite(self.detuning * self.detuning), "cavity.detuning",
-                 "must be finite, with a finite square")
+        _finite_square(self.detuning, "cavity.detuning")
 
     @property
     def kappa(self) -> float:
@@ -113,6 +116,7 @@ class BecParams:
 
     def __post_init__(self):
         _non_negative(self.coupling, "bec.coupling")
+        _finite_square(self.coupling, "bec.coupling")
         _non_negative(self.sw_frequency, "bec.sw_frequency")
         _non_negative(self.damping, "bec.damping")
         _non_negative(self.temperature, "bec.temperature")
@@ -150,6 +154,7 @@ class SystemParams:
     def __post_init__(self):
         if self.xi_override is not None:
             _non_negative(self.xi_override, "xi_override")
+            _finite_square(self.xi_override, "xi_override")
 
     def without_bec(self) -> "SystemParams":
         """Copy with the condensate decoupled (mode retained, coupling off)."""
@@ -237,11 +242,13 @@ def derive_quantities(params: SystemParams) -> DerivedQuantities:
     if zeta > 0.0:
         beta += zeta ** 2 / (Omega_c + omega_sw + bec.damping ** 2 / Omega_c)
     # beta^2 leads the mean-field cubic: once it underflows, what is left is
-    # a quadratic with a root the cubic does not have
-    if 0.0 < beta and beta * beta < sys.float_info.min:
+    # a quadratic with a root the cubic does not have, and once it overflows
+    # the cubic has no coefficients
+    if 0.0 < beta and not sys.float_info.min <= beta * beta < math.inf:
+        way = "weak: beta^2 underflows" if beta < 1.0 else "strong: beta^2 overflows"
         raise ParameterError(
             f"xi_override/bec.coupling: the detuning pull beta = {beta:.3e} "
-            "rad/s per photon is too weak: beta^2 underflows")
+            f"rad/s per photon is too {way}")
 
     return DerivedQuantities(
         omega_cav=omega_cav,

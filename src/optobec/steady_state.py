@@ -8,11 +8,14 @@ cubic in the intracavity photon number n,
 whose real roots are the steady-state branches.  Roots are found by the
 closed-form depressed-cubic solution (the trigonometric form in the
 three-real-root regime, so the branch count is exact) and each root gets one
-Newton polish step on the original cubic.  A whole ``delta_c`` or ``power``
-grid is solved as one stack of cubics (:func:`solve_mean_field_grid`), each
-row in the operations of the scalar kernel, and its branches come back as
-columns.  Turning points of the drive power as a function of n give the
-bistability window in closed form.
+Newton polish step on the original cubic.  A ``delta_c`` or ``power`` grid
+is solved as one stack of cubics (:func:`solve_mean_field_grid`), each row
+in the operations of the scalar kernel, and its branches come back as
+columns.  The grids of several configurations are one stack too: each grid
+point carries the group of its configuration, whose beta, beta^2 and
+kappa^2 are taken once in Python floats and gathered per point.  Turning
+points of the drive power as a function of n give the bistability window
+in closed form.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .linear_dynamics import NumericalError
+from .linear_dynamics import NumericalError, per_row
 from .model import (HBAR, DerivedQuantities, SystemParams, derive_quantities,
                     drive_rate)
 
@@ -59,33 +62,40 @@ class BranchColumns:
 
     ``index`` is the grid point each branch belongs to (0 for the branches
     of a single point), in grid order, branches of one point by ascending
-    photon number.  The displacement quadratures are left out: no sweep
-    output carries them.
+    photon number.  ``group`` is the configuration each branch was solved
+    in: it indexes the sequence of derived quantities the branches are
+    evaluated with (see :func:`~optobec.linear_dynamics.per_row`).  The
+    displacement quadratures are left out: no sweep output carries them.
     """
 
     index: np.ndarray        # int, grid point of each branch
+    group: np.ndarray        # int, configuration of each branch
     n: np.ndarray            # mean photon number
     alpha: np.ndarray        # field amplitude, sqrt(n)
     Delta: np.ndarray        # rad/s, effective detuning
-    label: List[str]         # lower | middle | upper | unique
+    label: np.ndarray        # str objects: lower | middle | upper | unique
     degenerate: np.ndarray   # bool, root on a bistability knee
 
     @classmethod
-    def of(cls, branches: Sequence[MeanFieldBranch]) -> "BranchColumns":
-        """Columns of the branches of one point."""
-        return cls(index=np.zeros(len(branches), dtype=int),
+    def of(cls, branches: Sequence[MeanFieldBranch], index=None) -> "BranchColumns":
+        """Columns of the branches of one point, or of points each in its own
+        configuration, with the int array ``index`` the point and group of
+        each branch."""
+        index = np.zeros(len(branches), dtype=int) if index is None else index
+        return cls(index=index, group=index,
                    n=np.array([b.n for b in branches], dtype=float),
                    alpha=np.array([b.alpha for b in branches], dtype=float),
                    Delta=np.array([b.Delta for b in branches], dtype=float),
-                   label=[b.label for b in branches],
+                   label=np.array([b.label for b in branches], dtype=object),
                    degenerate=np.array([b.degenerate for b in branches], dtype=bool))
 
     def __len__(self) -> int:
         return len(self.n)
 
-    def __getitem__(self, rows: slice) -> "BranchColumns":
-        return BranchColumns(self.index[rows], self.n[rows], self.alpha[rows],
-                             self.Delta[rows], self.label[rows], self.degenerate[rows])
+    def __getitem__(self, rows) -> "BranchColumns":
+        return BranchColumns(self.index[rows], self.group[rows], self.n[rows],
+                             self.alpha[rows], self.Delta[rows], self.label[rows],
+                             self.degenerate[rows])
 
 
 @dataclass(frozen=True)
@@ -275,14 +285,20 @@ _LABEL_NAMES = np.array([label for count in (1, 2, 3) for label in _LABELS[count
 _LABEL_START = np.array([0, 0, 1, 3])
 
 
-def _mean_field_cubic(d: DerivedQuantities, delta_c, delta_c_sq, eta):
+def _cubic_constants(d: DerivedQuantities):
+    """beta, beta^2 and kappa^2 of one configuration, in Python floats."""
+    return d.beta, d.beta ** 2, d.kappa ** 2
+
+
+def _mean_field_cubic(beta, beta_sq, kappa_sq, delta_c, delta_c_sq, eta):
     """Coefficients (a3, a2, a1, a0) of the photon-number cubic.
 
-    ``delta_c``, its square and the drive rate ``eta`` are floats or arrays;
-    the caller squares ``delta_c``, a grid entry by entry in Python floats.
+    The first three are the :func:`_cubic_constants` of the configuration.
+    They, ``delta_c``, its square and the drive rate ``eta`` are floats, or
+    arrays with the constants gathered per entry; the caller squares
+    ``delta_c``, a grid entry by entry in Python floats.
     """
-    return (d.beta ** 2, -2.0 * delta_c * d.beta, delta_c_sq + d.kappa ** 2,
-            -eta * eta)
+    return beta_sq, -2.0 * delta_c * beta, delta_c_sq + kappa_sq, -eta * eta
 
 
 def _out_of_range(exc: Exception) -> NumericalError:
@@ -312,7 +328,7 @@ def solve_mean_field(params: SystemParams,
         power = params.drive.power
     eta = drive_rate(power, d.kappa, d.omega_cav)
 
-    coeffs = _mean_field_cubic(d, delta_c, delta_c ** 2, eta)
+    coeffs = _mean_field_cubic(*_cubic_constants(d), delta_c, delta_c ** 2, eta)
     try:
         roots = _real_cubic_roots(*coeffs)
     except (OverflowError, ValueError) as exc:
@@ -333,53 +349,61 @@ def solve_mean_field(params: SystemParams,
             for (n, flag), label in zip(kept, _LABELS[len(kept)])]
 
 
-def solve_mean_field_grid(d: DerivedQuantities, delta_c, eta) -> BranchColumns:
+def solve_mean_field_grid(ds, delta_c, eta, group=0) -> BranchColumns:
     """Mean-field branches over a grid of detunings or drive rates, as columns.
 
     ``delta_c`` and the drive rate ``eta`` are 1-D arrays over the grid, or
-    floats shared by every grid point.  The grid goes through one stack of
-    cubics, and the negative-root filter, labels and effective detunings are
-    taken on the columns, each with the operations of
-    :func:`solve_mean_field`: a branch has the bits it has there.
+    floats shared by every grid point.  ``group`` (an array over the grid,
+    or one int) gives each grid point its configuration, whose derived
+    quantities are ``ds[group]`` in the list ``ds``, so the grids of several
+    configurations are one grid.  The grid goes through one stack of cubics,
+    and the negative-root filter, labels and effective detunings are taken
+    on the columns, each with the operations of :func:`solve_mean_field`: a
+    branch has the bits it has there.
     """
-    delta_c, eta = np.broadcast_arrays(np.asarray(delta_c, dtype=float),
-                                       np.asarray(eta, dtype=float))
-    a3, a2, a1, a0 = _mean_field_cubic(d, delta_c, _each(pow, delta_c, 2), eta)
+    delta_c, eta, group = np.broadcast_arrays(np.asarray(delta_c, dtype=float),
+                                              np.asarray(eta, dtype=float), group)
+    beta, beta_sq, kappa_sq = per_row(ds, group, _cubic_constants).T
+    a3, a2, a1, a0 = _mean_field_cubic(beta, beta_sq, kappa_sq, delta_c,
+                                       _each(pow, delta_c, 2), eta)
     try:
         row, root, flag = _stacked_cubic_roots(a3, a2, a1, a0)
     except (OverflowError, ValueError) as exc:
         raise _out_of_range(exc) from exc
 
-    if a3 > 0.0:
-        scale = np.maximum(np.maximum(
-            np.abs(a2 / a3), _each(pow, np.abs(a1 / a3), 0.5)),
-            _each(pow, np.abs(a0 / a3), 1.0 / 3.0))
-    else:
-        scale = np.zeros(len(delta_c))
-        np.maximum.at(scale, row, np.abs(root))
+    # a point with beta = 0 leaves no cubic term to scale by: it takes the
+    # scale of its roots
+    scale = np.zeros(len(delta_c))
+    np.maximum.at(scale, row[a3[row] == 0.0], np.abs(root[a3[row] == 0.0]))
+    cubic = np.flatnonzero(a3 > 0.0)
+    a2_, a1_, a0_ = (np.abs(x[cubic] / a3[cubic]) for x in (a2, a1, a0))
+    scale[cubic] = np.maximum(np.maximum(a2_, _each(pow, a1_, 0.5)),
+                              _each(pow, a0_, 1.0 / 3.0))
     keep = ~(root < -1e-12 * scale[row])
     row, root, flag = row[keep], root[keep], flag[keep]
     n = np.where(0.0 > root, 0.0, root)   # max(root, 0.0)
 
     count = np.bincount(row, minlength=len(delta_c))[row]
     rank = np.arange(len(row)) - np.searchsorted(row, row)
-    return BranchColumns(index=row, n=n, alpha=np.sqrt(n),
-                         Delta=delta_c[row] - d.beta * n,
-                         label=_LABEL_NAMES[_LABEL_START[count] + rank].tolist(),
+    return BranchColumns(index=row, group=group[row], n=n, alpha=np.sqrt(n),
+                         Delta=delta_c[row] - beta[row] * n,
+                         label=_LABEL_NAMES[_LABEL_START[count] + rank],
                          degenerate=flag)
 
 
-def imposed_detuning_branches(d: DerivedQuantities, Delta) -> BranchColumns:
+def imposed_detuning_branches(ds, Delta, group) -> BranchColumns:
     """One ``unique`` branch per imposed effective detuning, as columns.
 
     The detuning fixes the photon number through the field fixed point,
     n = eta^2 / (Delta^2 + kappa^2); the branch structure of the cubic never
-    enters.
+    enters.  ``Delta`` is a float array over the grid, and ``ds`` and
+    ``group`` are as in :func:`solve_mean_field_grid`.
     """
-    Delta = np.asarray(Delta, dtype=float)
-    n = d.eta ** 2 / (_each(pow, Delta, 2) + d.kappa ** 2)
-    return BranchColumns(index=np.arange(len(Delta)), n=n, alpha=np.sqrt(n),
-                         Delta=Delta, label=["unique"] * len(Delta),
+    eta_sq, kappa_sq = per_row(ds, group, lambda x: (x.eta ** 2, x.kappa ** 2)).T
+    n = eta_sq / (_each(pow, Delta, 2) + kappa_sq)
+    return BranchColumns(index=np.arange(len(Delta)), group=group, n=n,
+                         alpha=np.sqrt(n), Delta=Delta,
+                         label=np.full(len(Delta), "unique", dtype=object),
                          degenerate=np.zeros(len(Delta), dtype=bool))
 
 

@@ -4,16 +4,21 @@ deterministic CSV/JSON emission.
 Every branch, whether it comes from a sweep point or from a single ``point``
 report, goes through :func:`evaluate_branches`: closed-form characteristic
 polynomial, Routh-Hurwitz verdict and, for stable branches in full mode, the
-drift matrix, the Lyapunov covariance and the five measures.  A sweep
-configuration's branches go through it as one batch of branch columns
-(:class:`BranchColumns`); each row gets the arithmetic it would get on its
-own, so emitted bytes are deterministic and independent of the batching.
-The rows stay columns (:class:`SweepTable`) from there to the CSV text.
+drift matrix, the Lyapunov covariance and the five measures.  A whole
+sweep goes through it as one stack of branch columns
+(:class:`BranchColumns`), all its configurations together: every row
+carries its group, the index of the derived quantities it was solved with
+(one per configuration, or per grid value of an ``omega_sw`` or ``xi``
+sweep), and gathers that group's constants.  Each row gets the arithmetic
+it would get on its own, so emitted bytes are deterministic and independent
+of the stacking.  The rows stay columns (:class:`SweepTable`) from there to
+the CSV text.
 
 Swept variables:
 
 * ``delta_c``          detuning offset, full self-consistent branch solve,
-                       the whole grid as one stack of cubics
+                       the grids of all configurations as one stack of
+                       cubics
 * ``power``            drive power, likewise
 * ``Delta_effective``  effective detuning taken as the independent input;
                        the photon number follows directly from the field
@@ -23,7 +28,8 @@ Swept variables:
 * ``xi``               mirror coupling rate (installed as an override)
 
 The last two change the derived rates, so each of their grid values gets
-its own scalar :func:`solve_mean_field`.
+its own derived quantities and scalar :func:`solve_mean_field`; only their
+evaluation joins the stack.
 
 ``Delta_effective`` differs qualitatively from a ``delta_c`` sweep: the
 branch structure of the cubic never enters, which is the natural x-axis for
@@ -34,8 +40,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
-from itertools import chain, groupby, islice, repeat
+from dataclasses import dataclass, replace
+from functools import partial
+from itertools import groupby, islice, product, repeat
 from operator import add, is_
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,7 +51,7 @@ import numpy as np
 from . import gaussian_measures as gm
 from .linear_dynamics import (NumericalError, characteristic_polynomial,
                               diffusion_matrix, drift_matrix, is_stable,
-                              solve_lyapunov)
+                              per_row, solve_lyapunov)
 from .model import (HBAR, DerivedQuantities, ParameterError, SystemParams,
                     derive_quantities, drive_rate)
 from .steady_state import (BranchColumns, imposed_detuning_branches,
@@ -61,6 +68,16 @@ CSV_COLUMNS = (
 )
 # bipartitions of the three e_n_* columns, in column order
 _SPLITS = (gm.MIRROR_FIELD, gm.ATOM_FIELD, gm.MIRROR_ATOM)
+
+#: Most stable rows whose covariances and measures :func:`evaluate_branches`
+#: holds at once: a full-mode stack goes through in pieces of this many, so
+#: memory stays bounded however many configurations and points a sweep has.
+#: 600 is one configuration of a preset grid, the piece each configuration
+#: was when configurations were evaluated one at a time.  On the four
+#: full-mode presets (2-core VM, one BLAS thread, 9 passes): 512-row pieces
+#: took 1.6% longer than 600, 768-row pieces 1.3% less with 0.3 MB more
+#: traced peak, and one piece per sweep up to 1.6 MB more.
+MEASURE_STACK_ROWS = 600
 
 
 @dataclass(frozen=True)
@@ -170,13 +187,6 @@ class SweepTable(Sequence[SweepRow]):
         return map(self.__getitem__, range(len(self)))
 
 
-def _joined(blocks: Sequence[SweepTable]) -> SweepTable:
-    """The rows of the blocks, one after another, as one table."""
-    return SweepTable(*(list(chain.from_iterable(getattr(block, f.name)
-                                                 for block in blocks))
-                        for f in fields(SweepTable)))
-
-
 def _expand_configs(spec: SweepSpec) -> List[Tuple[str, SystemParams]]:
     base = list(spec.variants) if spec.variants else [Variant("base", spec.params)]
     configs: List[Tuple[str, SystemParams]] = []
@@ -194,41 +204,42 @@ def _expand_configs(spec: SweepSpec) -> List[Tuple[str, SystemParams]]:
     return configs
 
 
-def evaluate_branches(branches: BranchColumns, d: DerivedQuantities,
-                      diffusion: Optional[np.ndarray] = None
+def evaluate_branches(branches: BranchColumns, d, full: bool = False
                       ) -> Tuple[List[str], List[Optional[List[float]]]]:
-    """Stability verdicts of branches and, given the diffusion matrix, their measures.
+    """Stability verdicts of branches and, in full mode, their measures.
 
-    Returns ``(verdicts, measures)``, one entry per branch of the columns.
+    ``d`` is the :class:`DerivedQuantities` of the branches, or a sequence
+    of them that ``branches.group`` indexes (see :func:`per_row`).  Returns
+    ``(verdicts, measures)``, one entry per branch of the columns.
     ``measures[i]`` lists the occupations and log-negativities of the
     stationary covariance in the order of the last five ``CSV_COLUMNS``; it
-    is None for a non-stable branch or when no ``diffusion`` is given
-    (mean-field mode).
+    is None for a non-stable branch or when not ``full`` (mean-field mode).
     The verdicts come from the closed-form characteristic polynomial of the
-    columns in one Routh stack, so mean-field mode builds no drift matrix;
-    in full mode the drift matrices of the stable rows go through one
-    Lyapunov call (which bounds its own memory) and one pass of the
-    measures.  Every row sees the same arithmetic as it would on its own.
-    A covariance that fails the physicality check raises
-    :class:`NumericalError`.
+    columns in one Routh stack, so mean-field mode builds no drift matrix.
+    In full mode the stable rows go through in pieces of at most
+    ``MEASURE_STACK_ROWS``: the drift matrices of a piece, with the
+    diffusion matrix of each row's configuration, go through one Lyapunov
+    call and one pass of the measures.  Every row sees the same arithmetic
+    as it would on its own.  A covariance that fails the physicality check
+    raises :class:`NumericalError`.
     """
     verdicts = is_stable(characteristic_polynomial(branches, d))
     measures: List[Optional[List[float]]] = [None] * len(verdicts)
-    if diffusion is None:
-        return verdicts, measures
-    stable = [i for i, verdict in enumerate(verdicts) if verdict == "stable"]
-    if not stable:
-        return verdicts, measures
-    v = solve_lyapunov(drift_matrix(branches, d)[stable], diffusion)
-    splits = np.stack([gm.reduce_bipartition(v, bp) for bp in _SPLITS])
-    try:
-        e_n = gm.log_negativity(splits).log_negativity
-    except ValueError as exc:   # the covariance is not physical
-        raise NumericalError(str(exc)) from exc
-    columns = np.stack([gm.mirror_phonons(v), gm.bogoliubov_excitations(v),
-                        *e_n], axis=1)
-    for i, row in zip(stable, columns.tolist()):
-        measures[i] = row
+    stable = np.flatnonzero([x == "stable" for x in (verdicts if full else ())])
+    for start in range(0, len(stable), MEASURE_STACK_ROWS):
+        rows = stable[start:start + MEASURE_STACK_ROWS]
+        piece = branches[rows]
+        v = solve_lyapunov(drift_matrix(piece, d),
+                           per_row(d, piece.group, diffusion_matrix))
+        splits = np.stack([gm.reduce_bipartition(v, bp) for bp in _SPLITS])
+        try:
+            e_n = gm.log_negativity(splits).log_negativity
+        except ValueError as exc:   # the covariance is not physical
+            raise NumericalError(str(exc)) from exc
+        columns = np.stack([gm.mirror_phonons(v), gm.bogoliubov_excitations(v),
+                            *e_n], axis=1)
+        for i, row in zip(rows.tolist(), columns.tolist()):
+            measures[i] = row
     return verdicts, measures
 
 
@@ -239,23 +250,33 @@ def _point_params(variable: str, value: float, params: SystemParams) -> SystemPa
     return replace(params, xi_override=value)
 
 
-def _grid_branches(variable: str, values: Sequence[float], params: SystemParams,
-                   d: DerivedQuantities) -> BranchColumns:
-    """Branches of a ``delta_c``, ``power`` or ``Delta_effective`` grid, as columns."""
+def _grid_branches(variable: str, values: Sequence[float], configs, ds,
+                   points: np.ndarray) -> BranchColumns:
+    """Branches of ``delta_c``, ``power`` or ``Delta_effective`` sweep points
+    as one grid, as columns.
+
+    Point ``p`` is configuration ``p // len(values)`` (derived quantities
+    ``ds[p // len(values)]``) at grid value ``p % len(values)``.  A branch's
+    ``index`` is the position of its point in ``points``.
+    """
+    group, column = np.divmod(points, len(values))
+    value = np.array(values)[column]
     if variable == "delta_c":
-        return solve_mean_field_grid(d, values, d.eta)
+        eta = np.array([d.eta for d in ds])[group]
+        return solve_mean_field_grid(ds, value, eta, group)
     if variable == "power":
-        power = np.asarray(values, dtype=float)
+        kappa, omega_cav = per_row(ds, group, lambda d: (d.kappa, d.omega_cav)).T
         # drive_rate over the grid, in its operations, order and checks
         with np.errstate(over="ignore", invalid="ignore"):
-            eta = np.sqrt(2.0 * power * d.kappa / (HBAR * d.omega_cav))
-            invalid = np.flatnonzero(~(np.isfinite(power) & (power >= 0.0)
+            eta = np.sqrt(2.0 * value * kappa / (HBAR * omega_cav))
+            invalid = np.flatnonzero(~(np.isfinite(value) & (value >= 0.0)
                                        & np.isfinite(eta * eta)))
         if len(invalid):
             # the scalar check raises the ParameterError of the first bad power
-            drive_rate(values[invalid[0]], d.kappa, d.omega_cav)
-        return solve_mean_field_grid(d, params.cavity.detuning, eta)
-    return imposed_detuning_branches(d, values)
+            drive_rate(*(float(x[invalid[0]]) for x in (value, kappa, omega_cav)))
+        detuning = np.array([p.cavity.detuning for _, p in configs])[group]
+        return solve_mean_field_grid(ds, detuning, eta, group)
+    return imposed_detuning_branches(ds, value, group)
 
 
 def _named(exc: Exception, config: str, variable: str, value: float,
@@ -264,81 +285,92 @@ def _named(exc: Exception, config: str, variable: str, value: float,
     return type(exc)(f"{config}: {variable}={value:.12g}{at_branch}: {exc}")
 
 
-def _evaluate_group(config: str, variable: str, d: DerivedQuantities,
-                    values: Sequence[float], branches: BranchColumns,
-                    mode: str) -> SweepTable:
-    """Rows of branch columns over grid ``values`` that share ``d``, as one batch.
+def _sweep_branches(variable: str, values: List[float],
+                    configs: List[Tuple[str, SystemParams]]):
+    """``(ds, branches, failure)``: the branches of a sweep as columns, the
+    derived quantities their groups index, and ``(p, error)`` for the first
+    sweep point ``p`` that fails to derive or solve (None if none does).
 
-    When the batch fails it is re-run branch by branch, so the error names
-    the first failing value and branch in grid order; a failure that no
-    single branch repeats is raised as it is.
+    Point ``p`` is configuration ``p // len(values)`` at grid value
+    ``p % len(values)``, and a branch's ``index`` is its point.  Every
+    ``omega_sw`` or ``xi`` point gets its own parameters, ``d`` (its own
+    group) and scalar :func:`solve_mean_field`.  The ``delta_c``, ``power``
+    and ``Delta_effective`` points of all configurations share one ``d`` per
+    configuration (a configuration that fails to derive fails at its first
+    point) and go through as one grid.  The branches stop before the
+    failing point, so that the points before it are evaluated first and an
+    earlier failure is the one reported, as in a point-by-point run.
     """
-    diffusion = diffusion_matrix(d) if mode == "full" else None
-    try:
-        verdicts, measures = evaluate_branches(branches, d, diffusion)
-    except NumericalError:
-        for i in range(len(branches)):
+    points = len(values)
+    ds: List[DerivedQuantities] = []
+    found, index, failure = [], [], None
+    if variable in ("omega_sw", "xi"):
+        for p, ((_, params), value) in enumerate(product(configs, values)):
             try:
-                evaluate_branches(branches[i:i + 1], d, diffusion)
-            except NumericalError as exc:
-                raise _named(exc, config, variable, values[branches.index[i]],
-                             branches.label[i]) from exc
-        raise
-    return SweepTable(config=[config] * len(branches),
-                      value=list(map(values.__getitem__, branches.index.tolist())),
-                      branch=branches.label, n=branches.n.tolist(),
-                      alpha=branches.alpha.tolist(), Delta=branches.Delta.tolist(),
-                      stability=verdicts, degenerate=branches.degenerate.tolist(),
-                      measures=measures)
-
-
-def _config_rows(config: str, variable: str, values: Sequence[float],
-                 params: SystemParams, mode: str) -> List[SweepTable]:
-    """Blocks of rows of one configuration, in grid order.
-
-    A ``delta_c``, ``power`` or ``Delta_effective`` grid shares one ``d``
-    and goes through as one set of branch columns.  Every ``omega_sw`` or
-    ``xi`` value gets its own parameters, ``d`` and scalar
-    :func:`solve_mean_field`.
-    """
-    groups: List[Tuple[DerivedQuantities, Sequence[float], BranchColumns]] = []
-    failure = None
-    # a configuration that fails to derive is named at its first value
-    value = values[0]
-    try:
-        if variable in ("omega_sw", "xi"):
-            for value in values:
                 point_params = _point_params(variable, value, params)
-                d = derive_quantities(point_params)
-                groups.append((d, [value], BranchColumns.of(
-                    solve_mean_field(point_params, d=d))))
-        else:
-            d = derive_quantities(params)
-            try:
-                groups.append((d, values, _grid_branches(variable, values, params, d)))
-            except (ParameterError, NumericalError):
-                # re-solve value by value, so that the first failing value
-                # raises and is named
-                for value in values:
-                    groups.append((d, [value],
-                                   _grid_branches(variable, [value], params, d)))
+                ds.append(derive_quantities(point_params))
+                branches = solve_mean_field(point_params, d=ds[-1])
+            except (ParameterError, NumericalError) as exc:
+                return ds, BranchColumns.of(found, np.array(index, dtype=int)), (p, exc)
+            found += branches
+            index += [p] * len(branches)
+        return ds, BranchColumns.of(found, np.array(index, dtype=int)), None
+
+    try:
+        for _, params in configs:
+            ds.append(derive_quantities(params))
     except (ParameterError, NumericalError) as exc:
-        failure = exc
-    # the points before a failing one are evaluated first, so that an
-    # earlier failure is the one reported, as in a point-by-point run
-    blocks = [_evaluate_group(config, variable, d, group_values, branches, mode)
-              for d, group_values, branches in groups]
-    if failure is not None:
-        raise _named(failure, config, variable, value) from failure
-    return blocks
+        failure = (len(ds) * points, exc)
+    if not ds:
+        return ds, BranchColumns.of([]), failure
+    solve = partial(_grid_branches, variable, values, configs, ds)
+    stack = np.arange(len(ds) * points)
+    try:
+        return ds, solve(stack), failure
+    except (ParameterError, NumericalError):
+        # solve point by point, so that the first failing point is named
+        for p in stack.tolist():
+            try:
+                solve(stack[p:p + 1])
+            except (ParameterError, NumericalError) as exc:
+                return ds, solve(stack[:p]), (p, exc)
+        raise
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
-    """Evaluate the sweep; rows are grouped by configuration, ascending value."""
-    values = np.linspace(spec.lo, spec.hi, spec.points).tolist()
-    return _joined([block for label, params in _expand_configs(spec)
-                    for block in _config_rows(label, spec.variable, values,
-                                              params, spec.mode)])
+    """Evaluate the sweep; rows are grouped by configuration, ascending value.
+
+    The branches of all configurations go through one
+    :func:`evaluate_branches` call.  When it fails, it is re-run branch by
+    branch, so the error names the configuration, value and branch of the
+    first failing row in sweep order; a failure that no single branch
+    repeats is raised as it is.
+    """
+    grid = np.linspace(spec.lo, spec.hi, spec.points)
+    configs = _expand_configs(spec)
+    ds, branches, failure = _sweep_branches(spec.variable, grid.tolist(), configs)
+    config = np.array(configs, dtype=object)[branches.index // spec.points, 0].tolist()
+    value = grid[branches.index % spec.points].tolist()
+    try:
+        # no branch: the first point failed, perhaps before any derive
+        verdicts, measures = (evaluate_branches(branches, ds, spec.mode == "full")
+                              if len(branches) else ([], []))
+    except NumericalError:
+        for i in range(len(branches)):
+            try:
+                evaluate_branches(branches[i:i + 1], ds, spec.mode == "full")
+            except NumericalError as exc:
+                raise _named(exc, config[i], spec.variable, value[i],
+                             branches.label[i]) from exc
+        raise
+    if failure is not None:
+        p, exc = failure
+        raise _named(exc, configs[p // spec.points][0], spec.variable,
+                     grid[p % spec.points]) from exc
+    return SweepTable(config=config, value=value, branch=branches.label.tolist(),
+                      n=branches.n.tolist(), alpha=branches.alpha.tolist(),
+                      Delta=branches.Delta.tolist(), stability=verdicts,
+                      degenerate=branches.degenerate.tolist(), measures=measures)
 
 
 # one CSV line per row: rows from a sweep carry all five measures or none

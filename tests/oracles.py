@@ -141,3 +141,21 @@ def sweep_table(rows) -> SweepTable:
     measures = [[getattr(row, name) for name in measured] for row in rows]
     return SweepTable(**columns, measures=[
         None if measure == [None] * 5 else measure for measure in measures])
+
+
+def eigenbasis_lyapunov(a: np.ndarray, d: np.ndarray):
+    """Solution of A V + V A^T = -D in the eigenbasis of A, and cond(U).
+
+    With A = U diag(lambda) U^-1, the equation becomes
+    diag(lambda) X + X diag(conj(lambda)) = -U^-1 D U^-H for V = U X U^H, so
+    X_ij = -(U^-1 D U^-H)_ij / (lambda_i + conj(lambda_j)): no Kronecker
+    system is built or solved.  ``a`` and ``d`` are ``(..., n, n)`` stacks;
+    returns V (real part) and the condition number of each U, which marks
+    the near-defective drifts where the eigenbasis itself is inaccurate.
+    """
+    lam, u = np.linalg.eig(np.asarray(a, dtype=float))
+    u_inv = np.linalg.inv(u)
+    rhs = u_inv @ d @ np.conj(np.swapaxes(u_inv, -1, -2))
+    x = -rhs / (lam[..., :, None] + np.conj(lam[..., None, :]))
+    v = u @ x @ np.conj(np.swapaxes(u, -1, -2))
+    return v.real, np.linalg.cond(u)

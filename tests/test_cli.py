@@ -250,12 +250,25 @@ NO_BEC_NORMALIZED = {
     ("sweep", {"sweep": {"variable": "delta_c", "lo": -1e60, "hi": 1e60,
                          "points": 5}},
      2, "numerical failure: base: delta_c=-3.13941927885e+67: mean-field cubic"),
+    ("point", {"xi_override": 1e200}, 1, "error: xi_override: "),
+    ("point", {"bec": {"present": True, "coupling": 1e160, "recoil": 0.1,
+                       "damping": 5e-4}}, 1, "error: bec.coupling: "),
+    ("point", {"xi_override": 1e100}, 1, "error: xi_override/bec.coupling: "),
+    ("point", {"bec": {"present": True, "coupling": 1e100, "recoil": 0.1,
+                       "damping": 5e-4}}, 1, "error: xi_override/bec.coupling: "),
+    ("sweep", {"sweep": {"variable": "xi", "lo": 0.0, "hi": 1e160, "points": 5}},
+     1, "error: base: xi=1.57079632679e+167: xi_override: "),
+    ("sweep", {"sweep": {"variable": "xi", "lo": 1e60, "hi": 1e100, "points": 5}},
+     1, "error: base: xi=1.57079632679e+107: xi_override/bec.coupling: "),
 ], ids=["xi_1e-100", "xi_1e-150", "power_1e285", "power_sweep_1e300",
-        "detuning_1e100", "delta_c_sweep_1e60"])
+        "detuning_1e100", "delta_c_sweep_1e60", "xi_1e200", "coupling_1e160",
+        "xi_1e100", "coupling_1e100", "xi_sweep_1e160", "xi_sweep_1e100"])
 def test_out_of_range_pull_drive_and_detuning(command, changes, code, named,
                                               tmp_path, capsys):
-    """An underflowing pull or an overflowing drive is rejected where it
-    enters; a cubic that overflows is a numerical failure naming its value."""
+    """A pull whose square, or whose beta^2, underflows or overflows and an
+    overflowing drive are rejected where they enter (a sweep names its first
+    failing value); a cubic that overflows is a numerical failure naming
+    its value."""
     doc = json.loads(json.dumps(NO_BEC_NORMALIZED))
     for key, value in changes.items():
         if key in doc:

@@ -10,9 +10,10 @@ from optobec import (NumericalError, characteristic_polynomial,
                      solve_mean_field)
 from optobec.presets import MIRROR_FREQ, baseline_params, reference_kappa
 from optobec.steady_state import BranchColumns, MeanFieldBranch
+from optobec.sweep import _expand_configs, _sweep_branches
 
 from conftest import random_stable_matrix
-from oracles import matrix_charpoly, stability_oracle
+from oracles import eigenbasis_lyapunov, matrix_charpoly, stability_oracle
 from test_sweep import PRESET_LOCK
 
 
@@ -340,6 +341,28 @@ def test_lyapunov_stack_equals_each_matrix():
         assert v.shape == (30, n, n)
         for a, row in zip(stack, v):
             assert row.tobytes() == solve_lyapunov(a, diffusion).tobytes()
+
+
+@pytest.mark.parametrize("fig_id", ["fig5a", "fig7"])
+def test_lyapunov_matches_eigenbasis_oracle(fig_id):
+    """The stable rows of every configuration of a full-mode preset, in one
+    stack with per-row diffusion, agree with the eigenbasis solution to
+    1e-12 relative wherever the eigenbasis is well conditioned."""
+    spec = figure_preset(fig_id)
+    values = np.linspace(spec.lo, spec.hi, spec.points).tolist()
+    ds, branches, _ = _sweep_branches(spec.variable, values, _expand_configs(spec))
+    verdicts = is_stable(characteristic_polynomial(branches, ds))
+    stable = [i for i, verdict in enumerate(verdicts) if verdict == "stable"]
+    a = drift_matrix(branches, ds)[stable]
+    d = np.array([diffusion_matrix(x) for x in ds])[branches.group[stable]]
+    v = solve_lyapunov(a, d)
+    reference, cond = eigenbasis_lyapunov(a, d)
+    conditioned = cond < 1e6
+    # at most the one near-defective row of each configuration is skipped
+    assert len(stable) - conditioned.sum() <= len(ds)
+    error = (np.abs(v - reference).max(axis=(1, 2))
+             / np.abs(reference).max(axis=(1, 2)))
+    assert error[conditioned].max() <= 1e-12
 
 
 def test_lyapunov_pieces_equal_one_stack(monkeypatch):

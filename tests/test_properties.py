@@ -131,10 +131,9 @@ def test_stacked_evaluation_equals_single_rows(data, detunings):
     params = drawn_params(data)
     d = derive_quantities(params)
     branches = BranchColumns.of(drawn_branches(params, d, detunings))
-    diffusion = diffusion_matrix(d)
-    verdicts, measures = evaluate_branches(branches, d, diffusion)
+    verdicts, measures = evaluate_branches(branches, d, full=True)
     for i, (verdict, measure) in enumerate(zip(verdicts, measures)):
-        (alone_verdict,), (alone,) = evaluate_branches(branches[i:i + 1], d, diffusion)
+        (alone_verdict,), (alone,) = evaluate_branches(branches[i:i + 1], d, full=True)
         assert verdict == alone_verdict
         assert (measure is None) == (alone is None)
         for x, y in zip(measure or (), alone or ()):
@@ -273,13 +272,13 @@ def test_grid_solve_equals_scalar_solve(data):
     power = rng.uniform(0.0, 0.3, 64).tolist()
     eta = [drive_rate(p, d.kappa, d.omega_cav) for p in power]
     for grid, per_point in (
-            (solve_mean_field_grid(d, delta_c, d.eta),
+            (solve_mean_field_grid([d], delta_c, d.eta),
              [solve_mean_field(params, delta_c=x, d=d) for x in delta_c]),
-            (solve_mean_field_grid(d, params.cavity.detuning, eta),
+            (solve_mean_field_grid([d], params.cavity.detuning, eta),
              [solve_mean_field(params, power=p, d=d) for p in power])):
         expected = [(i, b) for i, branches in enumerate(per_point) for b in branches]
         assert grid.index.tolist() == [i for i, _ in expected]
-        assert grid.label == [b.label for _, b in expected]
+        assert grid.label.tolist() == [b.label for _, b in expected]
         assert grid.degenerate.tolist() == [b.degenerate for _, b in expected]
         for name in ("n", "alpha", "Delta"):
             assert _signed(zip(getattr(grid, name).tolist(), grid.degenerate.tolist())) \

@@ -104,7 +104,7 @@ def test_underflowing_pull_is_rejected():
     with pytest.raises(NumericalError, match="mean-field cubic leaves the float range"):
         solve_mean_field(params, delta_c=d.kappa, d=d)
     with pytest.raises(NumericalError, match="mean-field cubic leaves the float range"):
-        solve_mean_field_grid(d, [d.kappa], d.eta)
+        solve_mean_field_grid([d], [d.kappa], d.eta)
 
 
 def test_zero_power_single_dark_branch(reference):

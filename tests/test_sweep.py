@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from optobec import (ParameterError, SweepRow, SweepSpec, SweepTable,
-                     bistability_window, derive_quantities, diffusion_matrix,
-                     emit, evaluate_branches, figure_preset, run_sweep,
+                     Variant, bistability_window, derive_quantities, emit,
+                     evaluate_branches, figure_preset, run_sweep,
                      solve_mean_field)
 from optobec.presets import (FIGURE_IDS, MIRROR_FREQ, baseline_params,
                              reference_kappa, reference_xi)
-from optobec.sweep import _expand_configs, _grid_branches, rows_to_csv
+from optobec.sweep import _expand_configs, _sweep_branches, rows_to_csv
 
 import oracles
 
@@ -284,10 +284,12 @@ def test_preset_catalogue_details():
 
 
 def bistable_full_sweep():
-    """Full-mode delta_c sweep across the three-branch window of 50 mW."""
+    """Full-mode delta_c sweep across the three-branch window of 50 mW, with
+    and without the condensate."""
     kappa = reference_kappa()
     return SweepSpec(variable="delta_c", lo=-2.0 * kappa, hi=8.0 * kappa,
-                     points=150, params=baseline_params(power=0.05), mode="full")
+                     points=150, params=baseline_params(power=0.05), mode="full",
+                     bec="both")
 
 
 def assert_same_float(x, y):
@@ -297,24 +299,24 @@ def assert_same_float(x, y):
 @pytest.mark.parametrize("spec", [figure_preset("fig7"), bistable_full_sweep()],
                          ids=["fig7", "bistable_delta_c"])
 def test_batch_equals_single_rows(spec):
-    """Every row of a stacked evaluation is bit-equal to the row on its own."""
+    """Every row of a sweep's stacked evaluation, all configurations in one
+    stack, is bit-equal to the row on its own with its configuration's d."""
     values = [float(v) for v in np.linspace(spec.lo, spec.hi, spec.points)]
-    counts = set()
-    for _, params in _expand_configs(spec):
-        d = derive_quantities(params)
-        diffusion = diffusion_matrix(d)
-        branches = _grid_branches(spec.variable, values, params, d)
-        counts.update(np.bincount(branches.index).tolist())
-        verdicts, measures = evaluate_branches(branches, d, diffusion)
-        assert len(verdicts) == len(measures) == len(branches)
-        for i, (verdict, measure) in enumerate(zip(verdicts, measures)):
-            (alone_verdict,), (alone,) = evaluate_branches(branches[i:i + 1], d, diffusion)
-            assert verdict == alone_verdict
-            assert (measure is None) == (alone is None)
-            for x, y in zip(measure or (), alone or ()):
-                assert_same_float(x, y)
+    ds, branches, failure = _sweep_branches(spec.variable, values,
+                                            _expand_configs(spec))
+    assert failure is None and len(set(branches.group.tolist())) == len(ds) > 1
+    verdicts, measures = evaluate_branches(branches, ds, full=True)
+    assert len(verdicts) == len(measures) == len(branches)
+    for i, (verdict, measure) in enumerate(zip(verdicts, measures)):
+        d = ds[branches.group[i]]
+        alone_columns = dataclasses.replace(branches[i:i + 1], group=np.zeros(1, int))
+        (alone_verdict,), (alone,) = evaluate_branches(alone_columns, d, full=True)
+        assert verdict == alone_verdict
+        assert (measure is None) == (alone is None)
+        for x, y in zip(measure or (), alone or ()):
+            assert_same_float(x, y)
     if spec.variable == "delta_c":
-        assert 3 in counts, "the sweep misses the bistability window"
+        assert 3 in np.bincount(branches.index), "the sweep misses the window"
 
 
 def test_failure_inside_batch_names_its_point(monkeypatch):
@@ -454,3 +456,126 @@ def test_lock_copies_agree():
              if isinstance(node, ast.Assign)
              and [getattr(t, "id", None) for t in node.targets] == ["LOCK_HASHES"]]
     assert locks == [PRESET_LOCK]
+
+
+def _two_variant_spec(variable, mode):
+    """A ``bec: both`` sweep of two variants over a window of ``variable``
+    that holds stable and unstable rows and, for delta_c and power,
+    three-branch points."""
+    kappa = reference_kappa()
+    base = baseline_params(power=0.05, detuning=4.0 * kappa)
+    strong = dataclasses.replace(
+        base, drive=dataclasses.replace(base.drive, power=0.1),
+        bec=dataclasses.replace(base.bec, sw_frequency=MIRROR_FREQ))
+    lo, hi = {"delta_c": (-2.0 * kappa, 8.0 * kappa), "power": (0.0, 0.3),
+              "Delta_effective": (-MIRROR_FREQ, 3.0 * MIRROR_FREQ),
+              "omega_sw": (0.0, 2.0 * MIRROR_FREQ), "xi": (100.0, 600.0)}[variable]
+    return SweepSpec(variable, lo, hi, 31, base, mode=mode, bec="both",
+                     variants=(Variant("weak", base), Variant("strong", strong)))
+
+
+TWO_VARIANT_SPECS = [_two_variant_spec(variable, mode)
+                     for variable in ("delta_c", "power", "Delta_effective",
+                                      "omega_sw", "xi")
+                     for mode in ("mean_field", "full")]
+TWO_VARIANT_IDS = [f"{spec.variable}-{spec.mode}" for spec in TWO_VARIANT_SPECS]
+
+
+@pytest.mark.parametrize("spec", TWO_VARIANT_SPECS, ids=TWO_VARIANT_IDS)
+def test_stacked_sweep_equals_separate_sweeps(spec):
+    """The CSV of a sweep over four configurations, evaluated as one stack,
+    is the concatenation of the sweeps of each configuration alone."""
+    configs = _expand_configs(spec)
+    assert len(configs) == 4
+    separate = [rows_to_csv(run_sweep(dataclasses.replace(
+        spec, bec="present", variants=(Variant(label, params),)))).split("\n", 1)
+        for label, params in configs]
+    stacked = rows_to_csv(run_sweep(spec))
+    assert stacked == separate[0][0] + "\n" + "".join(rows for _, rows in separate)
+    stability = {line.split(",")[6] for line in stacked.splitlines()[1:]}
+    assert stability == {"stable", "unstable"}
+    if spec.variable in ("delta_c", "power"):
+        assert ",middle," in stacked
+
+
+@pytest.mark.parametrize("spec", TWO_VARIANT_SPECS, ids=TWO_VARIANT_IDS)
+def test_one_stack_per_sweep(spec, monkeypatch):
+    """One run_sweep is one Routh stack and, for delta_c and power, one
+    stacked cubic, whatever the number of configurations; in full mode these
+    sweeps, smaller than MEASURE_STACK_ROWS, are one Lyapunov call."""
+    import optobec.steady_state as steady_state
+    import optobec.sweep as sweep
+
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(sweep, "is_stable")
+    counted(sweep, "solve_lyapunov")
+    counted(steady_state, "_stacked_cubic_roots")
+    run_sweep(spec)
+    assert calls.count("is_stable") == 1
+    assert calls.count("solve_lyapunov") == (spec.mode == "full")
+    assert (calls.count("_stacked_cubic_roots")
+            == (spec.variable in ("delta_c", "power")))
+
+
+@pytest.mark.parametrize("variable", ["Delta_effective", "omega_sw"])
+def test_measure_pieces_equal_one_piece(variable, monkeypatch):
+    """Full-mode rows evaluated in pieces of 7 stable rows have the bits of
+    one piece."""
+    import optobec.sweep as sweep
+
+    spec = _two_variant_spec(variable, "full")
+    whole = run_sweep(spec)
+    calls = []
+    solve = sweep.solve_lyapunov
+    monkeypatch.setattr(sweep, "MEASURE_STACK_ROWS", 7)
+    monkeypatch.setattr(sweep, "solve_lyapunov",
+                        lambda a, d: calls.append(len(a)) or solve(a, d))
+    pieces = run_sweep(spec)
+    stable = whole.stability.count("stable")
+    assert calls == [7] * (stable // 7) + [stable % 7] * (stable % 7 > 0)
+    assert whole.measures == pieces.measures and whole.stability == pieces.stability
+
+
+def _failing_variants(*labels):
+    """Full-mode Delta_effective sweep over named variants of the reference:
+    ``ok`` as it is, ``undamped*`` with an undamped condensate (a singular
+    Lyapunov system at Delta = 0), ``strong`` with a pull whose beta^2
+    overflows (fails to derive)."""
+    base = baseline_params()
+    undamped = dataclasses.replace(base, bec=dataclasses.replace(base.bec, damping=0.0))
+    params = {"ok": base, "undamped": undamped,
+              "undamped_sw": dataclasses.replace(undamped, bec=dataclasses.replace(
+                  undamped.bec, sw_frequency=MIRROR_FREQ)),
+              "strong": dataclasses.replace(base, xi_override=1e100)}
+    return SweepSpec("Delta_effective", 0.0, 3.0 * MIRROR_FREQ, 20, base, mode="full",
+                     variants=tuple(Variant(label, params[label]) for label in labels))
+
+
+@pytest.mark.parametrize("labels, error, message", [
+    (("ok", "undamped"), "NumericalError",
+     "undamped: Delta_effective=0, branch unique: Lyapunov system is singular"),
+    (("ok", "undamped_sw", "undamped"), "NumericalError",
+     "undamped_sw: Delta_effective=0, branch unique: Lyapunov system is singular"),
+    (("undamped", "strong"), "NumericalError",
+     "undamped: Delta_effective=0, branch unique: Lyapunov system is singular"),
+    (("ok", "strong", "undamped"), "ParameterError",
+     "strong: Delta_effective=0: xi_override/bec.coupling: "),
+], ids=["second", "earlier_of_two", "evaluated_before_derive", "derive"])
+def test_failure_names_its_configuration(labels, error, message):
+    """The first failing row in sweep order is named by configuration, value
+    and branch; a configuration that fails to derive is raised only after
+    the configurations before it are evaluated."""
+    import optobec
+
+    with pytest.raises(getattr(optobec, error)) as info:
+        run_sweep(_failing_variants(*labels))
+    assert str(info.value).startswith(message)
