@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -50,6 +51,33 @@ def test_point_report(tmp_path, capsys):
             assert set(branch["measures"]) == {
                 "delta_n_m", "delta_n_c", "e_n_mirror_field",
                 "e_n_atom_field", "e_n_mirror_atom"}
+
+
+# First 16 hex digits of the sha256 of the `point` report of BASE_CONFIG
+# with these changes, and the label, stability and measured flag of each
+# branch.
+POINT_LOCK = [
+    ({"drive": {"power": 0.1}}, "84ef776feeb0d11b",
+     [("lower", "stable", True), ("middle", "unstable", False),
+      ("upper", "unstable", False)]),
+    ({"bec": dict(BASE_CONFIG["bec"], present=False)}, "cf8d98c41b60e542",
+     [("unique", "stable", True)]),
+    ({}, "b142981303f652de", [("unique", "stable", True)]),
+]
+
+
+@pytest.mark.parametrize("changes, digest, branches", POINT_LOCK,
+                         ids=["bistable", "no_bec", "stable"])
+def test_point_report_lock(changes, digest, branches, tmp_path, capsys):
+    path = write_config(tmp_path, **changes)
+    assert main(["point", "--config", path]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+    report = json.loads(out)["branches"]
+    assert [(b["label"], b["stability"], b["measures"] is not None)
+            for b in report] == branches
+    if "bec" in changes:   # no condensate: its displacement is zero
+        assert all(b["Q_s"] == b["P_s"] == 0.0 for b in report)
 
 
 def test_point_report_to_file(tmp_path):
