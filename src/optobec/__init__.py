@@ -8,8 +8,8 @@ from .model import (HBAR, K_B, C_LIGHT, BecParams, CavityParams,
                     DerivedQuantities, DriveParams, MirrorParams,
                     ParameterError, SystemParams, bose_occupation,
                     derive_quantities, drive_rate)
-from .steady_state import (BistabilityWindow, BranchColumns, MeanFieldBranch,
-                           bistability_window, solve_mean_field)
+from .steady_state import (BistabilityWindow, BranchColumns, bistability_window,
+                           solve_mean_field)
 from .linear_dynamics import (NumericalError, characteristic_polynomial,
                               diffusion_matrix, drift_matrix, is_stable,
                               solve_lyapunov)
@@ -17,8 +17,8 @@ from .gaussian_measures import (ATOM_FIELD, MIRROR_ATOM, MIRROR_FIELD,
                                 EntanglementResult, bogoliubov_excitations,
                                 log_negativity, mirror_phonons,
                                 reduce_bipartition)
-from .sweep import (SweepRow, SweepSpec, SweepTable, Variant, emit,
-                    evaluate_branches, run_sweep)
+from .sweep import (SweepSpec, SweepTable, Variant, emit, evaluate_branches,
+                    run_sweep)
 from .presets import FIGURE_IDS, baseline_params, figure_preset
 from .config import ConfigError, load_config
 
@@ -29,15 +29,13 @@ __all__ = [
     "BecParams", "CavityParams", "DerivedQuantities", "DriveParams",
     "MirrorParams", "ParameterError", "SystemParams", "bose_occupation",
     "derive_quantities", "drive_rate",
-    "BistabilityWindow", "BranchColumns", "MeanFieldBranch", "bistability_window",
-    "solve_mean_field",
+    "BistabilityWindow", "BranchColumns", "bistability_window", "solve_mean_field",
     "NumericalError", "characteristic_polynomial", "diffusion_matrix",
     "drift_matrix", "is_stable", "solve_lyapunov",
     "ATOM_FIELD", "MIRROR_ATOM", "MIRROR_FIELD",
     "EntanglementResult", "bogoliubov_excitations",
     "log_negativity", "mirror_phonons", "reduce_bipartition",
-    "SweepRow", "SweepSpec", "SweepTable", "Variant", "emit", "evaluate_branches",
-    "run_sweep",
+    "SweepSpec", "SweepTable", "Variant", "emit", "evaluate_branches", "run_sweep",
     "FIGURE_IDS", "baseline_params", "figure_preset",
     "ConfigError", "load_config",
     "__version__",

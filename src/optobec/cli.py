@@ -7,10 +7,11 @@ Subcommands:
 * ``figure ID [--out DIR]``          run a bundled preset, writes ``ID.csv``
 * ``threshold --config FILE``        bistability window in mW
 
-Exit codes: 0 success, 1 invalid configuration or usage, 2 numerical
-failure (a singular or ill-conditioned Lyapunov solve, or a covariance that
-is not physical).  A ``marginal`` Routh-Hurwitz verdict is reported in the
-stability field and does not change the exit code.
+Exit codes: 0 success, 1 invalid configuration or usage, or an output path
+that cannot be made or written, 2 numerical failure (a singular or
+ill-conditioned Lyapunov solve, or a covariance that is not physical).  A
+``marginal`` Routh-Hurwitz verdict is reported in the stability field and
+does not change the exit code.
 """
 
 from __future__ import annotations
@@ -21,11 +22,13 @@ import os
 import sys
 from typing import List, Optional
 
+import numpy as np
+
 from .config import ConfigError, load_config
 from .linear_dynamics import NumericalError
 from .model import ParameterError, derive_quantities
 from .presets import FIGURE_IDS, figure_preset
-from .steady_state import BranchColumns, bistability_window, solve_mean_field
+from .steady_state import bistability_window, solve_mean_field
 from .sweep import (CSV_COLUMNS, as_dict, emit, evaluate_branches, run_sweep,
                     to_json)
 
@@ -68,14 +71,25 @@ def _build_parser() -> _Parser:
 def _point_report(params) -> dict:
     d = derive_quantities(params)
     branches = solve_mean_field(params, d=d)
-    verdicts, measures = evaluate_branches(BranchColumns.of(branches), d, full=True)
+    verdicts, measures = evaluate_branches(branches, d, full=True)
+    # the displacements of the mirror (q_s, p_s) and the condensate (Q_s, P_s)
+    n, zero = branches.n, np.zeros(len(branches))
+    if d.zeta > 0.0:
+        Q_s = -d.zeta * n / (d.Omega_c + d.omega_sw + d.gamma_c ** 2 / d.Omega_c)
+        P_s = (d.gamma_c / d.Omega_c) * Q_s
+    else:
+        Q_s = P_s = zero
+    columns = {"n": n, "alpha": branches.alpha, "Delta": branches.Delta,
+               "q_s": (d.xi / d.omega_m) * n, "p_s": zero, "Q_s": Q_s, "P_s": P_s,
+               "label": branches.label, "degenerate": branches.degenerate}
+    rows = zip(*(column.tolist() for column in columns.values()), verdicts, measures)
     return {
         "params": as_dict(params),
         "derived_quantities": as_dict(d),
-        "branches": [dict(as_dict(branch), stability=verdict,
+        "branches": [dict(zip(columns, row), stability=verdict,
                           measures=None if measure is None
                           else dict(zip(CSV_COLUMNS[-5:], measure)))
-                     for branch, verdict, measure in zip(branches, verdicts, measures)],
+                     for *row, verdict, measure in rows],
     }
 
 
@@ -115,6 +129,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"{window.power_low * 1e3:.6g} {window.power_high * 1e3:.6g}")
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:   # an output path that cannot be made or written
+        print(f"error: output: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -61,24 +61,16 @@ def per_row(d, group, fn):
     return np.array([fn(x) for x in d[lo:hi]])[group - lo]
 
 
-def _alpha_delta(branches):
-    """``alpha`` and ``Delta`` of one branch or of columns as 1-D arrays, and
-    whether one branch was given."""
-    alpha = np.asarray(branches.alpha, dtype=float)
-    delta = np.asarray(branches.Delta, dtype=float)
-    return alpha.reshape(-1), delta.reshape(-1), alpha.ndim == 0
-
-
 def drift_matrix(branches, d) -> np.ndarray:
-    """Drift matrix of the linearized dynamics around a mean-field branch.
+    """Drift matrices of the linearized dynamics around mean-field branches.
 
-    One :class:`MeanFieldBranch` gives a ``(6, 6)`` matrix, the
-    :class:`BranchColumns` of N branches an ``(N, 6, 6)`` stack; only their
-    ``alpha``, ``Delta`` and group enter, with ``d`` as in :func:`per_row`.
-    A condensate-absent configuration has zeta = 0, which decouples the last
-    two rows and columns; they are kept so the state dimension never changes.
+    The :class:`~optobec.steady_state.BranchColumns` of N branches give an
+    ``(N, 6, 6)`` stack; only their ``alpha``, ``Delta`` and group enter,
+    with ``d`` as in :func:`per_row`.  A condensate-absent configuration has
+    zeta = 0, which decouples the last two rows and columns; they are kept
+    so the state dimension never changes.
     """
-    alpha, delta, single = _alpha_delta(branches)
+    alpha, delta = branches.alpha, branches.Delta
     if not isinstance(d, DerivedQuantities):   # each field as a column of rows
         d = DerivedQuantities(*per_row(d, branches.group,
                                        lambda x: [*vars(x).values()]).T)
@@ -100,7 +92,7 @@ def drift_matrix(branches, d) -> np.ndarray:
     a[:, 5, 0] = -g_c
     a[:, 5, 4] = -(d.Omega_c + d.omega_sw)
     a[:, 5, 5] = -d.gamma_c
-    return a[0] if single else a
+    return a
 
 
 def diffusion_matrix(d: DerivedQuantities) -> np.ndarray:
@@ -130,16 +122,14 @@ def characteristic_polynomial(branches, d) -> np.ndarray:
     M B and the coupling polynomial per alpha^2 are fixed by a row's
     configuration (``d`` as in :func:`per_row`), so a row costs two
     products and two sums of 7-vectors: (kappa^2 + Delta^2) and
-    Delta alpha^2 are the only per-branch inputs.  One
-    :class:`MeanFieldBranch` gives ``(7,)``, the :class:`BranchColumns` of N
-    branches ``(N, 7)``, each row with the operations it gets on its own.
+    Delta alpha^2 are the only per-branch inputs.  N branches give
+    ``(N, 7)``, each row with the operations it gets on its own.
     """
-    alpha, delta, single = _alpha_delta(branches)
+    alpha, delta = branches.alpha, branches.Delta
     kappa_sq, both, fixed, coupling = per_row(
-        d, getattr(branches, "group", None), _charpoly_terms).swapaxes(-2, 0)
-    coeffs = ((delta * delta + kappa_sq[..., 0])[:, None] * both + fixed
-              - (delta * (alpha * alpha))[:, None] * coupling)
-    return coeffs[0] if single else coeffs
+        d, branches.group, _charpoly_terms).swapaxes(-2, 0)
+    return ((delta * delta + kappa_sq[..., 0])[:, None] * both + fixed
+            - (delta * (alpha * alpha))[:, None] * coupling)
 
 
 def _charpoly_terms(d: DerivedQuantities) -> np.ndarray:

@@ -119,6 +119,7 @@ class BecParams:
         _finite_square(self.coupling, "bec.coupling")
         _non_negative(self.sw_frequency, "bec.sw_frequency")
         _non_negative(self.damping, "bec.damping")
+        _finite_square(self.damping, "bec.damping")
         _non_negative(self.temperature, "bec.temperature")
         if self.present:
             _require(math.isfinite(self.recoil) and self.recoil > 0,

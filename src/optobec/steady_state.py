@@ -8,11 +8,12 @@ cubic in the intracavity photon number n,
 whose real roots are the steady-state branches.  Roots are found by the
 closed-form depressed-cubic solution (the trigonometric form in the
 three-real-root regime, so the branch count is exact) and each root gets one
-Newton polish step on the original cubic.  A ``delta_c`` or ``power`` grid
-is solved as one stack of cubics (:func:`solve_mean_field_grid`), each row
-in the operations of the scalar kernel, and its branches come back as
-columns.  The grids of several configurations are one stack too: each grid
-point carries the group of its configuration, whose beta, beta^2 and
+Newton polish step on the original cubic.  One point goes through this
+scalar kernel (:func:`solve_mean_field`); a sweep grid is one stack of
+cubics (:func:`solve_mean_field_grid`), each row in the operations of the
+scalar kernel.  Either way the branches come back as columns
+(:class:`BranchColumns`).  The grids of several configurations are one
+stack too: each grid point carries its group, whose beta, beta^2 and
 kappa^2 are taken once in Python floats and gathered per point.  Turning
 points of the drive power as a function of n give the bistability window
 in closed form.
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -36,36 +37,18 @@ from .model import (HBAR, DerivedQuantities, SystemParams, derive_quantities,
 _DEGENERACY_RTOL = 1e-9
 
 
-@dataclass
-class MeanFieldBranch:
-    """One self-consistent fixed point.
-
-    ``Delta`` is the effective detuning delta_c - beta*n seen by the
-    fluctuations.  ``degenerate`` marks roots sitting on a bistability knee
-    (double root of the cubic within tolerance).
-    """
-
-    n: float       # mean photon number
-    alpha: float   # field amplitude, sqrt(n)
-    Delta: float   # rad/s, effective detuning
-    q_s: float     # mirror displacement quadrature
-    p_s: float     # mirror momentum quadrature (identically 0)
-    Q_s: float     # condensate displacement quadrature
-    P_s: float     # condensate momentum quadrature
-    label: str     # lower | middle | upper | unique
-    degenerate: bool = False
-
-
 @dataclass(frozen=True, eq=False)
 class BranchColumns:
     """Mean-field branches as columns, one entry per branch.
 
     ``index`` is the grid point each branch belongs to (0 for the branches
     of a single point), in grid order, branches of one point by ascending
-    photon number.  ``group`` is the configuration each branch was solved
-    in: it indexes the sequence of derived quantities the branches are
-    evaluated with (see :func:`~optobec.linear_dynamics.per_row`).  The
-    displacement quadratures are left out: no sweep output carries them.
+    photon number.  ``group`` indexes the sequence of derived quantities
+    the branches were solved and are evaluated with (see
+    :func:`~optobec.linear_dynamics.per_row`): one entry per configuration,
+    or per grid point of an ``omega_sw`` or ``xi`` sweep.  The
+    displacement quadratures are left out: they follow from ``n``, and only
+    the ``point`` report carries them.
     """
 
     index: np.ndarray        # int, grid point of each branch
@@ -75,19 +58,6 @@ class BranchColumns:
     Delta: np.ndarray        # rad/s, effective detuning
     label: np.ndarray        # str objects: lower | middle | upper | unique
     degenerate: np.ndarray   # bool, root on a bistability knee
-
-    @classmethod
-    def of(cls, branches: Sequence[MeanFieldBranch], index=None) -> "BranchColumns":
-        """Columns of the branches of one point, or of points each in its own
-        configuration, with the int array ``index`` the point and group of
-        each branch."""
-        index = np.zeros(len(branches), dtype=int) if index is None else index
-        return cls(index=index, group=index,
-                   n=np.array([b.n for b in branches], dtype=float),
-                   alpha=np.array([b.alpha for b in branches], dtype=float),
-                   Delta=np.array([b.Delta for b in branches], dtype=float),
-                   label=np.array([b.label for b in branches], dtype=object),
-                   degenerate=np.array([b.degenerate for b in branches], dtype=bool))
 
     def __len__(self) -> int:
         return len(self.n)
@@ -264,20 +234,6 @@ def _stacked_cubic_roots(a3, a2, a1, a0):
     return row[order], root[order], flag[order]
 
 
-def build_branch(n: float, Delta: float, d: DerivedQuantities, label: str,
-                 degenerate: bool = False) -> MeanFieldBranch:
-    """Fixed point, displacements included, at photon number ``n`` and ``Delta``."""
-    q_s = (d.xi / d.omega_m) * n
-    if d.zeta > 0.0:
-        qc = -d.zeta * n / (d.Omega_c + d.omega_sw + d.gamma_c ** 2 / d.Omega_c)
-        pc = (d.gamma_c / d.Omega_c) * qc
-    else:
-        qc = pc = 0.0
-    return MeanFieldBranch(n=n, alpha=math.sqrt(n), Delta=Delta, q_s=q_s,
-                           p_s=0.0, Q_s=qc, P_s=pc, label=label,
-                           degenerate=degenerate)
-
-
 _LABELS = {1: ("unique",), 2: ("lower", "upper"), 3: ("lower", "middle", "upper")}
 # the labels of _LABELS in one array; a point's labels start at _LABEL_START[count]
 _LABEL_NAMES = np.array([label for count in (1, 2, 3) for label in _LABELS[count]],
@@ -310,8 +266,9 @@ def _out_of_range(exc: Exception) -> NumericalError:
 def solve_mean_field(params: SystemParams,
                      delta_c: Optional[float] = None,
                      power: Optional[float] = None,
-                     d: Optional[DerivedQuantities] = None) -> List[MeanFieldBranch]:
-    """All mean-field branches at the given detuning and drive power.
+                     d: Optional[DerivedQuantities] = None) -> BranchColumns:
+    """All mean-field branches at the given detuning and drive power, as
+    columns (index and group 0).
 
     Defaults to the detuning and power stored in ``params``.  Branches come
     back sorted by ascending photon number; with three real roots they are
@@ -344,9 +301,12 @@ def solve_mean_field(params: SystemParams,
     else:
         scale = max((abs(r) for r, _ in roots), default=0.0)
     kept = [(max(r, 0.0), flag) for r, flag in roots if not r < -1e-12 * scale]
-
-    return [build_branch(n, delta_c - d.beta * n, d, label, flag)
-            for (n, flag), label in zip(kept, _LABELS[len(kept)])]
+    n, flag = np.array(kept, dtype=float).reshape(-1, 2).T
+    zero = np.zeros(len(kept), dtype=int)
+    return BranchColumns(index=zero, group=zero, n=n, alpha=np.sqrt(n),
+                         Delta=delta_c - d.beta * n,
+                         label=np.array(_LABELS[len(kept)], dtype=object),
+                         degenerate=flag != 0.0)
 
 
 def solve_mean_field_grid(ds, delta_c, eta, group=0) -> BranchColumns:

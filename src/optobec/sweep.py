@@ -12,7 +12,7 @@ carries its group, the index of the derived quantities it was solved with
 sweep), and gathers that group's constants.  Each row gets the arithmetic
 it would get on its own, so emitted bytes are deterministic and independent
 of the stacking.  The rows stay columns (:class:`SweepTable`) from there to
-the CSV text.
+the CSV text and the JSON report.
 
 Swept variables:
 
@@ -27,9 +27,9 @@ Swept variables:
 * ``omega_sw``         collisional frequency
 * ``xi``               mirror coupling rate (installed as an override)
 
-The last two change the derived rates, so each of their grid values gets
-its own derived quantities and scalar :func:`solve_mean_field`; only their
-evaluation joins the stack.
+The last two change the derived rates, so each of their grid values is its
+own group with its own derived quantities; the cavity detuning of its
+configuration goes through the same stack of cubics as a ``delta_c`` grid.
 
 ``Delta_effective`` differs qualitatively from a ``delta_c`` sweep: the
 branch structure of the cubic never enters, which is the natural x-axis for
@@ -55,7 +55,7 @@ from .linear_dynamics import (NumericalError, characteristic_polynomial,
 from .model import (HBAR, DerivedQuantities, ParameterError, SystemParams,
                     derive_quantities, drive_rate)
 from .steady_state import (BranchColumns, imposed_detuning_branches,
-                           solve_mean_field, solve_mean_field_grid)
+                           solve_mean_field_grid)
 
 SWEEP_VARIABLES = ("delta_c", "power", "Delta_effective", "omega_sw", "xi")
 SWEEP_MODES = ("mean_field", "full")
@@ -133,36 +133,13 @@ class SweepSpec:
                         f"{self.variable} sweep")
 
 
-@dataclass
-class SweepRow:
-    """One branch at one sweep point of one configuration.
-
-    Measure fields stay None unless the point is RH-stable and the sweep
-    runs in full mode; unstable and marginal points only carry the flag.
-    """
-
-    config: str
-    value: float
-    branch: str
-    n: float
-    alpha: float
-    Delta: float
-    stability: str
-    degenerate: bool
-    delta_n_m: Optional[float] = None
-    delta_n_c: Optional[float] = None
-    e_n_mirror_field: Optional[float] = None
-    e_n_atom_field: Optional[float] = None
-    e_n_mirror_atom: Optional[float] = None
-
-
 @dataclass(frozen=True)
-class SweepTable(Sequence[SweepRow]):
+class SweepTable:
     """The rows of a sweep as columns of plain Python values.
 
-    ``measures`` has one entry per row: None, or the five measures in
-    ``CSV_COLUMNS`` order.  The table reads as a sequence of rows: indexing
-    and iteration build a :class:`SweepRow` view on demand.
+    The first eight columns are named as in ``CSV_COLUMNS``.  ``measures``
+    has one entry per row: None, or the five measures in ``CSV_COLUMNS``
+    order.
     """
 
     config: List[str]
@@ -177,14 +154,6 @@ class SweepTable(Sequence[SweepRow]):
 
     def __len__(self) -> int:
         return len(self.config)
-
-    def __getitem__(self, i: int) -> SweepRow:
-        return SweepRow(self.config[i], self.value[i], self.branch[i], self.n[i],
-                        self.alpha[i], self.Delta[i], self.stability[i],
-                        self.degenerate[i], *(self.measures[i] or ()))
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
 
 
 def _expand_configs(spec: SweepSpec) -> List[Tuple[str, SystemParams]]:
@@ -243,6 +212,11 @@ def evaluate_branches(branches: BranchColumns, d, full: bool = False
     return verdicts, measures
 
 
+#: Swept variables that change the derived rates: each of their grid values
+#: is its own group, with ``params`` from :func:`_point_params`.
+_PER_POINT = ("omega_sw", "xi")
+
+
 def _point_params(variable: str, value: float, params: SystemParams) -> SystemParams:
     """``params`` with an ``omega_sw`` or ``xi`` grid value installed."""
     if variable == "omega_sw":
@@ -252,31 +226,33 @@ def _point_params(variable: str, value: float, params: SystemParams) -> SystemPa
 
 def _grid_branches(variable: str, values: Sequence[float], configs, ds,
                    points: np.ndarray) -> BranchColumns:
-    """Branches of ``delta_c``, ``power`` or ``Delta_effective`` sweep points
-    as one grid, as columns.
+    """Branches of sweep points as one grid, as columns.
 
-    Point ``p`` is configuration ``p // len(values)`` (derived quantities
-    ``ds[p // len(values)]``) at grid value ``p % len(values)``.  A branch's
-    ``index`` is the position of its point in ``points``.
+    Point ``p`` is configuration ``p // len(values)`` at grid value
+    ``p % len(values)``.  Its group, which indexes ``ds``, is ``p`` for an
+    ``omega_sw`` or ``xi`` sweep and its configuration otherwise.  A
+    branch's ``index`` is the position of its point in ``points``.
     """
-    group, column = np.divmod(points, len(values))
+    config, column = np.divmod(points, len(values))
+    group = points if variable in _PER_POINT else config
     value = np.array(values)[column]
-    if variable == "delta_c":
-        eta = np.array([d.eta for d in ds])[group]
-        return solve_mean_field_grid(ds, value, eta, group)
-    if variable == "power":
-        kappa, omega_cav = per_row(ds, group, lambda d: (d.kappa, d.omega_cav)).T
-        # drive_rate over the grid, in its operations, order and checks
-        with np.errstate(over="ignore", invalid="ignore"):
-            eta = np.sqrt(2.0 * value * kappa / (HBAR * omega_cav))
-            invalid = np.flatnonzero(~(np.isfinite(value) & (value >= 0.0)
-                                       & np.isfinite(eta * eta)))
-        if len(invalid):
-            # the scalar check raises the ParameterError of the first bad power
-            drive_rate(*(float(x[invalid[0]]) for x in (value, kappa, omega_cav)))
-        detuning = np.array([p.cavity.detuning for _, p in configs])[group]
-        return solve_mean_field_grid(ds, detuning, eta, group)
-    return imposed_detuning_branches(ds, value, group)
+    if variable == "Delta_effective":
+        return imposed_detuning_branches(ds, value, group)
+    delta_c = (value if variable == "delta_c"
+               else np.array([p.cavity.detuning for _, p in configs])[config])
+    if variable != "power":
+        return solve_mean_field_grid(ds, delta_c, np.array([d.eta for d in ds])[group],
+                                     group)
+    kappa, omega_cav = per_row(ds, group, lambda d: (d.kappa, d.omega_cav)).T
+    # drive_rate over the grid, in its operations, order and checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = np.sqrt(2.0 * value * kappa / (HBAR * omega_cav))
+        invalid = np.flatnonzero(~(np.isfinite(value) & (value >= 0.0)
+                                   & np.isfinite(eta * eta)))
+    if len(invalid):
+        # the scalar check raises the ParameterError of the first bad power
+        drive_rate(*(float(x[invalid[0]]) for x in (value, kappa, omega_cav)))
+    return solve_mean_field_grid(ds, delta_c, eta, group)
 
 
 def _named(exc: Exception, config: str, variable: str, value: float,
@@ -292,39 +268,30 @@ def _sweep_branches(variable: str, values: List[float],
     sweep point ``p`` that fails to derive or solve (None if none does).
 
     Point ``p`` is configuration ``p // len(values)`` at grid value
-    ``p % len(values)``, and a branch's ``index`` is its point.  Every
-    ``omega_sw`` or ``xi`` point gets its own parameters, ``d`` (its own
-    group) and scalar :func:`solve_mean_field`.  The ``delta_c``, ``power``
-    and ``Delta_effective`` points of all configurations share one ``d`` per
-    configuration (a configuration that fails to derive fails at its first
-    point) and go through as one grid.  The branches stop before the
-    failing point, so that the points before it are evaluated first and an
-    earlier failure is the one reported, as in a point-by-point run.
+    ``p % len(values)``, and a branch's ``index`` is its point.  Each group
+    (a configuration, or a point of an ``omega_sw`` or ``xi`` sweep) is
+    derived once, until one fails to derive, which fails at its first
+    point.  The points of the derived groups go through as one grid.  The
+    branches stop before the failing point, so that the points before it
+    are evaluated first and an earlier failure is the one reported, as in a
+    point-by-point run.
     """
-    points = len(values)
+    per_point = variable in _PER_POINT
+    size = 1 if per_point else len(values)   # points per group
+    groups = ((_point_params(variable, value, params)
+               for (_, params), value in product(configs, values))
+              if per_point else (params for _, params in configs))
     ds: List[DerivedQuantities] = []
-    found, index, failure = [], [], None
-    if variable in ("omega_sw", "xi"):
-        for p, ((_, params), value) in enumerate(product(configs, values)):
-            try:
-                point_params = _point_params(variable, value, params)
-                ds.append(derive_quantities(point_params))
-                branches = solve_mean_field(point_params, d=ds[-1])
-            except (ParameterError, NumericalError) as exc:
-                return ds, BranchColumns.of(found, np.array(index, dtype=int)), (p, exc)
-            found += branches
-            index += [p] * len(branches)
-        return ds, BranchColumns.of(found, np.array(index, dtype=int)), None
-
+    failure = None
     try:
-        for _, params in configs:
+        for params in groups:
             ds.append(derive_quantities(params))
     except (ParameterError, NumericalError) as exc:
-        failure = (len(ds) * points, exc)
-    if not ds:
-        return ds, BranchColumns.of([]), failure
+        failure = (len(ds) * size, exc)
+    if not ds:   # no branch: every column empty
+        return ds, BranchColumns(*np.zeros((7, 0), dtype=int)), failure
     solve = partial(_grid_branches, variable, values, configs, ds)
-    stack = np.arange(len(ds) * points)
+    stack = np.arange(len(ds) * size)
     try:
         return ds, solve(stack), failure
     except (ParameterError, NumericalError):
@@ -378,6 +345,7 @@ _CSV_ROW = "%s,%.12g,%s,%.12g,%.12g,%.12g,%s,%s"
 _CSV_MEASURED = _CSV_ROW + ",%.12g,%.12g,%.12g,%.12g,%.12g"
 _CSV_UNMEASURED = _CSV_ROW + ",,,,,"
 _CSV_FLAG = {True: "true", False: "false"}
+_UNMEASURED = (None,) * 5
 
 
 def rows_to_csv(table: SweepTable) -> str:
@@ -427,8 +395,14 @@ def to_json(doc) -> str:
 
 
 def report_dict(rows: SweepTable, spec: Optional[SweepSpec] = None) -> Dict:
-    """JSON-ready report object: sweep description, derived rates, rows."""
-    doc: Dict = {"rows": [as_dict(r) for r in rows]}
+    """JSON-ready report object: sweep description, derived rates, rows.
+
+    Each row is a dict keyed by ``CSV_COLUMNS``, with None for the measures
+    of an unmeasured row, written straight from the columns.
+    """
+    heads = zip(*(getattr(rows, name) for name in CSV_COLUMNS[:8]))
+    doc: Dict = {"rows": [dict(zip(CSV_COLUMNS, (*head, *(measure or _UNMEASURED))))
+                          for head, measure in zip(heads, rows.measures)]}
     if spec is not None:
         doc["spec"] = as_dict(spec)
         doc["derived_quantities"] = {

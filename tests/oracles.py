@@ -8,6 +8,8 @@ import numpy as np
 from optobec import HBAR, SweepTable, derive_quantities
 from optobec.sweep import CSV_COLUMNS
 
+MEASURES = CSV_COLUMNS[-5:]
+
 
 def matrix_charpoly(a: np.ndarray) -> np.ndarray:
     """Coefficients of det(lambda I - A) of any square matrix, ascending order,
@@ -109,6 +111,24 @@ def power_at_photon_number(params, delta_c: float, n: float) -> float:
     return eta_sq * HBAR * d.omega_cav / (2.0 * d.kappa)
 
 
+def branch_rows(branches):
+    """The branches of :class:`~optobec.BranchColumns` as
+    ``(n, alpha, Delta, label, degenerate)`` tuples, each float as its
+    ``float.hex`` so that ``==`` compares bits (signed zeros included)."""
+    floats = ([x.hex() for x in column.tolist()]
+              for column in (branches.n, branches.alpha, branches.Delta))
+    return list(zip(*floats, branches.label.tolist(), branches.degenerate.tolist()))
+
+
+def column(table, name):
+    """The column ``name`` of ``CSV_COLUMNS`` of a sweep table, as a list; a
+    measure column holds None on an unmeasured row."""
+    if name not in MEASURES:
+        return getattr(table, name)
+    k = MEASURES.index(name)
+    return [None if measure is None else measure[k] for measure in table.measures]
+
+
 def _format_number(x) -> str:
     if x is None:
         return ""
@@ -117,30 +137,23 @@ def _format_number(x) -> str:
     return format(float(x), ".12g")
 
 
-def rows_to_csv(rows) -> str:
-    """CSV text of sweep rows, written field by field with ``format(x, ".12g")``."""
+def rows_to_csv(table) -> str:
+    """CSV text of a sweep table, written field by field with
+    ``format(x, ".12g")``."""
     lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join((
-            row.config, _format_number(row.value), row.branch,
-            _format_number(row.n), _format_number(row.alpha),
-            _format_number(row.Delta), row.stability,
-            _format_number(row.degenerate),
-            _format_number(row.delta_n_m), _format_number(row.delta_n_c),
-            _format_number(row.e_n_mirror_field),
-            _format_number(row.e_n_atom_field),
-            _format_number(row.e_n_mirror_atom),
-        )))
+    for row in zip(*(column(table, name) for name in CSV_COLUMNS)):
+        lines.append(",".join(x if isinstance(x, str) else _format_number(x)
+                              for x in row))
     return "\n".join(lines) + "\n"
 
 
 def sweep_table(rows) -> SweepTable:
-    """The table of sweep rows given one :class:`SweepRow` at a time."""
-    measured = CSV_COLUMNS[-5:]
-    columns = {name: [getattr(row, name) for row in rows] for name in CSV_COLUMNS[:-5]}
-    measures = [[getattr(row, name) for name in measured] for row in rows]
-    return SweepTable(**columns, measures=[
-        None if measure == [None] * 5 else measure for measure in measures])
+    """The table of sweep rows given as plain tuples in ``CSV_COLUMNS``
+    order; a row of eight values carries no measures."""
+    heads = ([list(x) for x in zip(*(row[:8] for row in rows))]
+             or [[] for _ in range(8)])
+    return SweepTable(*heads, measures=[list(row[8:]) if len(row) > 8 else None
+                                        for row in rows])
 
 
 def eigenbasis_lyapunov(a: np.ndarray, d: np.ndarray):

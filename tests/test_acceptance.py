@@ -19,7 +19,7 @@ from optobec.presets import (MIRROR_FREQ, baseline_params, figure_preset,
 from optobec.sweep import SweepSpec
 
 from conftest import random_stable_matrix
-from oracles import matrix_charpoly, stability_oracle
+from oracles import column, matrix_charpoly, stability_oracle
 from test_gaussian_measures import tmsv_cm
 from test_steady_state import brute_force_window
 
@@ -39,8 +39,9 @@ def criterion(number, description):
 
 
 def _config_series(rows, config, field):
-    pairs = [(r.value, getattr(r, field)) for r in rows
-             if r.config == config and r.stability == "stable"]
+    pairs = [(value, x) for name, value, stability, x in zip(
+        rows.config, rows.value, rows.stability, column(rows, field))
+        if name == config and stability == "stable"]
     values = np.array([p[0] for p in pairs])
     series = np.array([p[1] for p in pairs])
     return values, series
@@ -139,9 +140,10 @@ def test_criterion_6_entanglement_structure(cooling_runs):
 
     # the mirror-atom bipartition stays separable at every stable point
     for fig in ("fig5a", "fig5b", "fig5c"):
-        for row in cooling_runs[fig]:
-            if row.stability == "stable":
-                assert row.e_n_mirror_atom == 0.0
+        rows = cooling_runs[fig]
+        for stability, e_n in zip(rows.stability, column(rows, "e_n_mirror_atom")):
+            if stability == "stable":
+                assert e_n == 0.0
 
 
 @criterion(7, "property suites: solver residuals, oracles, closed forms")
@@ -202,9 +204,9 @@ def test_criterion_7_property_suites(reference):
     for delta_c in deltas:
         for power in powers:
             eta_sq = drive_rate(power, d.kappa, d.omega_cav) ** 2
-            for b in solve_mean_field(params, delta_c=delta_c, power=power):
-                residual = abs(b.n * (b.Delta ** 2 + d.kappa ** 2) - eta_sq)
-                assert residual <= 1e-10 * eta_sq
+            b = solve_mean_field(params, delta_c=delta_c, power=power)
+            residual = np.abs(b.n * (b.Delta ** 2 + d.kappa ** 2) - eta_sq)
+            assert (residual <= 1e-10 * eta_sq).all()
 
     # the middle branch is a saddle at every sampled bistable point
     params = baseline_params(bec_present=False)
@@ -214,8 +216,8 @@ def test_criterion_7_property_suites(reference):
     for power in np.linspace(1.02 * window.power_low, 0.98 * window.power_high, 100):
         branches = solve_mean_field(params, delta_c=delta_c, power=power)
         assert len(branches) == 3
-        verdict = is_stable(characteristic_polynomial(branches[1], d))
-        assert verdict == "unstable"
+        verdicts = is_stable(characteristic_polynomial(branches, d))
+        assert verdicts[1] == "unstable"
 
 
 @criterion(8, "600-point full-mode sweep completes in under a second")
@@ -227,5 +229,6 @@ def test_criterion_8_sweep_performance():
     rows = run_sweep(spec)
     elapsed = time.perf_counter() - start
     assert len(rows) == 600
-    assert all(r.delta_n_m is not None for r in rows if r.stability == "stable")
+    assert all(measure is not None for stability, measure
+               in zip(rows.stability, rows.measures) if stability == "stable")
     assert elapsed < 1.0, f"sweep took {elapsed:.3f} s"

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import optobec
-from optobec import derive_quantities, figure_preset, run_sweep, solve_mean_field
-from optobec.cli import main
-from optobec.presets import MIRROR_FREQ
+from optobec import DriveParams, derive_quantities, figure_preset
+from optobec.cli import _point_report, main
+from optobec.presets import MIRROR_FREQ, baseline_params, reference_kappa
 from optobec.sweep import as_dict, to_json
 
 
@@ -288,9 +288,12 @@ NO_BEC_NORMALIZED = {
      1, "error: base: xi=1.57079632679e+167: xi_override: "),
     ("sweep", {"sweep": {"variable": "xi", "lo": 1e60, "hi": 1e100, "points": 5}},
      1, "error: base: xi=1.57079632679e+107: xi_override/bec.coupling: "),
+    ("point", {"bec": {"present": True, "coupling": 5.16e-6, "recoil": 0.1,
+                       "damping": 1e200}}, 1, "error: bec.damping: "),
 ], ids=["xi_1e-100", "xi_1e-150", "power_1e285", "power_sweep_1e300",
         "detuning_1e100", "delta_c_sweep_1e60", "xi_1e200", "coupling_1e160",
-        "xi_1e100", "coupling_1e100", "xi_sweep_1e160", "xi_sweep_1e100"])
+        "xi_1e100", "coupling_1e100", "xi_sweep_1e160", "xi_sweep_1e100",
+        "damping_1e200"])
 def test_out_of_range_pull_drive_and_detuning(command, changes, code, named,
                                               tmp_path, capsys):
     """A pull whose square, or whose beta^2, underflows or overflows and an
@@ -396,12 +399,56 @@ def test_point_derives_once_per_request(command, tmp_path, capsys, derive_calls)
 
 def test_field_map_equals_asdict(reference):
     d = derive_quantities(reference)
-    objects = [reference, dataclasses.replace(reference, xi_override=0.5 * d.xi), d,
-               *solve_mean_field(reference, delta_c=4.0 * d.kappa, power=0.3)]
-    for obj in objects:
+    for obj in (reference, dataclasses.replace(reference, xi_override=0.5 * d.xi), d):
         assert as_dict(obj) == dataclasses.asdict(obj)
     # a tuple of nested dataclasses becomes a list, which encodes the same
     spec = figure_preset("fig2a")
     assert len(spec.variants) == 4
-    for obj in (spec, run_sweep(dataclasses.replace(spec, points=3))[0]):
-        assert to_json(as_dict(obj)) == to_json(dataclasses.asdict(obj))
+    assert to_json(as_dict(spec)) == to_json(dataclasses.asdict(spec))
+
+
+def test_point_displacements_follow_photon_number():
+    """The mirror and condensate displacements of every branch of a point
+    report follow from its photon number; p_s is 0, and so are Q_s and P_s
+    without a condensate."""
+    rng = np.random.default_rng(7)
+    for present in (True, False):
+        params = baseline_params(sw_frequency=0.5 * MIRROR_FREQ, bec_present=present)
+        for _ in range(40):
+            detuning = rng.uniform(-2, 8) * reference_kappa()
+            params = dataclasses.replace(
+                params, drive=DriveParams(power=rng.uniform(1e-4, 0.5)),
+                cavity=dataclasses.replace(params.cavity, detuning=detuning))
+            d = derive_quantities(params)
+            for b in _point_report(params)["branches"]:
+                assert b["q_s"] == pytest.approx((d.xi / d.omega_m) * b["n"], rel=1e-14)
+                assert b["p_s"] == 0.0
+                if present:
+                    expected_qc = -d.zeta * b["n"] / (d.Omega_c + d.omega_sw
+                                                      + d.gamma_c ** 2 / d.Omega_c)
+                    assert b["Q_s"] == pytest.approx(expected_qc, rel=1e-14)
+                    assert b["P_s"] == pytest.approx(
+                        (d.gamma_c / d.Omega_c) * b["Q_s"], rel=1e-14)
+                else:
+                    assert b["Q_s"] == b["P_s"] == 0.0
+    decoupled = dataclasses.replace(baseline_params(power=0.02, bec_present=False),
+                                    xi_override=0.0)
+    (branch,) = _point_report(decoupled)["branches"]
+    assert branch["q_s"] == branch["p_s"] == branch["Q_s"] == branch["P_s"] == 0.0
+
+
+@pytest.mark.parametrize("command, out", [
+    ("figure", ""),
+    ("point", "missing/report.json"),
+    ("sweep", "missing/rows.csv"),
+], ids=["figure_empty", "point_missing_dir", "sweep_missing_dir"])
+def test_unwritable_output_exit_code(command, out, tmp_path, capsys):
+    """An output path that cannot be made or written is an error, exit 1."""
+    path = write_config(tmp_path, extra={"sweep": {
+        "variable": "power", "lo": 0.0, "hi": 0.1, "points": 3}})
+    argv = ["fig3"] if command == "figure" else ["--config", path]
+    assert main([command, *argv, "--out", out and str(tmp_path / out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: output: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

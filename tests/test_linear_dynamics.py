@@ -9,7 +9,7 @@ from optobec import (NumericalError, characteristic_polynomial,
                      figure_preset, is_stable, run_sweep, solve_lyapunov,
                      solve_mean_field)
 from optobec.presets import MIRROR_FREQ, baseline_params, reference_kappa
-from optobec.steady_state import BranchColumns, MeanFieldBranch
+from optobec.steady_state import BranchColumns
 from optobec.sweep import _expand_configs, _sweep_branches
 
 from conftest import random_stable_matrix
@@ -17,9 +17,13 @@ from oracles import eigenbasis_lyapunov, matrix_charpoly, stability_oracle
 from test_sweep import PRESET_LOCK
 
 
-def _branch(n, delta):
-    return MeanFieldBranch(n=n, alpha=math.sqrt(n), Delta=delta, q_s=0.0,
-                           p_s=0.0, Q_s=0.0, P_s=0.0, label="unique")
+def _branches(*pairs):
+    """Columns of ``unique`` branches, group 0, at (n, Delta) pairs."""
+    n, delta = np.array(pairs, dtype=float).reshape(-1, 2).T
+    zero = np.zeros(len(n), dtype=int)
+    return BranchColumns(index=zero, group=zero, n=n, alpha=np.sqrt(n), Delta=delta,
+                         label=np.full(len(n), "unique", dtype=object),
+                         degenerate=np.zeros(len(n), dtype=bool))
 
 
 # ---------------------------------------------------------------- drift
@@ -29,7 +33,7 @@ def test_drift_sparsity_and_signs():
     params = baseline_params(sw_frequency=0.5 * MIRROR_FREQ)
     d = derive_quantities(params)
     alpha = 3.0e4
-    a = drift_matrix(_branch(alpha ** 2, 1.3 * d.omega_m), d)
+    a, = drift_matrix(_branches((alpha ** 2, 1.3 * d.omega_m)), d)
 
     g_m = math.sqrt(2) * d.xi * alpha
     g_c = math.sqrt(2) * d.zeta * alpha
@@ -53,7 +57,7 @@ def test_drift_sparsity_and_signs():
 def test_drift_dark_cavity_block_diagonal():
     params = baseline_params(sw_frequency=MIRROR_FREQ)
     d = derive_quantities(params)
-    a = drift_matrix(_branch(0.0, 0.7 * d.kappa), d)
+    a, = drift_matrix(_branches((0.0, 0.7 * d.kappa)), d)
     # no field, no couplings: three independent 2x2 blocks
     assert a[1, 2] == 0.0 and a[1, 4] == 0.0
     assert a[3, 0] == 0.0 and a[5, 0] == 0.0
@@ -68,7 +72,7 @@ def test_drift_dark_cavity_block_diagonal():
 def test_drift_absent_condensate_decouples():
     params = baseline_params(sw_frequency=MIRROR_FREQ).without_bec()
     d = derive_quantities(params)
-    a = drift_matrix(_branch(1e9, d.omega_m), d)
+    a, = drift_matrix(_branches((1e9, d.omega_m)), d)
     assert np.all(a[:4, 4:] == 0.0)
     assert np.all(a[4:, :4] == 0.0)
 
@@ -78,7 +82,7 @@ def test_drift_cooling_point_coupling_rate():
     params = baseline_params(sw_frequency=2.0 * MIRROR_FREQ)
     d = derive_quantities(params)
     n = d.eta ** 2 / (d.omega_m ** 2 + d.kappa ** 2)
-    a = drift_matrix(_branch(n, d.omega_m), d)
+    a, = drift_matrix(_branches((n, d.omega_m)), d)
     assert a[1, 2] == pytest.approx(math.sqrt(2) * d.xi * math.sqrt(n), rel=1e-14)
     assert a[1, 2] == pytest.approx(26780544.07, rel=1e-9)
     assert a[1, 2] / d.omega_m == pytest.approx(0.4262, rel=1e-3)
@@ -171,8 +175,9 @@ def test_closed_form_dark_cavity_factorizes():
     roots = [-d.kappa + 1j * delta, -d.kappa - 1j * delta,
              *np.roots([1.0, d.gamma_m, d.omega_m ** 2]),
              -d.gamma_c + 1j * d.omega_B, -d.gamma_c - 1j * d.omega_B]
-    coeffs = characteristic_polynomial(_branch(0.0, delta), d)
-    assert coeffs.shape == (7,) and coeffs[6] == 1.0
+    coeffs = characteristic_polynomial(_branches((0.0, delta)), d)
+    assert coeffs.shape == (1, 7) and coeffs[0, 6] == 1.0
+    coeffs = coeffs[0]
     np.testing.assert_allclose(coeffs, np.poly(roots)[::-1].real, rtol=1e-12)
 
 
@@ -238,9 +243,8 @@ def test_middle_branch_always_unstable():
     for power in np.linspace(0.220, 0.590, 100):
         branches = solve_mean_field(params, delta_c=delta_c, power=power)
         assert len(branches) == 3
-        middle = branches[1]
-        verdict = is_stable(characteristic_polynomial(middle, d))
-        assert verdict == "unstable"
+        verdicts = is_stable(characteristic_polynomial(branches, d))
+        assert verdicts[1] == "unstable"
 
 
 def test_verdicts_match_decay_oracle():
@@ -320,8 +324,7 @@ def test_lyapunov_decoupling_equivalence():
     params = baseline_params(sw_frequency=MIRROR_FREQ).without_bec()
     d = derive_quantities(params)
     branches = solve_mean_field(params, delta_c=1.2 * d.omega_m, power=0.05)
-    branch = branches[0]
-    a6 = drift_matrix(branch, d)
+    a6 = drift_matrix(branches, d)[0]
     v6 = solve_lyapunov(a6, diffusion_matrix(d))
     a4 = a6[:4, :4]
     d4 = diffusion_matrix(d)[:4, :4]
@@ -400,12 +403,11 @@ def test_lyapunov_residual_failure_names_its_row(monkeypatch):
 
 def test_drift_stack_equals_each_branch():
     d = derive_quantities(baseline_params(power=0.05, sw_frequency=MIRROR_FREQ))
-    branches = [_branch(n, delta) for n, delta in
-                ((1e3, -1e7), (2.5e5, 0.0), (4e6, 6.3e7), (0.0, 1.2e8))]
-    stack = drift_matrix(BranchColumns.of(branches), d)
+    branches = _branches((1e3, -1e7), (2.5e5, 0.0), (4e6, 6.3e7), (0.0, 1.2e8))
+    stack = drift_matrix(branches, d)
     assert stack.shape == (4, 6, 6)
-    for branch, a in zip(branches, stack):
-        assert a.tobytes() == drift_matrix(branch, d).tobytes()
+    for i, a in enumerate(stack):
+        assert a.tobytes() == drift_matrix(branches[i:i + 1], d).tobytes()
 
 
 def test_lyapunov_marginal_raises():
@@ -422,10 +424,10 @@ def test_covariance_uncertainty_bound():
     for ratio in (0.3, 0.8, 1.0, 1.5, 2.2, 2.9):
         delta = ratio * d.omega_m
         n = d.eta ** 2 / (delta ** 2 + d.kappa ** 2)
-        branch = _branch(n, delta)
-        if is_stable(characteristic_polynomial(branch, d)) != "stable":
+        branch = _branches((n, delta))
+        if is_stable(characteristic_polynomial(branch, d)) != ["stable"]:
             continue
-        v = solve_lyapunov(drift_matrix(branch, d), diffusion)
+        v = solve_lyapunov(drift_matrix(branch, d)[0], diffusion)
         for k in range(3):
             block = v[2 * k: 2 * k + 2, 2 * k: 2 * k + 2]
             assert np.linalg.det(block) >= 0.25 - 1e-9

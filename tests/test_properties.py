@@ -21,10 +21,11 @@ from optobec.config import params_from_dict
 from optobec.linear_dynamics import _routh_table_verdict
 from optobec.model import drive_rate
 from optobec.steady_state import (BranchColumns, _real_cubic_roots,
-                                  _stacked_cubic_roots, build_branch,
+                                  _stacked_cubic_roots,
+                                  imposed_detuning_branches,
                                   solve_mean_field_grid)
 
-from oracles import matrix_charpoly
+from oracles import branch_rows, matrix_charpoly
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import point_config  # noqa: E402
@@ -58,7 +59,7 @@ def drawn_params(data):
 def test_routh_verdict_matches_eigenvalue_sign(data):
     params = drawn_params(data)
     d = derive_quantities(params)
-    branches = BranchColumns.of(solve_mean_field(params))
+    branches = solve_mean_field(params)
     for matrix, coeffs in zip(drift_matrix(branches, d),
                               characteristic_polynomial(branches, d)):
         growth = np.linalg.eigvals(matrix).real.max()
@@ -74,9 +75,9 @@ def test_branches_solve_the_cubic(data):
     d = derive_quantities(params)
     delta_c = params.cavity.detuning
     branches = solve_mean_field(params, d=d)
-    assert branches
-    for b in branches:
-        residual = b.n * ((delta_c - d.beta * b.n) ** 2 + d.kappa ** 2) - d.eta ** 2
+    assert len(branches)
+    for n in branches.n.tolist():
+        residual = n * ((delta_c - d.beta * n) ** 2 + d.kappa ** 2) - d.eta ** 2
         assert abs(residual) <= 1e-10 * d.eta ** 2
 
 
@@ -86,7 +87,7 @@ def test_stable_covariances_are_physical(data):
     """V + i Omega / 2 >= 0 (Simon, PRL 84, 2726 (2000)) at every stable branch."""
     params = drawn_params(data)
     d = derive_quantities(params)
-    branches = BranchColumns.of(solve_mean_field(params, d=d))
+    branches = solve_mean_field(params, d=d)
     stable = [i for i, v in enumerate(is_stable(characteristic_polynomial(branches, d)))
               if v == "stable"]
     if not stable:
@@ -97,10 +98,12 @@ def test_stable_covariances_are_physical(data):
 
 def drawn_branches(params, d, detunings):
     """The cubic's branches plus fixed-point branches at imposed detunings,
-    given as multiples of the mirror frequency."""
-    return solve_mean_field(params, d=d) + [
-        build_branch(d.eta ** 2 / ((x * d.omega_m) ** 2 + d.kappa ** 2),
-                     x * d.omega_m, d, "unique") for x in detunings]
+    given as multiples of the mirror frequency, as one set of columns."""
+    imposed = imposed_detuning_branches([d], np.array(detunings) * d.omega_m,
+                                        np.zeros(len(detunings), dtype=int))
+    cubic = solve_mean_field(params, d=d)
+    return BranchColumns(*(np.concatenate([getattr(x, name) for x in (cubic, imposed)])
+                           for name in BranchColumns.__dataclass_fields__))
 
 
 DETUNINGS = st.lists(st.floats(-1.0, 3.0), min_size=1, max_size=8)
@@ -115,14 +118,14 @@ def test_closed_form_charpoly_matches_recurrence(data, detunings):
     params = drawn_params(data)
     d = derive_quantities(params)
     branches = drawn_branches(params, d, detunings)
-    columns = BranchColumns.of(branches)
-    coeffs = characteristic_polynomial(columns, d)
-    a = drift_matrix(columns, d)
+    coeffs = characteristic_polynomial(branches, d)
+    a = drift_matrix(branches, d)
     for reference in (matrix_charpoly(a), matrix_charpoly(a.astype(np.longdouble))):
         assert np.all(np.abs(coeffs - reference) <= 1e-10 * np.abs(reference))
     assert coeffs.shape == (len(branches), 7)
-    for branch, row in zip(branches, coeffs):
-        assert characteristic_polynomial(branch, d).tobytes() == row.tobytes()
+    for i, row in enumerate(coeffs):
+        assert (characteristic_polynomial(branches[i:i + 1], d).tobytes()
+                == row.tobytes())
 
 
 @settings(max_examples=80, **PROPERTY)
@@ -130,7 +133,7 @@ def test_closed_form_charpoly_matches_recurrence(data, detunings):
 def test_stacked_evaluation_equals_single_rows(data, detunings):
     params = drawn_params(data)
     d = derive_quantities(params)
-    branches = BranchColumns.of(drawn_branches(params, d, detunings))
+    branches = drawn_branches(params, d, detunings)
     verdicts, measures = evaluate_branches(branches, d, full=True)
     for i, (verdict, measure) in enumerate(zip(verdicts, measures)):
         (alone_verdict,), (alone,) = evaluate_branches(branches[i:i + 1], d, full=True)
@@ -276,10 +279,7 @@ def test_grid_solve_equals_scalar_solve(data):
              [solve_mean_field(params, delta_c=x, d=d) for x in delta_c]),
             (solve_mean_field_grid([d], params.cavity.detuning, eta),
              [solve_mean_field(params, power=p, d=d) for p in power])):
-        expected = [(i, b) for i, branches in enumerate(per_point) for b in branches]
-        assert grid.index.tolist() == [i for i, _ in expected]
-        assert grid.label.tolist() == [b.label for _, b in expected]
-        assert grid.degenerate.tolist() == [b.degenerate for _, b in expected]
-        for name in ("n", "alpha", "Delta"):
-            assert _signed(zip(getattr(grid, name).tolist(), grid.degenerate.tolist())) \
-                == _signed((getattr(b, name), b.degenerate) for _, b in expected)
+        assert grid.index.tolist() == [i for i, branches in enumerate(per_point)
+                                       for _ in range(len(branches))]
+        assert branch_rows(grid) == [row for branches in per_point
+                                     for row in branch_rows(branches)]

