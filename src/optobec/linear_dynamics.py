@@ -37,6 +37,12 @@ LYAPUNOV_RESIDUAL_RTOL = 1e-8
 #: of each other.
 LYAPUNOV_STACK_ROWS = 128
 
+#: Most rows of a stack that :func:`is_stable` takes row by row through the
+#: list-based Routh table: a cubic has at most three real roots, so a single
+#: configuration has at most three branches, and on so few rows the table in
+#: Python floats costs less than the stacked recurrence's numpy calls.
+ROUTH_TABLE_ROWS = 3
+
 
 class NumericalError(RuntimeError):
     """A linear solve hit a singular or marginal system."""
@@ -123,13 +129,19 @@ def characteristic_polynomial(branches, d) -> np.ndarray:
     configuration (``d`` as in :func:`per_row`), so a row costs two
     products and two sums of 7-vectors: (kappa^2 + Delta^2) and
     Delta alpha^2 are the only per-branch inputs.  N branches give
-    ``(N, 7)``, each row with the operations it gets on its own.
+    ``(N, 7)``, each row with the operations it gets on its own.  A
+    coefficient that leaves the float range raises :class:`NumericalError`,
+    so no Routh test sees it.
     """
     alpha, delta = branches.alpha, branches.Delta
-    kappa_sq, both, fixed, coupling = per_row(
-        d, branches.group, _charpoly_terms).swapaxes(-2, 0)
-    return ((delta * delta + kappa_sq[..., 0])[:, None] * both + fixed
-            - (delta * (alpha * alpha))[:, None] * coupling)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa_sq, both, fixed, coupling = per_row(
+            d, branches.group, _charpoly_terms).swapaxes(-2, 0)
+        coeffs = ((delta * delta + kappa_sq[..., 0])[:, None] * both + fixed
+                  - (delta * (alpha * alpha))[:, None] * coupling)
+    if not np.isfinite(coeffs).all():
+        raise NumericalError("characteristic polynomial leaves the float range")
+    return coeffs
 
 
 def _charpoly_terms(d: DerivedQuantities) -> np.ndarray:
@@ -204,9 +216,10 @@ def _sign_changes(column) -> int:
 def _routh_table_verdict(coeffs: List[float]) -> str:
     """Verdict of one polynomial from the list-based Routh table.
 
-    Handles the cases the stacked recurrence in :func:`is_stable` leaves
-    out: an exact-zero first-column entry (epsilon or auxiliary row) and a
-    non-positive leading coefficient (``ValueError``).
+    Every row of a small stack goes through it, and the rows of a large one
+    that the stacked recurrence leaves out: an exact-zero first-column
+    entry (epsilon or auxiliary row) and a non-positive leading coefficient
+    (``ValueError``).
     """
     if len(coeffs) < 2:
         raise ValueError("polynomial must have degree >= 1")
@@ -247,6 +260,22 @@ def _routh_columns(monic: np.ndarray) -> np.ndarray:
     return table[:, 0]
 
 
+def _stacked_verdicts(stack: np.ndarray) -> List[str]:
+    """Verdicts of an ``(N, n + 1)`` stack through :func:`_routh_columns`."""
+    lead = stack[:, -1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        monic = stack / lead[:, None]
+        column = _routh_columns(monic)
+    # min() keeps a NaN, which then fails the comparison
+    stable = np.minimum(monic.min(axis=1), column.min(axis=0)) > 0.0
+    verdicts = ["stable" if s else "unstable" for s in stable.tolist()]
+    plain = column.all(axis=0) & (lead > 0.0)
+    if not plain.all():
+        for i in np.flatnonzero(~plain):
+            verdicts[i] = _routh_table_verdict(stack[i].tolist())
+    return verdicts
+
+
 def is_stable(coeffs) -> Union[str, List]:
     """Routh-Hurwitz verdict for monic polynomials, ascending coefficients.
 
@@ -260,27 +289,23 @@ def is_stable(coeffs) -> Union[str, List]:
     auxiliary-row replacement reveals imaginary-axis roots without any
     right-half-plane ones.
 
-    The whole stack runs through one Routh recurrence: a row is ``stable``
-    iff every coefficient and every first-column entry is positive.  Only a
-    row with an exact-zero first-column entry or a non-positive leading
-    coefficient goes through the list-based table, which adds the epsilon
-    and auxiliary rows (or raises ``ValueError``).
+    A stack of at most ``ROUTH_TABLE_ROWS`` rows goes row by row through
+    the list-based table, which adds the epsilon and auxiliary rows (or
+    raises ``ValueError``).  A larger stack runs through one Routh
+    recurrence: a row is ``stable`` iff every coefficient and every
+    first-column entry is positive.  Only a row with an exact-zero
+    first-column entry or a non-positive leading coefficient goes through
+    the list-based table.  Both take the same operations in the same order,
+    so a row gets the same verdict in a stack of any size.
     """
     c = np.asarray(coeffs, dtype=float)
     if c.ndim == 0 or c.shape[-1] < 2:
         raise ValueError("polynomial must have degree >= 1")
     stack = c.reshape(-1, c.shape[-1])
-    lead = stack[:, -1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        monic = stack / lead[:, None]
-        column = _routh_columns(monic)
-    # min() keeps a NaN, which then fails the comparison
-    stable = np.minimum(monic.min(axis=1), column.min(axis=0)) > 0.0
-    verdicts = ["stable" if s else "unstable" for s in stable.tolist()]
-    plain = column.all(axis=0) & (lead > 0.0)
-    if not plain.all():
-        for i in np.flatnonzero(~plain):
-            verdicts[i] = _routh_table_verdict(stack[i].tolist())
+    if len(stack) <= ROUTH_TABLE_ROWS:
+        verdicts = [_routh_table_verdict(row) for row in stack.tolist()]
+    else:
+        verdicts = _stacked_verdicts(stack)
     if c.ndim == 1:
         return verdicts[0]
     if c.ndim == 2:
@@ -341,8 +366,9 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     batch = a.shape[:-2]
     a_rows = a.reshape(-1, n, n)
     d_rows = np.broadcast_to(d, batch + (n, n)).reshape(-1, n, n)
-    # an empty stack is one empty piece
+    if len(a_rows) <= LYAPUNOV_STACK_ROWS:   # one piece, perhaps empty
+        return _solve_lyapunov_rows(a_rows, d_rows, 0).reshape(batch + (n, n))
     pieces = [_solve_lyapunov_rows(a_rows[start:start + LYAPUNOV_STACK_ROWS],
                                    d_rows[start:start + LYAPUNOV_STACK_ROWS], start)
-              for start in range(0, max(len(a_rows), 1), LYAPUNOV_STACK_ROWS)]
+              for start in range(0, len(a_rows), LYAPUNOV_STACK_ROWS)]
     return np.concatenate(pieces).reshape(batch + (n, n))

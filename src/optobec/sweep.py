@@ -38,11 +38,11 @@ cooling and entanglement curves.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import groupby, islice, product, repeat
+from json.encoder import encode_basestring_ascii
 from operator import add, is_
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -66,8 +66,10 @@ CSV_COLUMNS = (
     "degenerate", "delta_n_m", "delta_n_c",
     "e_n_mirror_field", "e_n_atom_field", "e_n_mirror_atom",
 )
-# bipartitions of the three e_n_* columns, in column order
-_SPLITS = (gm.MIRROR_FIELD, gm.ATOM_FIELD, gm.MIRROR_ATOM)
+# row and column indices that gather the 4x4 covariances of the bipartitions
+# of the three e_n_* columns, in column order, out of a (N, 6, 6) stack
+_SPLIT_ROWS = np.array([gm.MIRROR_FIELD, gm.ATOM_FIELD, gm.MIRROR_ATOM])[:, :, None]
+_SPLIT_COLUMNS = _SPLIT_ROWS.swapaxes(1, 2)
 
 #: Most stable rows whose covariances and measures :func:`evaluate_branches`
 #: holds at once: a full-mode stack goes through in pieces of this many, so
@@ -200,13 +202,12 @@ def evaluate_branches(branches: BranchColumns, d, full: bool = False
         piece = branches[rows]
         v = solve_lyapunov(drift_matrix(piece, d),
                            per_row(d, piece.group, diffusion_matrix))
-        splits = np.stack([gm.reduce_bipartition(v, bp) for bp in _SPLITS])
         try:
-            e_n = gm.log_negativity(splits).log_negativity
+            e_n = gm.log_negativity(v[:, _SPLIT_ROWS, _SPLIT_COLUMNS]).log_negativity
         except ValueError as exc:   # the covariance is not physical
             raise NumericalError(str(exc)) from exc
-        columns = np.stack([gm.mirror_phonons(v), gm.bogoliubov_excitations(v),
-                            *e_n], axis=1)
+        columns = np.column_stack([gm.mirror_phonons(v),
+                                   gm.bogoliubov_excitations(v), e_n])
         for i, row in zip(rows.tolist(), columns.tolist()):
             measures[i] = row
     return verdicts, measures
@@ -390,8 +391,51 @@ def as_dict(obj):
 
 
 def to_json(doc) -> str:
-    """Report text: sorted keys, two-space indent, one trailing newline."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Report text: sorted keys, two-space indent, one trailing newline.
+
+    The bytes the ``json`` module writes with ``indent=2`` and
+    ``sort_keys=True``, plus the newline, without the pure-Python encoder
+    it falls back to whenever it indents.  Dict keys must be str; a value
+    other than a dict, list, tuple, str, int, float, bool or None raises
+    ``TypeError``.
+    """
+    return _json_text(doc, "\n") + "\n"
+
+
+# float.__repr__ of the non-finite floats, and json's names for them
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(x, newline: str) -> str:
+    """``x`` as indented JSON, with ``newline`` (a newline and the indent of
+    ``x``'s line) before each line of it after the first."""
+    if isinstance(x, float):
+        text = float.__repr__(x)
+        return _JSON_NON_FINITE.get(text, text)
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(key) + ": " + _json_text(value, inner)
+            for key, value in sorted(x.items())]) + newline + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([
+            _json_text(value, inner) for value in x]) + newline + "]"
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def report_dict(rows: SweepTable, spec: Optional[SweepSpec] = None) -> Dict:

@@ -54,11 +54,15 @@ def test_point_report(tmp_path, capsys):
                 "e_n_atom_field", "e_n_mirror_atom"}
 
 
-# First 16 hex digits of the sha256 of the `point` report of BASE_CONFIG
-# with these changes, and the label, stability and measured flag of each
-# branch.
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+# First 16 hex digits of the sha256 of the `point` report of a config file
+# in DATA, or of BASE_CONFIG with these changes, and the label, stability
+# and measured flag of each branch.  The CI workflow checks the report of
+# point_bistable.json (BASE_CONFIG at 0.1 W) from the installed script
+# against the same digest.
 POINT_LOCK = [
-    ({"drive": {"power": 0.1}}, "84ef776feeb0d11b",
+    ("point_bistable.json", "84ef776feeb0d11b",
      [("lower", "stable", True), ("middle", "unstable", False),
       ("upper", "unstable", False)]),
     ({"bec": dict(BASE_CONFIG["bec"], present=False)}, "cf8d98c41b60e542",
@@ -67,17 +71,19 @@ POINT_LOCK = [
 ]
 
 
-@pytest.mark.parametrize("changes, digest, branches", POINT_LOCK,
+@pytest.mark.parametrize("config, digest, branches", POINT_LOCK,
                          ids=["bistable", "no_bec", "stable"])
-def test_point_report_lock(changes, digest, branches, tmp_path, capsys):
-    path = write_config(tmp_path, **changes)
+def test_point_report_lock(config, digest, branches, tmp_path, capsys):
+    path = (os.path.join(DATA, config) if isinstance(config, str)
+            else write_config(tmp_path, **config))
     assert main(["point", "--config", path]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
     report = json.loads(out)["branches"]
     assert [(b["label"], b["stability"], b["measures"] is not None)
             for b in report] == branches
-    if "bec" in changes:   # no condensate: its displacement is zero
+    if isinstance(config, dict) and "bec" in config:
+        # no condensate: its displacement is zero
         assert all(b["Q_s"] == b["P_s"] == 0.0 for b in report)
 
 
@@ -349,6 +355,32 @@ def test_out_of_range_pull_drive_and_detuning(command, changes, code, named,
     captured = capsys.readouterr()
     assert captured.err.startswith(named)
     assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, sweep, named", [
+    ("point", None,
+     "numerical failure: characteristic polynomial leaves the float range"),
+    ("sweep", {"variable": "omega_sw", "lo": 0.0, "hi": 1e290, "points": 5,
+               "mode": "full"},
+     "numerical failure: base: omega_sw=1.57079632679e+297, branch unique: "
+     "characteristic polynomial leaves the float range"),
+], ids=["point_sw_1e290", "omega_sw_sweep_1e290"])
+def test_overflowing_characteristic_polynomial_exit_code(command, sweep, named,
+                                                         tmp_path, capsys):
+    """A collisional frequency whose characteristic polynomial leaves the
+    float range is a numerical failure, not an `unstable` verdict; a sweep
+    names its first failing value and branch."""
+    doc = dict(NO_BEC_NORMALIZED, bec={
+        "present": True, "coupling": 5.16e-6, "recoil": 0.1, "damping": 5e-4,
+        "sw_frequency": 1e290})
+    if sweep is not None:
+        doc["sweep"] = sweep
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == named + "\n"
     assert captured.out == ""
 
 

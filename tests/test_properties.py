@@ -5,6 +5,7 @@ Hypothesis runs derandomized with a bounded number of examples, so every
 run checks the same configurations.
 """
 
+import json
 import math
 import pathlib
 import sys
@@ -18,12 +19,13 @@ from optobec import (characteristic_polynomial, derive_quantities,
                      diffusion_matrix, drift_matrix, evaluate_branches,
                      is_stable, solve_lyapunov, solve_mean_field)
 from optobec.config import params_from_dict
-from optobec.linear_dynamics import _routh_table_verdict
+from optobec.linear_dynamics import ROUTH_TABLE_ROWS, _routh_table_verdict
 from optobec.model import drive_rate
 from optobec.steady_state import (BranchColumns, _real_cubic_roots,
                                   _stacked_cubic_roots,
                                   imposed_detuning_branches,
                                   solve_mean_field_grid)
+from optobec.sweep import to_json
 
 from oracles import branch_rows, matrix_charpoly
 
@@ -153,6 +155,9 @@ AXIS_ROOTS = {3: [[1.0, 1.0, 1.0, 1.0]],
               4: [[1.0, 1.0, 2.0, 1.0, 1.0]],
               6: [[1.0, 3.0, 5.0, 6.0, 5.0, 3.0, 1.0],
                   [1.0, 4.0, 7.0, 8.0, 7.0, 4.0, 1.0]]}
+# Polynomials with positive coefficients whose table meets a zero pivot in a
+# row that is not all zero (the epsilon case, no auxiliary row).
+EPSILON_PIVOTS = {3: [], 4: [[1.0, 1.0, 1.0, 1.0, 1.0]], 6: [[1.0] * 7]}
 
 
 @st.composite
@@ -168,27 +173,51 @@ def coefficient_stacks(draw):
     coefficient = st.one_of(st.integers(-1, 3).map(float), st.floats(-1.0, 50.0))
     arbitrary = st.builds(lambda c, top: c + [top],
                           st.lists(coefficient, min_size=degree, max_size=degree), lead)
-    rows = st.one_of(hurwitz, arbitrary, st.sampled_from(AXIS_ROOTS[degree]))
-    return np.array(draw(st.lists(rows, min_size=1, max_size=12)))
+    zero_pivot = st.sampled_from(AXIS_ROOTS[degree] + EPSILON_PIVOTS[degree])
+    rows = st.one_of(hurwitz, arbitrary, zero_pivot)
+    # more rows than the list-based lane takes, and at least one exact-zero
+    # first-column entry among them
+    stack = draw(st.lists(rows, min_size=ROUTH_TABLE_ROWS, max_size=12))
+    stack.insert(draw(st.integers(0, len(stack))), draw(zero_pivot))
+    return np.array(stack)
 
 
 @settings(max_examples=200, **PROPERTY)
 @given(coefficient_stacks())
 def test_stacked_verdicts_equal_routh_table(stack):
+    assert len(stack) > ROUTH_TABLE_ROWS   # the stacked recurrence runs
     assert is_stable(stack) == [_routh_table_verdict(row) for row in stack.tolist()]
 
 
+@settings(max_examples=50, **PROPERTY)
+@given(coefficient_stacks())
+def test_small_stacks_agree_with_whole_stack(stack):
+    """Every slice of 1-3 rows, which goes through the list-based table, gets
+    the verdicts of its rows in the whole stack, which goes through the
+    stacked recurrence."""
+    whole = is_stable(stack)
+    for size in range(1, ROUTH_TABLE_ROWS + 1):
+        for start in range(len(stack) - size + 1):
+            assert is_stable(stack[start:start + size]) == whole[start:start + size]
+
+
 def test_stacked_verdicts_fall_back_on_zero_pivots():
-    # (s+1)(s+2)(s+3) is Hurwitz; s^3 + s^2 - s + 1 has a negative coefficient
-    assert is_stable([AXIS_ROOTS[3][0], [6.0, 11.0, 6.0, 1.0], [1.0, -1.0, 1.0, 1.0]]) \
-        == ["marginal", "stable", "unstable"]
-    # (s+1)^6 next to the degree-6 axis-root polynomials
-    stack = np.array([[1.0, 6.0, 15.0, 20.0, 15.0, 6.0, 1.0], *AXIS_ROOTS[6]])
-    assert is_stable(stack) == ["stable", "marginal", "stable"]
-    assert is_stable(stack[None]) == [["stable", "marginal", "stable"]]
-    assert is_stable(stack[:0]) == []
-    with pytest.raises(ValueError):
-        is_stable([[2.0, 3.0, 1.0], [1.0, 2.0, 0.0]])
+    # three rows take the list-based table, two copies of them (six rows)
+    # the stacked recurrence
+    for copies in (1, 2):
+        # (s+1)(s+2)(s+3) is Hurwitz; s^3 + s^2 - s + 1 has a negative
+        # coefficient
+        assert is_stable([AXIS_ROOTS[3][0], [6.0, 11.0, 6.0, 1.0],
+                          [1.0, -1.0, 1.0, 1.0]] * copies) \
+            == ["marginal", "stable", "unstable"] * copies
+        # (s+1)^6 next to the degree-6 axis-root polynomials
+        stack = np.array([[1.0, 6.0, 15.0, 20.0, 15.0, 6.0, 1.0],
+                          *AXIS_ROOTS[6]] * copies)
+        assert is_stable(stack) == ["stable", "marginal", "stable"] * copies
+        assert is_stable(stack[None]) == [["stable", "marginal", "stable"] * copies]
+        assert is_stable(stack[:0]) == []
+        with pytest.raises(ValueError):
+            is_stable([[2.0, 3.0, 1.0], [1.0, 2.0, 0.0]] * copies)
 
 
 def _knee_row(r, s, scale, nudge):
@@ -283,3 +312,41 @@ def test_grid_solve_equals_scalar_solve(data):
                                        for _ in range(len(branches))]
         assert branch_rows(grid) == [row for branches in per_point
                                      for row in branch_rows(branches)]
+
+
+# ASCII, quotes, a backslash, control characters and non-ASCII text: Latin-1,
+# two- and three-byte characters, a line separator, a lone surrogate and an
+# astral-plane character
+_JSON_TEXT = st.text(st.sampled_from(
+    '"\\/ aZ09\x00\x01\x08\x0c\x1f\x7f\t\n\r\xe9\xffĀ€\u2028\ud800\uffff\U0001f600'))
+# numpy's float64 is a float subclass, which json writes as a float
+_JSON_FLOATS = st.one_of(
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-308, 1e16, 1e-7, math.nan,
+                     math.inf, -math.inf]))
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), _JSON_FLOATS, _JSON_TEXT, st.integers(),
+    st.integers(2 ** 63, 2 ** 200).flatmap(lambda n: st.sampled_from([n, -n])))
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5), st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_JSON_TEXT, children, max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=150, **PROPERTY)
+@given(_JSON_DOCS)
+def test_to_json_equals_json_dumps(doc):
+    assert to_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"bytes", 1j, np.float32(1.0),
+                                   np.int64(1), np.bool_(True)],
+                         ids=["set", "bytes", "complex", "float32", "int64", "bool_"])
+def test_to_json_rejects_what_json_rejects(value):
+    doc = {"rows": [{"value": value}]}
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        to_json(doc)
