@@ -578,3 +578,41 @@ def test_failure_names_its_configuration(labels, error, message):
     with pytest.raises(getattr(optobec, error)) as info:
         run_sweep(_failing_variants(*labels))
     assert str(info.value).startswith(message)
+
+
+def test_failures_across_stages_come_out_in_sweep_order(monkeypatch):
+    """An evaluation failure at the first point is reported before the
+    overflowing cubic of the later points, as in a point-by-point run."""
+    import optobec.sweep as sweep
+    from optobec import NumericalError
+
+    def boom(a, d):
+        raise NumericalError("singular covariance system")
+
+    monkeypatch.setattr(sweep, "solve_lyapunov", boom)
+    kappa = reference_kappa()
+    spec = SweepSpec("delta_c", 4.0 * kappa, 1e60 * kappa, 5,
+                     baseline_params(power=0.05), mode="full", bec="both")
+    with pytest.raises(NumericalError,
+                       match=r"^base/bec: delta_c=125576771\.154, branch unique: "
+                             "singular covariance system$"):
+        run_sweep(spec)
+
+
+def test_stack_only_failure_is_raised_unnamed(monkeypatch):
+    """A failure that no single point repeats is raised as it is."""
+    import optobec.sweep as sweep
+    from optobec import NumericalError
+
+    verdicts = sweep.is_stable
+
+    def stack_only(coefficients):
+        if len(coefficients) > 1:
+            raise NumericalError("stack-only failure")
+        return verdicts(coefficients)
+
+    monkeypatch.setattr(sweep, "is_stable", stack_only)
+    spec = SweepSpec("Delta_effective", MIRROR_FREQ, 1.2 * MIRROR_FREQ, 5,
+                     baseline_params(power=0.05), mode="full")
+    with pytest.raises(NumericalError, match="^stack-only failure$"):
+        run_sweep(spec)
