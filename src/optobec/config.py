@@ -18,7 +18,9 @@ units, ``power`` always in watts.
 
 When the ``bec`` section is omitted the condensate is absent; its decoupled
 reference mode keeps a nonzero recoil and damping (0.1 mirror frequencies
-and 1e-3 kappa) so the full covariance solve stays well-posed.
+and 1e-3 kappa, in rad/s in both unit modes) so the full covariance solve
+stays well-posed.  A section with ``present: false`` that leaves out
+``recoil`` or ``damping`` takes the same value for it.
 """
 
 from __future__ import annotations
@@ -111,23 +113,21 @@ def params_from_dict(doc: Dict) -> SystemParams:
         frequency=omega_m,
         quality=_number(mir, "mirror", "quality"),
         temperature=_number(mir, "mirror", "temperature", 0.0))
-    if bec is None:
-        condensate = BecParams(present=False, coupling=0.0, sw_frequency=0.0,
-                               recoil=0.1 * omega_m, damping=1e-3 * kappa,
-                               temperature=0.0)
-    else:
+    condensate = BecParams(present=False, coupling=0.0, sw_frequency=0.0,
+                           recoil=0.1 * omega_m, damping=1e-3 * kappa,
+                           temperature=0.0)
+    if bec is not None:
         _check_keys(bec, "bec", ("present", "coupling", "sw_frequency",
                                  "recoil", "damping", "temperature"))
         present = bec.get("present", True)
         if not isinstance(present, bool):
             raise ConfigError("bec.present: must be a boolean")
-        condensate = BecParams(
-            present=present,
-            coupling=_number(bec, "bec", "coupling", 0.0) * freq_unit,
-            sw_frequency=_number(bec, "bec", "sw_frequency", 0.0) * freq_unit,
-            recoil=_number(bec, "bec", "recoil", 0.0) * freq_unit,
-            damping=_number(bec, "bec", "damping", 0.0) * freq_unit,
-            temperature=_number(bec, "bec", "temperature", 0.0))
+        # a decoupled mode keeps the omitted section's rates that it leaves out
+        rates = {key: _number(bec, "bec", key, 0.0) * freq_unit
+                 for key in ("coupling", "sw_frequency", "recoil", "damping")
+                 if present or key in bec}
+        condensate = replace(condensate, present=present, **rates,
+                             temperature=_number(bec, "bec", "temperature", 0.0))
     drive = DriveParams(power=_number(drv, "drive", "power"))
 
     xi_override = None

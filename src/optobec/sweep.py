@@ -14,6 +14,11 @@ it would get on its own, so emitted bytes are deterministic and independent
 of the stacking.  The rows stay columns (:class:`SweepTable`) from there to
 the CSV text and the JSON report.
 
+A stack that fails is replayed point by point in sweep order (derive,
+solve, then each branch on its own), and the first failure of the replay
+is raised with its configuration, value and, if evaluating a branch
+failed, branch: the failure a point-by-point run would hit first.
+
 Swept variables:
 
 * ``delta_c``          detuning offset, full self-consistent branch solve,
@@ -40,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import groupby, islice, product, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add, is_
@@ -52,8 +56,8 @@ from . import gaussian_measures as gm
 from .linear_dynamics import (NumericalError, characteristic_polynomial,
                               diffusion_matrix, drift_matrix, is_stable,
                               per_row, solve_lyapunov)
-from .model import (HBAR, DerivedQuantities, ParameterError, SystemParams,
-                    derive_quantities, drive_rate)
+from .model import (HBAR, ParameterError, SystemParams, derive_quantities,
+                    drive_rate)
 from .steady_state import (BranchColumns, imposed_detuning_branches,
                            solve_mean_field_grid)
 
@@ -225,15 +229,16 @@ def _point_params(variable: str, value: float, params: SystemParams) -> SystemPa
     return replace(params, xi_override=value)
 
 
-def _grid_branches(variable: str, values: Sequence[float], configs, ds,
-                   points: np.ndarray) -> BranchColumns:
-    """Branches of sweep points as one grid, as columns.
+def _grid_branches(variable: str, values: Sequence[float], configs,
+                   ds) -> BranchColumns:
+    """Branches of every sweep point as one grid, as columns.
 
     Point ``p`` is configuration ``p // len(values)`` at grid value
     ``p % len(values)``.  Its group, which indexes ``ds``, is ``p`` for an
     ``omega_sw`` or ``xi`` sweep and its configuration otherwise.  A
-    branch's ``index`` is the position of its point in ``points``.
+    branch's ``index`` is its point.
     """
+    points = np.arange(len(configs) * len(values))
     config, column = np.divmod(points, len(values))
     group = points if variable in _PER_POINT else config
     value = np.array(values)[column]
@@ -264,77 +269,56 @@ def _named(exc: Exception, config: str, variable: str, value: float,
 
 def _sweep_branches(variable: str, values: List[float],
                     configs: List[Tuple[str, SystemParams]]):
-    """``(ds, branches, failure)``: the branches of a sweep as columns, the
-    derived quantities their groups index, and ``(p, error)`` for the first
-    sweep point ``p`` that fails to derive or solve (None if none does).
+    """``(ds, branches)``: the branches of a sweep as columns, and the
+    derived quantities their groups index.
 
-    Point ``p`` is configuration ``p // len(values)`` at grid value
-    ``p % len(values)``, and a branch's ``index`` is its point.  Each group
-    (a configuration, or a point of an ``omega_sw`` or ``xi`` sweep) is
-    derived once, until one fails to derive, which fails at its first
-    point.  The points of the derived groups go through as one grid.  The
-    branches stop before the failing point, so that the points before it
-    are evaluated first and an earlier failure is the one reported, as in a
-    point-by-point run.
+    Each group (a configuration, or a point of an ``omega_sw`` or ``xi``
+    sweep) is derived once, and every point goes through one grid (see
+    :func:`_grid_branches`).  A failure to derive or solve propagates.
     """
-    per_point = variable in _PER_POINT
-    size = 1 if per_point else len(values)   # points per group
     groups = ((_point_params(variable, value, params)
                for (_, params), value in product(configs, values))
-              if per_point else (params for _, params in configs))
-    ds: List[DerivedQuantities] = []
-    failure = None
-    try:
-        for params in groups:
-            ds.append(derive_quantities(params))
-    except (ParameterError, NumericalError) as exc:
-        failure = (len(ds) * size, exc)
-    if not ds:   # no branch: every column empty
-        return ds, BranchColumns(*np.zeros((7, 0), dtype=int)), failure
-    solve = partial(_grid_branches, variable, values, configs, ds)
-    stack = np.arange(len(ds) * size)
-    try:
-        return ds, solve(stack), failure
-    except (ParameterError, NumericalError):
-        # solve point by point, so that the first failing point is named
-        for p in stack.tolist():
-            try:
-                solve(stack[p:p + 1])
-            except (ParameterError, NumericalError) as exc:
-                return ds, solve(stack[:p]), (p, exc)
-        raise
+              if variable in _PER_POINT else (params for _, params in configs))
+    ds = [derive_quantities(params) for params in groups]
+    return ds, _grid_branches(variable, values, configs, ds)
+
+
+def _replay(variable: str, values: List[float],
+            configs: List[Tuple[str, SystemParams]], full: bool) -> None:
+    """Re-run a failed sweep point by point, in sweep order, and raise its
+    first failure named by configuration and value, and by branch if the
+    failure came from evaluating that branch rather than from deriving or
+    solving its point.  Returns if no single point fails."""
+    for (config, params), value in product(configs, values):
+        label = None
+        try:
+            ds, branches = _sweep_branches(variable, [value], [(config, params)])
+            for i, label in enumerate(branches.label.tolist()):
+                evaluate_branches(branches[i:i + 1], ds, full)
+        except (ParameterError, NumericalError) as exc:
+            raise _named(exc, config, variable, value, label) from exc
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the sweep; rows are grouped by configuration, ascending value.
 
-    The branches of all configurations go through one
-    :func:`evaluate_branches` call.  When it fails, it is re-run branch by
-    branch, so the error names the configuration, value and branch of the
-    first failing row in sweep order; a failure that no single branch
-    repeats is raised as it is.
+    Every configuration is derived, solved and evaluated as one stack
+    (:func:`_sweep_branches`, one :func:`evaluate_branches` call).  When
+    the stack fails, the sweep is replayed point by point, so the error
+    names the configuration, value and branch of the first failure a
+    point-by-point run hits; a failure that no single point repeats is
+    raised as it is.
     """
     grid = np.linspace(spec.lo, spec.hi, spec.points)
     configs = _expand_configs(spec)
-    ds, branches, failure = _sweep_branches(spec.variable, grid.tolist(), configs)
+    try:
+        ds, branches = _sweep_branches(spec.variable, grid.tolist(), configs)
+        verdicts, measures = evaluate_branches(branches, ds, spec.mode == "full")
+    except (ParameterError, NumericalError):
+        _replay(spec.variable, grid.tolist(), configs, spec.mode == "full")
+        raise
     config = np.array(configs, dtype=object)[branches.index // spec.points, 0].tolist()
     value = grid[branches.index % spec.points].tolist()
-    try:
-        # no branch: the first point failed, perhaps before any derive
-        verdicts, measures = (evaluate_branches(branches, ds, spec.mode == "full")
-                              if len(branches) else ([], []))
-    except NumericalError:
-        for i in range(len(branches)):
-            try:
-                evaluate_branches(branches[i:i + 1], ds, spec.mode == "full")
-            except NumericalError as exc:
-                raise _named(exc, config[i], spec.variable, value[i],
-                             branches.label[i]) from exc
-        raise
-    if failure is not None:
-        p, exc = failure
-        raise _named(exc, configs[p // spec.points][0], spec.variable,
-                     grid[p % spec.points]) from exc
     return SweepTable(config=config, value=value, branch=branches.label.tolist(),
                       n=branches.n.tolist(), alpha=branches.alpha.tolist(),
                       Delta=branches.Delta.tolist(), stability=verdicts,

@@ -358,6 +358,18 @@ def test_out_of_range_pull_drive_and_detuning(command, changes, code, named,
     assert captured.out == ""
 
 
+def test_cubic_overflow_file_is_the_1e60_sweep(tmp_path, capsys):
+    """sweep_cubic_overflow.json, which CI runs through the installed
+    script, is the delta_c_sweep_1e60 case above and fails as it does."""
+    path = os.path.join(DATA, "sweep_cubic_overflow.json")
+    with open(path) as handle:
+        assert json.load(handle) == dict(NO_BEC_NORMALIZED, sweep={
+            "variable": "delta_c", "lo": -1e60, "hi": 1e60, "points": 5})
+    assert main(["sweep", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: base: delta_c=-3.13941927885e+67: mean-field cubic")
+
+
 @pytest.mark.parametrize("command, sweep, named", [
     ("point", None,
      "numerical failure: characteristic polynomial leaves the float range"),
@@ -382,6 +394,26 @@ def test_overflowing_characteristic_polynomial_exit_code(command, sweep, named,
     captured = capsys.readouterr()
     assert captured.err == named + "\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("units", ["normalized", "si"])
+def test_decoupled_bec_section_equals_omitted_section(units, tmp_path, capsys):
+    """A ``bec`` section with ``present: false`` that leaves out recoil and
+    damping gives the report of the same config without the section."""
+    if units == "normalized":
+        doc = dict(NO_BEC_NORMALIZED,
+                   cavity=dict(NO_BEC_NORMALIZED["cavity"], detuning=4.0))
+    else:
+        doc = {key: value for key, value in BASE_CONFIG.items() if key != "bec"}
+    reports = []
+    for section in ({}, {"bec": {"present": False}}):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(doc, **section)))
+        assert main(["point", "--config", str(path)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert [branch["stability"] for branch in json.loads(reports[0])["branches"]
+            ] == ["stable"]
 
 
 def _singular_covariance(a, d):

@@ -353,7 +353,7 @@ def test_lyapunov_matches_eigenbasis_oracle(fig_id):
     1e-12 relative wherever the eigenbasis is well conditioned."""
     spec = figure_preset(fig_id)
     values = np.linspace(spec.lo, spec.hi, spec.points).tolist()
-    ds, branches, _ = _sweep_branches(spec.variable, values, _expand_configs(spec))
+    ds, branches = _sweep_branches(spec.variable, values, _expand_configs(spec))
     verdicts = is_stable(characteristic_polynomial(branches, ds))
     stable = [i for i, verdict in enumerate(verdicts) if verdict == "stable"]
     a = drift_matrix(branches, ds)[stable]

@@ -299,9 +299,8 @@ def test_batch_equals_single_rows(spec):
     """Every row of a sweep's stacked evaluation, all configurations in one
     stack, is bit-equal to the row on its own with its configuration's d."""
     values = [float(v) for v in np.linspace(spec.lo, spec.hi, spec.points)]
-    ds, branches, failure = _sweep_branches(spec.variable, values,
-                                            _expand_configs(spec))
-    assert failure is None and len(set(branches.group.tolist())) == len(ds) > 1
+    ds, branches = _sweep_branches(spec.variable, values, _expand_configs(spec))
+    assert len(set(branches.group.tolist())) == len(ds) > 1
     verdicts, measures = evaluate_branches(branches, ds, full=True)
     assert len(verdicts) == len(measures) == len(branches)
     for i, (verdict, measure) in enumerate(zip(verdicts, measures)):
@@ -382,9 +381,7 @@ def test_grid_rows_equal_scalar_solve(spec, labels):
     """Every branch of a sweep's stacked cubic is bit-equal to the scalar
     solve_mean_field at its grid value."""
     values = [float(v) for v in np.linspace(spec.lo, spec.hi, spec.points)]
-    _, branches, failure = _sweep_branches(spec.variable, values,
-                                           _expand_configs(spec))
-    assert failure is None
+    _, branches = _sweep_branches(spec.variable, values, _expand_configs(spec))
     expected, index = [], []
     for p, ((_, params), value) in enumerate(
             itertools.product(_expand_configs(spec), values)):
