@@ -113,21 +113,22 @@ def params_from_dict(doc: Dict) -> SystemParams:
         frequency=omega_m,
         quality=_number(mir, "mirror", "quality"),
         temperature=_number(mir, "mirror", "temperature", 0.0))
-    condensate = BecParams(present=False, coupling=0.0, sw_frequency=0.0,
-                           recoil=0.1 * omega_m, damping=1e-3 * kappa,
-                           temperature=0.0)
+    # an omitted section's decoupled mode; a section sets the rates it gives,
+    # and a present condensate also zeroes the rates it leaves out
+    rates = dict(present=False, coupling=0.0, sw_frequency=0.0,
+                 recoil=0.1 * omega_m, damping=1e-3 * kappa, temperature=0.0)
     if bec is not None:
         _check_keys(bec, "bec", ("present", "coupling", "sw_frequency",
                                  "recoil", "damping", "temperature"))
         present = bec.get("present", True)
         if not isinstance(present, bool):
             raise ConfigError("bec.present: must be a boolean")
-        # a decoupled mode keeps the omitted section's rates that it leaves out
-        rates = {key: _number(bec, "bec", key, 0.0) * freq_unit
-                 for key in ("coupling", "sw_frequency", "recoil", "damping")
-                 if present or key in bec}
-        condensate = replace(condensate, present=present, **rates,
-                             temperature=_number(bec, "bec", "temperature", 0.0))
+        rates.update({key: _number(bec, "bec", key, 0.0) * freq_unit
+                      for key in ("coupling", "sw_frequency", "recoil", "damping")
+                      if present or key in bec},
+                     present=present,
+                     temperature=_number(bec, "bec", "temperature", 0.0))
+    condensate = BecParams(**rates)
     drive = DriveParams(power=_number(drv, "drive", "power"))
 
     xi_override = None
