@@ -229,8 +229,7 @@ def _point_params(variable: str, value: float, params: SystemParams) -> SystemPa
     return replace(params, xi_override=value)
 
 
-def _grid_branches(variable: str, values: Sequence[float], configs,
-                   ds) -> BranchColumns:
+def _grid_branches(variable: str, values: Sequence[float], configs, ds) -> BranchColumns:
     """Branches of every sweep point as one grid, as columns.
 
     Point ``p`` is configuration ``p // len(values)`` at grid value
