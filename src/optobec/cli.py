@@ -11,8 +11,8 @@ Exit codes: 0 success, 1 invalid configuration or usage, or an output path
 that cannot be made or written, 2 numerical failure (a singular or
 ill-conditioned Lyapunov solve, a covariance that is not physical, or a
 mean-field cubic or characteristic polynomial that leaves the float
-range).  A ``marginal`` Routh-Hurwitz verdict is reported in the stability
-field and does not change the exit code.
+range).  A ``marginal`` stability verdict is reported in the stability field
+and does not change the exit code.
 """
 
 from __future__ import annotations

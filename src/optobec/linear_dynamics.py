@@ -3,14 +3,17 @@ stability, and the stationary covariance.
 
 The fluctuation state vector is ordered [dX, dY, dq, dp, dQ, dP] (cavity
 quadratures, mirror quadratures, condensate-mode quadratures), with vacuum
-variance 1/2.  Stability is decided purely algebraically (Routh-Hurwitz)
-from the characteristic polynomial, which the drift's coupling pattern gives
-in closed form straight from a branch's alpha and Delta, with no matrix
-built.  A stack of branches may span configurations: each row gathers the
-constants of its own derived quantities (:func:`per_row`).  The stationary
-covariance V solves A V + V A^T = -D by direct Kronecker vectorization; at
-fixed size 6 the 36-unknown dense solve costs microseconds and stays free
-of any eigen/Schur machinery.
+variance 1/2.  Stability is decided purely algebraically, by the signs of
+closed-form Hurwitz determinants of the characteristic polynomial, which
+the drift's coupling pattern gives in closed form straight from a branch's
+alpha and Delta, with no matrix built.  A verdict is ``stable``,
+``marginal`` (one simple pair of roots on the imaginary axis, read from an
+exact zero determinant) or ``unstable`` (:func:`is_stable`).  A stack of
+branches may span configurations: each row gathers the constants of its own
+derived quantities (:func:`per_row`).  The stationary covariance V solves
+A V + V A^T = -D by direct Kronecker vectorization; at fixed size 6 the
+36-unknown dense solve costs microseconds and stays free of any eigen/Schur
+machinery.
 """
 
 from __future__ import annotations
@@ -37,11 +40,12 @@ LYAPUNOV_RESIDUAL_RTOL = 1e-8
 #: of each other.
 LYAPUNOV_STACK_ROWS = 128
 
-#: Most rows of a stack that :func:`is_stable` takes row by row through the
-#: list-based Routh table: a cubic has at most three real roots, so a single
-#: configuration has at most three branches, and on so few rows the table in
-#: Python floats costs less than the stacked recurrence's numpy calls.
-ROUTH_TABLE_ROWS = 3
+#: Most rows of a stack that :func:`is_stable` evaluates row by row in
+#: Python floats: a cubic has at most three real roots, so a single
+#: configuration has at most three branches, and on so few rows Python
+#: floats cost less than numpy calls.  A larger stack is evaluated on numpy
+#: columns.
+SMALL_STACK_ROWS = 3
 
 
 class NumericalError(RuntimeError):
@@ -131,7 +135,7 @@ def characteristic_polynomial(branches, d) -> np.ndarray:
     Delta alpha^2 are the only per-branch inputs.  N branches give
     ``(N, 7)``, each row with the operations it gets on its own.  A
     coefficient that leaves the float range raises :class:`NumericalError`,
-    so no Routh test sees it.
+    so no stability test sees it.
     """
     alpha, delta = branches.alpha, branches.Delta
     with np.errstate(over="ignore", invalid="ignore"):
@@ -161,156 +165,95 @@ def _charpoly_terms(d: DerivedQuantities) -> np.ndarray:
     return terms
 
 
-def _routh_first_column(coeffs_desc: List[float], eps_sign: float):
-    """First Routh column for a monic polynomial (descending coefficients).
+def _hurwitz_determinants(a1, a2, a3, a4, a5, a6):
+    """Hurwitz determinants Delta_1 ... Delta_5 of
+    s^6 + a1 s^5 + ... + a6, of Python floats or numpy columns alike.
 
-    Zero pivots in an otherwise nonzero row are replaced by
-    eps_sign * 1e-30 * (row scale); an all-zero row is replaced by the
-    derivative of the auxiliary polynomial built from the row above.
-    Returns (first_column, used_eps, used_aux).
+    The leading minors of the Hurwitz matrix (Gantmacher, *The Theory of
+    Matrices* II, ch. XV), expanded with no division.  A polynomial of
+    degree n < 6 padded with zero coefficients gets its own Delta_1 ...
+    Delta_n.  Every term of Delta_k has weight k(k + 1)/2 in the a_j (a_j
+    has weight j), so scaling a_j by 2^(-jE) scales each term, and Delta_k,
+    by 2^(-E k(k + 1)/2), exactly while nothing underflows.
     """
-    n = len(coeffs_desc) - 1
-    width = n // 2 + 1
-    rows = [
-        [coeffs_desc[i] if i <= n else 0.0 for i in range(0, n + 1, 2)],
-        [coeffs_desc[i] if i <= n else 0.0 for i in range(1, n + 1, 2)],
-    ]
-    for row in rows:
-        row.extend([0.0] * (width - len(row)))
-    used_eps = used_aux = False
-
-    for j in range(1, n + 1):
-        if j >= 2:
-            prev, prev2 = rows[j - 1], rows[j - 2]
-            pivot = prev[0]
-            new = [(pivot * prev2[i + 1] - prev2[0] * prev[i + 1]) / pivot
-                   for i in range(width - 1)] + [0.0]
-            rows.append(new)
-        row = rows[j]
-        if all(x == 0.0 for x in row):
-            # auxiliary polynomial of the row above has only even powers;
-            # replace the zero row by its derivative
-            used_aux = True
-            degree = n - (j - 1)
-            row = [rows[j - 1][i] * (degree - 2 * i) for i in range(width)]
-            rows[j] = row
-        if row[0] == 0.0:
-            used_eps = True
-            scale = max(abs(x) for x in row)
-            rows[j] = [eps_sign * 1e-30 * scale] + row[1:]
-    return [rows[j][0] for j in range(n + 1)], used_eps, used_aux
+    d2 = a1 * a2 - a3
+    d3 = a3 * d2 - a1 * (a1 * a4 - a5)
+    d4 = (a4 * d3 + a1 * a1 * a2 * a6 - a1 * a2 * a2 * a5 - a1 * a3 * a6
+          + a1 * a4 * a5 + a2 * a3 * a5 - a5 * a5)
+    d5 = a5 * d4 - a6 * (a1 * a1 * a1 * a6 - a1 * a1 * a2 * a5
+                         - a1 * a1 * a3 * a4 + a1 * a2 * a3 * a3
+                         + 2.0 * a1 * a3 * a5 - a3 * a3 * a3)
+    return a1, d2, d3, d4, d5
 
 
-def _sign_changes(column) -> int:
-    changes = 0
-    prev = column[0]
-    for x in column[1:]:
-        if x == 0.0:
-            continue
-        if (x > 0.0) != (prev > 0.0):
-            changes += 1
-        prev = x
-    return changes
+def _verdict_codes(a, frexp, ldexp, maximum):
+    """Verdict codes of s^n + a_1 s^(n-1) + ... + a_n, from
+    ``a = [a_1, ..., a_n]``: 0 ``unstable``, 1 ``stable``, 2 ``marginal``
+    (see :func:`is_stable`).  ``a`` holds Python floats, with
+    ``math.frexp``, ``math.ldexp`` and ``max``, or numpy columns, with
+    ``np.frexp``, ``np.ldexp`` and ``np.maximum.reduce``: the same
+    operations in the same order either way."""
+    n = len(a)
+    power = maximum([-(-frexp(x)[1] // k) for k, x in enumerate(a, 1)])
+    deltas = (1.0,) + _hurwitz_determinants(
+        *[ldexp(x, -k * power) for k, x in enumerate(a, 1)], *(0.0,) * (6 - n))
+    head = True
+    for x in [*a, *deltas[1:n - 1]]:
+        head = head & (x > 0.0)
+    return (head & (deltas[n - 1] > 0.0)) + 2 * (head & (deltas[n - 1] == 0.0))
 
 
-def _routh_table_verdict(coeffs: List[float]) -> str:
-    """Verdict of one polynomial from the list-based Routh table.
+def is_stable(coeffs) -> Union[str, List[str]]:
+    """Hurwitz verdicts of polynomials, ascending coefficients.
 
-    Every row of a small stack goes through it, and the rows of a large one
-    that the stacked recurrence leaves out: an exact-zero first-column
-    entry (epsilon or auxiliary row) and a non-positive leading coefficient
-    (``ValueError``).
-    """
-    if len(coeffs) < 2:
-        raise ValueError("polynomial must have degree >= 1")
-    lead = coeffs[-1]
-    if not lead > 0.0:
-        raise ValueError("polynomial must be monic (positive leading coefficient)")
-    if lead != 1.0:
-        coeffs = [c / lead for c in coeffs]
-    if any(c <= 0.0 for c in coeffs):
-        return "unstable"
+    One polynomial ``(n + 1,)`` gives one verdict and a stack ``(N, n + 1)``
+    a list of them, for degrees 1 <= n <= 6; any other shape, or a leading
+    coefficient that is not positive, raises ``ValueError``.  Each row is
+    divided by its leading coefficient, giving
+    p(s) = s^n + a_1 s^(n-1) + ... + a_n with Hurwitz determinants
+    Delta_1 ... Delta_n (Hurwitz 1895).  The verdict is
 
-    desc = coeffs[::-1]
-    col_p, eps_p, aux_p = _routh_first_column(desc, +1.0)
-    changes_p = _sign_changes(col_p)
-    if not eps_p and not aux_p:
-        return "stable" if changes_p == 0 else "unstable"
+    * ``stable`` (every root in the open left half-plane) iff every a_k > 0
+      and Delta_1, ..., Delta_(n-1) > 0;
+    * ``marginal`` iff every a_k > 0, Delta_1, ..., Delta_(n-2) > 0 and
+      Delta_(n-1) == 0: exactly one simple pair of roots on the imaginary
+      axis and every other root in the open left half-plane, a Hopf point
+      (W. M. Liu, J. Math. Anal. Appl. 182, 250 (1994));
+    * ``unstable`` otherwise: any a_k <= 0 or NaN, a root in the open
+      right half-plane, or, by this definition, more than one pair of roots
+      on the imaginary axis.
 
-    changes_m = _sign_changes(_routh_first_column(desc, -1.0)[0])
-    return "marginal" if changes_p == 0 or changes_p != changes_m else "unstable"
+    ``marginal`` compares with an exact zero, with no tolerance, so it needs
+    a Delta_(n-1) that comes out as exactly 0.0, as it does for
+    small-integer coefficients; roundoff can read a drift with roots on the
+    axis as ``stable`` or ``unstable``.
 
-
-def _routh_columns(monic: np.ndarray) -> np.ndarray:
-    """First Routh columns of an ``(N, n + 1)`` stack (ascending), as ``(n + 1, N)``.
-
-    The plain recurrence of :func:`_routh_first_column`, without epsilon or
-    auxiliary rows, in the same operations and order, so a polynomial whose
-    column has no exact zero gets the bits of the list-based table.
-    """
-    count, n = monic.shape[0], monic.shape[1] - 1
-    table = np.zeros((n + 1, n // 2 + 1, count))
-    table[0, :(n + 2) // 2] = monic[:, n::-2].T
-    table[1, :(n + 1) // 2] = monic[:, n - 1::-2].T
-    heads, tails = list(table[:, 0]), list(table[:, 1:])
-    for j in range(2, n + 1):
-        pivot = heads[j - 1]
-        np.divide(pivot * tails[j - 2] - heads[j - 2] * tails[j - 1], pivot,
-                  out=table[j, :-1])
-    return table[:, 0]
-
-
-def _stacked_verdicts(stack: np.ndarray) -> List[str]:
-    """Verdicts of an ``(N, n + 1)`` stack through :func:`_routh_columns`."""
-    lead = stack[:, -1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        monic = stack / lead[:, None]
-        column = _routh_columns(monic)
-    # min() keeps a NaN, which then fails the comparison
-    stable = np.minimum(monic.min(axis=1), column.min(axis=0)) > 0.0
-    verdicts = ["stable" if s else "unstable" for s in stable.tolist()]
-    plain = column.all(axis=0) & (lead > 0.0)
-    if not plain.all():
-        for i in np.flatnonzero(~plain):
-            verdicts[i] = _routh_table_verdict(stack[i].tolist())
-    return verdicts
-
-
-def is_stable(coeffs) -> Union[str, List]:
-    """Routh-Hurwitz verdict for monic polynomials, ascending coefficients.
-
-    One polynomial ``(n + 1,)`` gives one verdict; a stack ``(..., n + 1)``
-    gives a (nested) list of verdicts.  A verdict is ``stable``,
-    ``unstable`` or ``marginal``.  Any non-positive coefficient
-    short-circuits to ``unstable`` (the positivity of every coefficient is
-    necessary for strict stability; an exact zero always signals at least
-    loss of strict stability).  ``marginal`` is returned when the sign
-    decision depends on the epsilon perturbation of a zero pivot, or when an
-    auxiliary-row replacement reveals imaginary-axis roots without any
-    right-half-plane ones.
-
-    A stack of at most ``ROUTH_TABLE_ROWS`` rows goes row by row through
-    the list-based table, which adds the epsilon and auxiliary rows (or
-    raises ``ValueError``).  A larger stack runs through one Routh
-    recurrence: a row is ``stable`` iff every coefficient and every
-    first-column entry is positive.  Only a row with an exact-zero
-    first-column entry or a non-positive leading coefficient goes through
-    the list-based table.  Both take the same operations in the same order,
-    so a row gets the same verdict in a stack of any size.
+    The determinants are taken of p(2^E s) / 2^(nE), whose coefficients are
+    a_k 2^(-kE) (``ldexp``, exact), with E = max_k ceil(e_k / k) and e_k
+    the ``frexp`` exponent of a_k.  Every scaled |a_k| <= 1, so no
+    determinant (Delta_5 has degree 15 in the scale of the roots) overflows,
+    and the scaling changes no sign.  A stack of at most
+    ``SMALL_STACK_ROWS`` rows is evaluated row by row in Python floats and
+    a larger one on numpy columns, with the same operations in the same
+    order, so a row gets the same verdict in a stack of any size.
     """
     c = np.asarray(coeffs, dtype=float)
-    if c.ndim == 0 or c.shape[-1] < 2:
-        raise ValueError("polynomial must have degree >= 1")
+    if c.ndim not in (1, 2) or not 2 <= c.shape[-1] <= 7:
+        raise ValueError("expected (n + 1,) or (N, n + 1) coefficients, 1 <= n <= 6")
     stack = c.reshape(-1, c.shape[-1])
-    if len(stack) <= ROUTH_TABLE_ROWS:
-        verdicts = [_routh_table_verdict(row) for row in stack.tolist()]
+    if not (stack[:, -1] > 0.0).all():
+        raise ValueError("polynomial must be monic (positive leading coefficient)")
+    names = np.array(["unstable", "stable", "marginal"], dtype=object)
+    if len(stack) <= SMALL_STACK_ROWS:
+        verdicts = [names[_verdict_codes([x / row[-1] for x in row[-2::-1]],
+                                         math.frexp, math.ldexp, max)]
+                    for row in stack.tolist()]
     else:
-        verdicts = _stacked_verdicts(stack)
-    if c.ndim == 1:
-        return verdicts[0]
-    if c.ndim == 2:
-        return verdicts
-    return np.array(verdicts, dtype=object).reshape(c.shape[:-1]).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            codes = _verdict_codes([x / stack[:, -1] for x in stack[:, -2::-1].T],
+                                   np.frexp, np.ldexp, np.maximum.reduce)
+        verdicts = names[codes].tolist()
+    return verdicts[0] if c.ndim == 1 else verdicts
 
 
 def _solve_lyapunov_rows(a: np.ndarray, d: np.ndarray, first: int) -> np.ndarray:

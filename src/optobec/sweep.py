@@ -3,7 +3,7 @@ deterministic CSV/JSON emission.
 
 Every branch, whether it comes from a sweep point or from a single ``point``
 report, goes through :func:`evaluate_branches`: closed-form characteristic
-polynomial, Routh-Hurwitz verdict and, for stable branches in full mode, the
+polynomial, Hurwitz verdict and, for stable branches in full mode, the
 drift matrix, the Lyapunov covariance and the five measures.  A whole
 sweep goes through it as one stack of branch columns
 (:class:`BranchColumns`), all its configurations together: every row
@@ -190,7 +190,8 @@ def evaluate_branches(branches: BranchColumns, d, full: bool = False
     stationary covariance in the order of the last five ``CSV_COLUMNS``; it
     is None for a non-stable branch or when not ``full`` (mean-field mode).
     The verdicts come from the closed-form characteristic polynomial of the
-    columns in one Routh stack, so mean-field mode builds no drift matrix.
+    columns in one :func:`is_stable` stack, so mean-field mode builds no
+    drift matrix.
     In full mode the stable rows go through in pieces of at most
     ``MEASURE_STACK_ROWS``: the drift matrices of a piece, with the
     diffusion matrix of each row's configuration, go through one Lyapunov

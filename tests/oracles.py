@@ -1,7 +1,8 @@
 """Independent oracles the tests check the solvers against."""
 
 import math
-from typing import Optional
+from fractions import Fraction
+from typing import List, Optional
 
 import numpy as np
 
@@ -172,3 +173,78 @@ def eigenbasis_lyapunov(a: np.ndarray, d: np.ndarray):
     x = -rhs / (lam[..., :, None] + np.conj(lam[..., None, :]))
     v = u @ x @ np.conj(np.swapaxes(u, -1, -2))
     return v.real, np.linalg.cond(u)
+
+
+def _hurwitz_matrix(coeffs) -> List[List[Fraction]]:
+    """Hurwitz matrix of the polynomial with ascending ``coeffs`` divided by
+    its leading coefficient, s^n + a_1 s^(n-1) + ... + a_n, in exact
+    fractions: entry (i, j) is a_(2j - i + 1), with a_0 = 1 and a_k = 0
+    outside 0..n."""
+    lead = Fraction(coeffs[-1])
+    a = [Fraction(x) / lead for x in reversed(coeffs)]
+    n = len(a) - 1
+    return [[a[2 * j - i + 1] if 0 <= 2 * j - i + 1 <= n else Fraction(0)
+             for j in range(n)] for i in range(n)]
+
+
+def _determinant(m: List[List[Fraction]]) -> Fraction:
+    """Exact determinant by Gaussian elimination with row exchanges."""
+    m = [row[:] for row in m]
+    det = Fraction(1)
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if m[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            factor = m[r][col] / m[col][col]
+            if factor:
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return det
+
+
+def hurwitz_determinants(coeffs) -> List[Fraction]:
+    """Exact Hurwitz determinants Delta_1 ... Delta_n of the polynomial with
+    ascending ``coeffs`` (any degree n >= 1, positive leading coefficient),
+    divided by its leading coefficient: the leading principal minors of its
+    Hurwitz matrix, each by ``fractions.Fraction`` elimination.  Every float
+    is taken at its exact value."""
+    h = _hurwitz_matrix(coeffs)
+    return [_determinant([row[:k] for row in h[:k]]) for k in range(1, len(h) + 1)]
+
+
+def hurwitz_term_scales(coeffs) -> List[float]:
+    """The sum of the magnitudes of the terms of each Delta_k of
+    :func:`hurwitz_determinants`, the scale its roundoff is relative to: the
+    permanent of the leading k x k block of |H|, summed over the column sets
+    that rows 0..k-1 take, row by row."""
+    h = [[abs(float(x)) for x in row] for row in _hurwitz_matrix(coeffs)]
+    sums, scales = {0: 1.0}, []
+    for i, row in enumerate(h):
+        grown: dict = {}
+        for mask, value in sums.items():
+            for j, x in enumerate(row):
+                if x and not mask >> j & 1:
+                    grown[mask | 1 << j] = grown.get(mask | 1 << j, 0.0) + value * x
+        sums = grown
+        scales.append(sums.get((1 << i + 1) - 1, 0.0))
+    return scales
+
+
+def hurwitz_verdict(coeffs) -> str:
+    """The :func:`optobec.is_stable` rule on exact Hurwitz determinants:
+    ``stable`` iff every coefficient and Delta_1 ... Delta_(n-1) is
+    positive, ``marginal`` iff every coefficient and Delta_1 ... Delta_(n-2)
+    is positive and Delta_(n-1) == 0 (Liu's Hopf condition), else
+    ``unstable``."""
+    deltas = [Fraction(1)] + hurwitz_determinants(coeffs)
+    n = len(deltas) - 1
+    if all(x > 0 for x in coeffs) and all(x > 0 for x in deltas[1:n - 1]):
+        if deltas[n - 1] > 0:
+            return "stable"
+        if deltas[n - 1] == 0:
+            return "marginal"
+    return "unstable"

@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from optobec.steady_state import BranchColumns
 from optobec.sweep import _expand_configs, _sweep_branches
 
 from conftest import random_stable_matrix
-from oracles import eigenbasis_lyapunov, matrix_charpoly, stability_oracle
+from oracles import (eigenbasis_lyapunov, hurwitz_verdict, matrix_charpoly,
+                     stability_oracle)
 from test_sweep import PRESET_LOCK
 
 
@@ -207,7 +210,7 @@ def test_closed_form_verdicts_on_every_preset_row(monkeypatch):
     assert worst_closed <= worst_oracle
 
 
-# ------------------------------------------------- Routh-Hurwitz
+# ------------------------------------------------- Hurwitz stability
 
 
 def test_stability_known_cases():
@@ -218,7 +221,7 @@ def test_stability_known_cases():
 
 
 def test_stability_epsilon_pivot():
-    # (s^2+s+1)(s^2+1) = s^4+s^3+2s^2+s+1: zero pivot, roots on the axis
+    # (s^2+s+1)(s^2+1) = s^4+s^3+2s^2+s+1: Delta_3 == 0, roots on the axis
     assert is_stable([1.0, 1.0, 2.0, 1.0, 1.0]) == "marginal"
 
 
@@ -229,11 +232,53 @@ def test_stability_rejects_degenerate():
         is_stable([1.0, 2.0, 0.0])
     with pytest.raises(ValueError):
         is_stable([1.0, 2.0, -1.0])
+    with pytest.raises(ValueError):
+        is_stable([1.0] * 8)             # degree 7
+    with pytest.raises(ValueError):
+        is_stable(np.ones((1, 1, 3)))
 
 
 def test_stability_scaled_input():
     # positive scaling of a monic polynomial must not change the verdict
     assert is_stable([4.0, 6.0, 2.0]) == "stable"
+
+
+def test_stability_at_any_root_scale():
+    """(s + sigma)^6 is Hurwitz and (s^2 + sigma^2)(s + sigma)^4 has one
+    simple pair of roots on the axis at any scale sigma of the roots, in
+    both lanes: the determinants are taken after an exact power-of-two
+    rescaling of s, so Delta_5, of degree 15 in sigma, neither overflows
+    nor underflows."""
+    sigmas = [2.0 ** -100, 1e-30, 1e45, 2.0 ** 150]
+    hurwitz = np.array([np.poly(np.full(6, -s))[::-1] for s in sigmas])
+    assert is_stable(hurwitz) == [is_stable(row) for row in hurwitz] == ["stable"] * 4
+    axis = np.array([np.polymul([1.0, 0.0, s * s], np.poly(np.full(4, -s)))[::-1]
+                     for s in (2.0 ** -150, 2.0 ** 150) * 2])
+    assert is_stable(axis) == [is_stable(row) for row in axis] == ["marginal"] * 4
+
+
+def test_small_integer_verdicts_follow_the_roots():
+    """All 7,996 monic polynomials of degree 2-6 with coefficients 1-5 (1-4
+    at degree 6) are exact in float64: a verdict is stable iff every root
+    (eigenvalue of the companion matrix) has Re < 0 and unstable if one has
+    Re > 0.  The 87 with roots on the imaginary axis get the exact Hurwitz
+    verdict: marginal for one simple pair, unstable for two pairs (distinct
+    or double)."""
+    axis = Counter()
+    for n in range(2, 7):
+        rows = np.array([[*c, 1.0] for c in
+                         itertools.product(range(1, 5 if n == 6 else 6), repeat=n)])
+        companion = np.zeros((len(rows), n, n))
+        companion[:, 1:, :-1] = np.eye(n - 1)
+        companion[:, :, -1] = -rows[:, :-1]
+        growth = np.linalg.eigvals(companion).real.max(axis=1)
+        for row, verdict, rate in zip(rows.tolist(), is_stable(rows), growth.tolist()):
+            if abs(rate) <= 1e-6:
+                assert verdict == hurwitz_verdict(row), row
+                axis[verdict] += 1
+            else:
+                assert verdict == ("stable" if rate < 0.0 else "unstable"), row
+    assert axis == {"marginal": 71, "unstable": 16}
 
 
 def test_middle_branch_always_unstable():

@@ -19,7 +19,7 @@ from optobec import (characteristic_polynomial, derive_quantities,
                      diffusion_matrix, drift_matrix, evaluate_branches,
                      is_stable, solve_lyapunov, solve_mean_field)
 from optobec.config import params_from_dict
-from optobec.linear_dynamics import ROUTH_TABLE_ROWS, _routh_table_verdict
+from optobec.linear_dynamics import SMALL_STACK_ROWS
 from optobec.model import drive_rate
 from optobec.steady_state import (BranchColumns, _real_cubic_roots,
                                   _stacked_cubic_roots,
@@ -27,7 +27,8 @@ from optobec.steady_state import (BranchColumns, _real_cubic_roots,
                                   solve_mean_field_grid)
 from optobec.sweep import to_json
 
-from oracles import branch_rows, matrix_charpoly
+from oracles import (branch_rows, hurwitz_determinants, hurwitz_term_scales,
+                     hurwitz_verdict, matrix_charpoly)
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import point_config  # noqa: E402
@@ -146,64 +147,109 @@ def test_stacked_evaluation_equals_single_rows(data, detunings):
             assert math.copysign(1.0, x) == math.copysign(1.0, y)
 
 
-# Ascending coefficients of polynomials with roots on the imaginary axis.
-# The first of each degree meets an exact-zero first-column entry and is
-# marginal: (s+1)(s^2+1), (s^2+s+1)(s^2+1), (s^2+1)(s+1)^2(s^2+s+1).  The
-# table of (s^2+1)(s+1)^4 loses its zero row to roundoff (16/5 is inexact),
-# so it reads stable on both paths.
+# Ascending coefficients of polynomials with roots on the imaginary axis, each
+# with Delta_(n-1) == 0 and so marginal: (s+1)(s^2+1), (s^2+s+1)(s^2+1),
+# (s^2+1)(s+1)^2(s^2+s+1) and (s^2+1)(s+1)^4.
 AXIS_ROOTS = {3: [[1.0, 1.0, 1.0, 1.0]],
               4: [[1.0, 1.0, 2.0, 1.0, 1.0]],
               6: [[1.0, 3.0, 5.0, 6.0, 5.0, 3.0, 1.0],
                   [1.0, 4.0, 7.0, 8.0, 7.0, 4.0, 1.0]]}
-# Polynomials with positive coefficients whose table meets a zero pivot in a
-# row that is not all zero (the epsilon case, no auxiliary row).
-EPSILON_PIVOTS = {3: [], 4: [[1.0, 1.0, 1.0, 1.0, 1.0]], 6: [[1.0] * 7]}
+# Polynomials with positive coefficients and Delta_2 == 0 whose roots are the
+# fifth or seventh roots of unity but 1, some in the right half-plane.
+ZERO_MINORS = {3: [], 4: [[1.0, 1.0, 1.0, 1.0, 1.0]], 6: [[1.0] * 7]}
+LEADS = [1.0, 0.5, 4.0]
 
 
 @st.composite
 def coefficient_stacks(draw):
     """Stacks of one degree mixing Hurwitz polynomials, arbitrary ones with
-    non-positive coefficients (small integers often hit a zero pivot) and
-    polynomials with imaginary-axis roots of that degree."""
+    non-positive coefficients (small integers often give a zero Hurwitz
+    determinant) and polynomials with a zero Hurwitz determinant of that
+    degree."""
     degree = draw(st.sampled_from(sorted(AXIS_ROOTS)))
-    lead = st.sampled_from([1.0, 0.5, 4.0])
+    lead = st.sampled_from(LEADS)
     hurwitz = st.builds(
         lambda roots, c: list(np.poly(-np.array(roots))[::-1] * c),
         st.lists(st.floats(0.01, 100.0), min_size=degree, max_size=degree), lead)
     coefficient = st.one_of(st.integers(-1, 3).map(float), st.floats(-1.0, 50.0))
     arbitrary = st.builds(lambda c, top: c + [top],
                           st.lists(coefficient, min_size=degree, max_size=degree), lead)
-    zero_pivot = st.sampled_from(AXIS_ROOTS[degree] + EPSILON_PIVOTS[degree])
-    rows = st.one_of(hurwitz, arbitrary, zero_pivot)
-    # more rows than the list-based lane takes, and at least one exact-zero
-    # first-column entry among them
-    stack = draw(st.lists(rows, min_size=ROUTH_TABLE_ROWS, max_size=12))
-    stack.insert(draw(st.integers(0, len(stack))), draw(zero_pivot))
+    zero_minor = st.sampled_from(AXIS_ROOTS[degree] + ZERO_MINORS[degree])
+    rows = st.one_of(hurwitz, arbitrary, zero_minor)
+    # more rows than the Python-float lane takes, and at least one zero
+    # Hurwitz determinant among them
+    stack = draw(st.lists(rows, min_size=SMALL_STACK_ROWS, max_size=12))
+    stack.insert(draw(st.integers(0, len(stack))), draw(zero_minor))
     return np.array(stack)
 
 
+@st.composite
+def integer_stacks(draw):
+    """Stacks of 1-8 rows of one degree from 1 to 6, with small-integer
+    coefficients over a power-of-two leading one: exact in float64 all the
+    way through the Hurwitz determinants."""
+    degree = draw(st.integers(1, 6))
+    coefficient = st.one_of(st.integers(1, 5), st.integers(-1, 5)).map(float)
+    row = st.builds(lambda c, top: c + [top],
+                    st.lists(coefficient, min_size=degree, max_size=degree),
+                    st.sampled_from(LEADS))
+    return np.array(draw(st.lists(row, min_size=1, max_size=8)))
+
+
+def _float_verdict_is_decided(row):
+    """Whether float64 must reproduce the exact verdict of ``row``: its
+    coefficients are small integers, one is not positive, or each exact
+    Delta_k the verdict reads is beyond 1e-12 of the sum of its terms'
+    magnitudes."""
+    if all(x.is_integer() and abs(x) <= 100.0 for x in row[:-1]) or min(row) <= 0.0:
+        return True
+    deltas, scales = hurwitz_determinants(row), hurwitz_term_scales(row)
+    return all(abs(x) > 1e-12 * scale for x, scale in zip(deltas[:-1], scales))
+
+
+def _rescaled(stack, shift):
+    """``stack`` with s -> 2^shift s: a coefficient of weight k (the power of
+    s it lacks) times 2^(k shift), which is exact while every nonzero
+    coefficient stays a normal float, so ``shift`` is clamped to keep them
+    so."""
+    weights = np.arange(stack.shape[1] - 1, -1, -1)
+    used = (stack != 0.0) & (weights > 0)
+    exponents = np.frexp(stack)[1][used]
+    k = np.broadcast_to(weights, stack.shape)[used]
+    low = (-((1000 + exponents) // k)).max(initial=-150)
+    high = ((1000 - exponents) // k).min(initial=150)
+    return np.ldexp(stack, weights * int(np.clip(shift, low, high)))
+
+
 @settings(max_examples=200, **PROPERTY)
-@given(coefficient_stacks())
-def test_stacked_verdicts_equal_routh_table(stack):
-    assert len(stack) > ROUTH_TABLE_ROWS   # the stacked recurrence runs
-    assert is_stable(stack) == [_routh_table_verdict(row) for row in stack.tolist()]
+@given(st.one_of(coefficient_stacks(), integer_stacks()), st.integers(-150, 150))
+def test_verdicts_equal_exact_hurwitz_oracle(stack, shift):
+    """Every row of a stack, in either lane, gets the verdict of its exact
+    rational Hurwitz determinants wherever float64 can decide it, and the
+    same verdict with its roots scaled by up to 2^(+-150), which leaves the
+    exact verdict as it is."""
+    verdicts = is_stable(stack)
+    assert is_stable(_rescaled(stack, shift)) == verdicts
+    for row, verdict in zip(stack.tolist(), verdicts):
+        if _float_verdict_is_decided(row):
+            assert verdict == hurwitz_verdict(row), row
 
 
 @settings(max_examples=50, **PROPERTY)
 @given(coefficient_stacks())
 def test_small_stacks_agree_with_whole_stack(stack):
-    """Every slice of 1-3 rows, which goes through the list-based table, gets
-    the verdicts of its rows in the whole stack, which goes through the
-    stacked recurrence."""
+    """Every slice of 1-3 rows, which is evaluated in Python floats, gets the
+    verdicts of its rows in the whole stack, which is evaluated on numpy
+    columns."""
     whole = is_stable(stack)
-    for size in range(1, ROUTH_TABLE_ROWS + 1):
+    for size in range(1, SMALL_STACK_ROWS + 1):
         for start in range(len(stack) - size + 1):
             assert is_stable(stack[start:start + size]) == whole[start:start + size]
 
 
-def test_stacked_verdicts_fall_back_on_zero_pivots():
-    # three rows take the list-based table, two copies of them (six rows)
-    # the stacked recurrence
+def test_axis_roots_read_marginal_in_both_lanes():
+    # three rows take the Python-float lane, two copies of them (six rows)
+    # the numpy lane
     for copies in (1, 2):
         # (s+1)(s+2)(s+3) is Hurwitz; s^3 + s^2 - s + 1 has a negative
         # coefficient
@@ -213,9 +259,10 @@ def test_stacked_verdicts_fall_back_on_zero_pivots():
         # (s+1)^6 next to the degree-6 axis-root polynomials
         stack = np.array([[1.0, 6.0, 15.0, 20.0, 15.0, 6.0, 1.0],
                           *AXIS_ROOTS[6]] * copies)
-        assert is_stable(stack) == ["stable", "marginal", "stable"] * copies
-        assert is_stable(stack[None]) == [["stable", "marginal", "stable"] * copies]
+        assert is_stable(stack) == ["stable", "marginal", "marginal"] * copies
         assert is_stable(stack[:0]) == []
+        with pytest.raises(ValueError):
+            is_stable(stack[None])
         with pytest.raises(ValueError):
             is_stable([[2.0, 3.0, 1.0], [1.0, 2.0, 0.0]] * copies)
 

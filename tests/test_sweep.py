@@ -495,7 +495,7 @@ def test_stacked_sweep_equals_separate_sweeps(spec):
 
 @pytest.mark.parametrize("spec", TWO_VARIANT_SPECS, ids=TWO_VARIANT_IDS)
 def test_one_stack_per_sweep(spec, monkeypatch):
-    """One run_sweep is one Routh stack and, for every variable but
+    """One run_sweep is one stability stack and, for every variable but
     Delta_effective, one stacked cubic, whatever the number of
     configurations; in full mode these sweeps, smaller than
     MEASURE_STACK_ROWS, are one Lyapunov call."""
