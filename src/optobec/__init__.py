@@ -14,9 +14,8 @@ from .linear_dynamics import (NumericalError, characteristic_polynomial,
                               diffusion_matrix, drift_matrix, is_stable,
                               solve_lyapunov)
 from .gaussian_measures import (ATOM_FIELD, MIRROR_ATOM, MIRROR_FIELD,
-                                EntanglementResult, bogoliubov_excitations,
-                                log_negativity, mirror_phonons,
-                                reduce_bipartition)
+                                bogoliubov_excitations, log_negativity,
+                                mirror_phonons, reduce_bipartition)
 from .sweep import (SweepSpec, SweepTable, Variant, emit, evaluate_branches,
                     run_sweep)
 from .presets import FIGURE_IDS, baseline_params, figure_preset
@@ -32,8 +31,7 @@ __all__ = [
     "BistabilityWindow", "BranchColumns", "bistability_window", "solve_mean_field",
     "NumericalError", "characteristic_polynomial", "diffusion_matrix",
     "drift_matrix", "is_stable", "solve_lyapunov",
-    "ATOM_FIELD", "MIRROR_ATOM", "MIRROR_FIELD",
-    "EntanglementResult", "bogoliubov_excitations",
+    "ATOM_FIELD", "MIRROR_ATOM", "MIRROR_FIELD", "bogoliubov_excitations",
     "log_negativity", "mirror_phonons", "reduce_bipartition",
     "SweepSpec", "SweepTable", "Variant", "emit", "evaluate_branches", "run_sweep",
     "FIGURE_IDS", "baseline_params", "figure_preset",

@@ -9,9 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 invalid configuration or usage, or an output path
 that cannot be made or written, 2 numerical failure (a singular or
-ill-conditioned Lyapunov solve, a covariance that is not physical, or a
-mean-field cubic or characteristic polynomial that leaves the float
-range).  A ``marginal`` stability verdict is reported in the stability field
+ill-conditioned Lyapunov solve, a covariance that is not physical, a
+mean-field branch off the field fixed point, or a mean-field cubic or
+characteristic polynomial that leaves the float range).  A ``marginal`` stability verdict is reported in the stability field
 and does not change the exit code.
 """
 

@@ -11,8 +11,7 @@ the 4x4), no eigen machinery anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -26,19 +25,6 @@ _DISC_GUARD = 1e-12
 MIRROR_FIELD = (2, 3, 0, 1)
 ATOM_FIELD = (4, 5, 0, 1)
 MIRROR_ATOM = (2, 3, 4, 5)
-
-
-@dataclass(frozen=True)
-class EntanglementResult:
-    """Logarithmic negativity and the symplectic eigenvalue it came from.
-
-    Floats for one covariance; for a stack, float arrays of its shape.
-    """
-
-    # E_N = max(0, -ln 2 eta_minus), >= 0
-    log_negativity: Union[float, np.ndarray]
-    # lowest symplectic eigenvalue of the partial transpose
-    eta_minus: Union[float, np.ndarray]
 
 
 def mirror_phonons(v: np.ndarray) -> float:
@@ -57,15 +43,16 @@ def bogoliubov_excitations(v: np.ndarray) -> float:
     return 0.5 * (v[..., 4, 4] + v[..., 5, 5] - 1.0)
 
 
-def reduce_bipartition(v: np.ndarray,
-                       indices: Tuple[int, int, int, int]) -> np.ndarray:
-    """4x4 covariance of the two modes named by a split such as
-    ``MIRROR_FIELD``, first-listed mode first.
+def reduce_bipartition(v: np.ndarray, splits: Sequence) -> np.ndarray:
+    """4x4 covariances of the two modes named by one split such as
+    ``MIRROR_FIELD``, first-listed mode first, or by each of a sequence of
+    splits.
 
-    A ``(..., 6, 6)`` stack gives a ``(..., 4, 4)`` stack.
+    A ``(..., 6, 6)`` stack gives a ``(..., 4, 4)`` stack for one split and
+    a ``(..., S, 4, 4)`` stack for a sequence of S splits, in their order.
     """
-    idx = np.array(indices)
-    return np.asarray(v, dtype=float)[..., idx[:, None], idx]
+    idx = np.array(splits)
+    return np.asarray(v, dtype=float)[..., idx[..., :, None], idx[..., None, :]]
 
 
 def _det2(m):
@@ -95,7 +82,7 @@ def _det4(m):
     return det.reshape(m.shape[:-2])
 
 
-def log_negativity(v4: np.ndarray) -> EntanglementResult:
+def log_negativity(v4: np.ndarray) -> np.ndarray:
     """Logarithmic negativity of a two-mode covariance [[B, C], [C^T, B']].
 
     With Sigma = det B + det B' - 2 det C, the lowest symplectic eigenvalue
@@ -106,8 +93,9 @@ def log_negativity(v4: np.ndarray) -> EntanglementResult:
     roundoff guard means the input is not a physical covariance and raises
     ValueError.  The arithmetic runs in the dtype of the input array.
 
-    A ``(..., 4, 4)`` stack gives arrays of shape ``(...)``, every entry
-    computed with the same operations as its covariance alone.
+    A ``(..., 4, 4)`` stack gives E_N as a float array of shape ``(...)``
+    (0-d for one covariance), every entry computed with the same operations
+    as its covariance alone.
     """
     v4 = np.asarray(v4)
     if v4.ndim < 2 or v4.shape[-2:] != (4, 4):
@@ -135,8 +123,4 @@ def log_negativity(v4: np.ndarray) -> EntanglementResult:
                          f"{float(eta_sq[bad].flat[0]):.3e} <= 0")
     e_n = -np.log(2.0 * np.sqrt(eta_sq)).astype(float)
     # where, not maximum: max(0, x) semantics give +0.0, never -0.0
-    e_n = np.where(e_n > 0.0, e_n, 0.0)
-    eta_minus = np.sqrt(eta_sq).astype(float)
-    if v4.ndim == 2:
-        return EntanglementResult(log_negativity=float(e_n), eta_minus=float(eta_minus))
-    return EntanglementResult(log_negativity=e_n, eta_minus=eta_minus)
+    return np.where(e_n > 0.0, e_n, 0.0)

@@ -309,9 +309,8 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     batch = a.shape[:-2]
     a_rows = a.reshape(-1, n, n)
     d_rows = np.broadcast_to(d, batch + (n, n)).reshape(-1, n, n)
-    if len(a_rows) <= LYAPUNOV_STACK_ROWS:   # one piece, perhaps empty
-        return _solve_lyapunov_rows(a_rows, d_rows, 0).reshape(batch + (n, n))
+    # an empty stack is one empty piece
     pieces = [_solve_lyapunov_rows(a_rows[start:start + LYAPUNOV_STACK_ROWS],
                                    d_rows[start:start + LYAPUNOV_STACK_ROWS], start)
-              for start in range(0, len(a_rows), LYAPUNOV_STACK_ROWS)]
+              for start in range(0, max(len(a_rows), 1), LYAPUNOV_STACK_ROWS)]
     return np.concatenate(pieces).reshape(batch + (n, n))

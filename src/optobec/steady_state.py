@@ -14,9 +14,11 @@ cubics (:func:`solve_mean_field_grid`), each row in the operations of the
 scalar kernel.  Either way the branches come back as columns
 (:class:`BranchColumns`).  The grids of several configurations are one
 stack too: each grid point carries its group, whose beta, beta^2 and
-kappa^2 are taken once in Python floats and gathered per point.  Turning
-points of the drive power as a function of n give the bistability window
-in closed form.
+kappa^2 are taken once in Python floats and gathered per point.  Both
+solves check every branch against the field fixed point and raise
+:class:`~optobec.linear_dynamics.NumericalError` for one the closed form
+got wrong.  Turning points of the drive power as a function of n give the
+bistability window in closed form.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ from .model import (HBAR, DerivedQuantities, SystemParams, derive_quantities,
 # |cubic discriminant| below 1e-9 of its natural scale marks a (near-)double
 # root; those are the physical knee points and are reported, not dropped.
 _DEGENERACY_RTOL = 1e-9
+
+#: accepted |n (Delta^2 + kappa^2) - eta^2| of a branch, relative to eta^2
+FIXED_POINT_RTOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,7 +134,14 @@ def _real_cubic_roots(a3, a2, a1, a0):
     # (near-)multiple roots are left unpolished: the closed form is smooth in
     # the coefficients there while Newton divides by a vanishing derivative
     if disc_scale == 0.0:
-        return [(shift, True)]  # triple root
+        # a triple root, or p and q underflowed because the roots sit far
+        # from 1 (a strong pull): then the cubic is solved for x / 2^k, an
+        # exact scaling with |dd| / 2^(3k) in [1/2, 4), which recurses once
+        k = math.frexp(dd)[1] // 3
+        if k == 0:
+            return [(shift, True)]  # triple root
+        return [(math.ldexp(r, k), flag) for r, flag in _real_cubic_roots(
+            1.0, math.ldexp(b, -k), math.ldexp(c, -2 * k), math.ldexp(dd, -3 * k))]
 
     if abs(disc) <= _DEGENERACY_RTOL * disc_scale:
         if abs(p) ** 3 <= _DEGENERACY_RTOL * disc_scale:
@@ -263,6 +275,23 @@ def _out_of_range(exc: Exception) -> NumericalError:
     return NumericalError(f"mean-field cubic leaves the float range: {exc}")
 
 
+def _on_fixed_point(branches: BranchColumns, kappa_sq, eta_sq) -> BranchColumns:
+    """``branches``, once every one satisfies the field fixed point
+    n (Delta^2 + kappa^2) = eta^2 to ``FIXED_POINT_RTOL`` of eta^2; else
+    :class:`NumericalError`, so a root the closed form lost to cancellation
+    (at a weak pull) is not reported.  ``kappa_sq`` and ``eta_sq`` (eta * eta,
+    the negated constant term of the cubic) are arrays over the branches or
+    floats."""
+    residual = np.abs(branches.n * (branches.Delta * branches.Delta + kappa_sq) - eta_sq)
+    ok = residual <= FIXED_POINT_RTOL * eta_sq   # False where NaN, too
+    if not ok.all():   # ok.argmin() is the first branch off it
+        raise NumericalError(
+            f"mean-field branch n = {branches.n[ok.argmin()]:.6e} is off the field "
+            f"fixed point: |n (Delta^2 + kappa^2) - eta^2| = "
+            f"{residual[ok.argmin()]:.3e} exceeds {FIXED_POINT_RTOL:.0e} * eta^2")
+    return branches
+
+
 def solve_mean_field(params: SystemParams,
                      delta_c: Optional[float] = None,
                      power: Optional[float] = None,
@@ -275,7 +304,9 @@ def solve_mean_field(params: SystemParams,
     labelled lower/middle/upper, a single root is ``unique`` and a flagged
     knee pair is lower/upper with ``degenerate`` set on the double root.
     A caller that already holds ``derive_quantities(params)`` passes it as
-    ``d``; the drive rate always follows ``power``.
+    ``d``; the drive rate always follows ``power``.  A branch off the field
+    fixed point (a root lost to cancellation at a weak pull) raises
+    :class:`NumericalError`.
     """
     if d is None:
         d = derive_quantities(params)
@@ -303,10 +334,10 @@ def solve_mean_field(params: SystemParams,
     kept = [(max(r, 0.0), flag) for r, flag in roots if not r < -1e-12 * scale]
     n, flag = np.array(kept, dtype=float).reshape(-1, 2).T
     zero = np.zeros(len(kept), dtype=int)
-    return BranchColumns(index=zero, group=zero, n=n, alpha=np.sqrt(n),
-                         Delta=delta_c - d.beta * n,
-                         label=np.array(_LABELS[len(kept)], dtype=object),
-                         degenerate=flag != 0.0)
+    return _on_fixed_point(BranchColumns(
+        index=zero, group=zero, n=n, alpha=np.sqrt(n), Delta=delta_c - d.beta * n,
+        label=np.array(_LABELS[len(kept)], dtype=object), degenerate=flag != 0.0),
+        d.kappa ** 2, -coeffs[3])
 
 
 def solve_mean_field_grid(ds, delta_c, eta, group=0) -> BranchColumns:
@@ -319,7 +350,7 @@ def solve_mean_field_grid(ds, delta_c, eta, group=0) -> BranchColumns:
     configurations are one grid.  The grid goes through one stack of cubics,
     and the negative-root filter, labels and effective detunings are taken
     on the columns, each with the operations of :func:`solve_mean_field`: a
-    branch has the bits it has there.
+    branch has the bits it has there, and fails its fixed-point check there.
     """
     delta_c, eta, group = np.broadcast_arrays(np.asarray(delta_c, dtype=float),
                                               np.asarray(eta, dtype=float), group)
@@ -345,10 +376,10 @@ def solve_mean_field_grid(ds, delta_c, eta, group=0) -> BranchColumns:
 
     count = np.bincount(row, minlength=len(delta_c))[row]
     rank = np.arange(len(row)) - np.searchsorted(row, row)
-    return BranchColumns(index=row, group=group[row], n=n, alpha=np.sqrt(n),
-                         Delta=delta_c[row] - beta[row] * n,
-                         label=_LABEL_NAMES[_LABEL_START[count] + rank],
-                         degenerate=flag)
+    return _on_fixed_point(BranchColumns(
+        index=row, group=group[row], n=n, alpha=np.sqrt(n), degenerate=flag,
+        Delta=delta_c[row] - beta[row] * n, label=_LABEL_NAMES[_LABEL_START[count] + rank]),
+        kappa_sq[row], -a0[row])
 
 
 def imposed_detuning_branches(ds, Delta, group) -> BranchColumns:

@@ -70,10 +70,8 @@ CSV_COLUMNS = (
     "degenerate", "delta_n_m", "delta_n_c",
     "e_n_mirror_field", "e_n_atom_field", "e_n_mirror_atom",
 )
-# row and column indices that gather the 4x4 covariances of the bipartitions
-# of the three e_n_* columns, in column order, out of a (N, 6, 6) stack
-_SPLIT_ROWS = np.array([gm.MIRROR_FIELD, gm.ATOM_FIELD, gm.MIRROR_ATOM])[:, :, None]
-_SPLIT_COLUMNS = _SPLIT_ROWS.swapaxes(1, 2)
+# the bipartitions of the three e_n_* columns, in column order
+_SPLITS = (gm.MIRROR_FIELD, gm.ATOM_FIELD, gm.MIRROR_ATOM)
 
 #: Most stable rows whose covariances and measures :func:`evaluate_branches`
 #: holds at once: a full-mode stack goes through in pieces of this many, so
@@ -208,7 +206,7 @@ def evaluate_branches(branches: BranchColumns, d, full: bool = False
         v = solve_lyapunov(drift_matrix(piece, d),
                            per_row(d, piece.group, diffusion_matrix))
         try:
-            e_n = gm.log_negativity(v[:, _SPLIT_ROWS, _SPLIT_COLUMNS]).log_negativity
+            e_n = gm.log_negativity(gm.reduce_bipartition(v, _SPLITS))
         except ValueError as exc:   # the covariance is not physical
             raise NumericalError(str(exc)) from exc
         columns = np.column_stack([gm.mirror_phonons(v),

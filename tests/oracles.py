@@ -175,6 +175,28 @@ def eigenbasis_lyapunov(a: np.ndarray, d: np.ndarray):
     return v.real, np.linalg.cond(u)
 
 
+def symplectic_eta_minus(v4: np.ndarray) -> float:
+    """Lowest symplectic eigenvalue of the partial transpose of a two-mode
+    covariance, min |eig(i Omega V~)|.
+
+    V~ = P V P with P = diag(1, 1, 1, -1) flips the momentum of the second
+    mode (partial transposition; Simon, PRL 84, 2726 (2000)), and Omega is
+    the two-mode symplectic form.  The eigenvalues of i Omega V~ come in
+    pairs +-eta_k, so the least modulus is eta_minus.  A general float64
+    eigensolver, with no determinant or closed form shared with
+    :func:`optobec.log_negativity`.
+    """
+    flip = np.diag([1.0, 1.0, 1.0, -1.0])
+    omega = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+    v_pt = flip @ np.asarray(v4, dtype=float) @ flip
+    return float(np.abs(np.linalg.eigvals(1j * omega @ v_pt)).min())
+
+
+def log_negativity_oracle(v4: np.ndarray) -> float:
+    """E_N = max(0, -ln 2 eta_minus) from :func:`symplectic_eta_minus`."""
+    return max(0.0, -math.log(2.0 * symplectic_eta_minus(v4)))
+
+
 def _hurwitz_matrix(coeffs) -> List[List[Fraction]]:
     """Hurwitz matrix of the polynomial with ascending ``coeffs`` divided by
     its leading coefficient, s^n + a_1 s^(n-1) + ... + a_n, in exact

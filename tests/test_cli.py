@@ -333,16 +333,27 @@ NO_BEC_NORMALIZED = {
      1, "error: base: xi=1.57079632679e+107: xi_override/bec.coupling: "),
     ("point", {"bec": {"present": True, "coupling": 5.16e-6, "recoil": 0.1,
                        "damping": 1e200}}, 1, "error: bec.damping: "),
+    ("point", {"xi_override": 5.16e-21}, 2,
+     "numerical failure: mean-field branch n = 0.000000e+00 is off the field "
+     "fixed point: |n (Delta^2 + kappa^2) - eta^2| = 1.682e+25 exceeds"),
+    ("point", {"xi_override": 5.16e-18}, 2,
+     "numerical failure: mean-field branch n = 8.530248e+09 is off the field "
+     "fixed point: |n (Delta^2 + kappa^2) - eta^2| = 9.268e+20 exceeds"),
+    ("sweep", {"sweep": {"variable": "xi", "lo": 0.0, "hi": 1e-20, "points": 5}},
+     2, "numerical failure: base: xi=1.57079632679e-13: mean-field branch n = "
+        "0.000000e+00 is off the field fixed point"),
 ], ids=["xi_1e-100", "xi_1e-150", "power_1e285", "power_sweep_1e300",
         "detuning_1e100", "delta_c_sweep_1e60", "xi_1e200", "coupling_1e160",
         "xi_1e100", "coupling_1e100", "xi_sweep_1e160", "xi_sweep_1e100",
-        "damping_1e200"])
+        "damping_1e200", "weak_pull_5.16e-21", "weak_pull_5.16e-18",
+        "weak_pull_xi_sweep_1e-20"])
 def test_out_of_range_pull_drive_and_detuning(command, changes, code, named,
                                               tmp_path, capsys):
     """A pull whose square, or whose beta^2, underflows or overflows and an
     overflowing drive are rejected where they enter (a sweep names its first
-    failing value); a cubic that overflows is a numerical failure naming
-    its value."""
+    failing value); a cubic that overflows, or a weak pull whose root the
+    closed form loses (a branch off the field fixed point), is a numerical
+    failure naming its value."""
     doc = json.loads(json.dumps(NO_BEC_NORMALIZED))
     for key, value in changes.items():
         if key in doc:
@@ -368,6 +379,18 @@ def test_cubic_overflow_file_is_the_1e60_sweep(tmp_path, capsys):
     assert main(["sweep", "--config", path]) == 2
     assert capsys.readouterr().err.startswith(
         "numerical failure: base: delta_c=-3.13941927885e+67: mean-field cubic")
+
+
+def test_weak_pull_file_is_the_xi_5e_21_point(tmp_path, capsys):
+    """point_weak_pull.json, which CI runs through the installed script, is
+    the weak_pull_5.16e-21 case above and fails as it does."""
+    path = os.path.join(DATA, "point_weak_pull.json")
+    with open(path) as handle:
+        assert json.load(handle) == dict(NO_BEC_NORMALIZED, xi_override=5.16e-21)
+    assert main(["point", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: mean-field branch n = 0.000000e+00 is off the field "
+        "fixed point")
 
 
 @pytest.mark.parametrize("command, sweep, named", [

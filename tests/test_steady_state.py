@@ -105,6 +105,50 @@ def test_underflowing_pull_is_rejected():
         solve_mean_field_grid([d], [d.kappa], d.eta)
 
 
+def test_branch_off_the_fixed_point_is_a_numerical_failure():
+    """A weak pull whose root the closed form loses to cancellation (n = 0,
+    or n a few digits off) is a numerical failure, not a branch: the scalar
+    and the grid solve reject the same pulls, and agree bit for bit on the
+    others."""
+    base = baseline_params(power=0.05, bec_present=False)
+    failed = []
+    for xi in MIRROR_FREQ * np.logspace(-23.0, -8.0, 61):
+        params = dataclasses.replace(base, xi_override=xi)
+        d = derive_quantities(params)
+        try:
+            scalar = solve_mean_field(params, delta_c=d.kappa, d=d)
+        except NumericalError as exc:
+            assert str(exc).startswith("mean-field branch n = ")
+            assert "is off the field fixed point" in str(exc)
+            with pytest.raises(NumericalError, match="off the field fixed point"):
+                solve_mean_field_grid([d], [d.kappa], d.eta)
+            failed.append(xi)
+            continue
+        grid = solve_mean_field_grid([d], [d.kappa], d.eta)
+        assert grid.n.tobytes() == scalar.n.tobytes()
+        assert abs(scalar.n[0] * ((d.kappa - d.beta * scalar.n[0]) ** 2 + d.kappa ** 2)
+                   - d.eta ** 2) <= 1e-8 * d.eta ** 2
+    # the lost roots are the weakest pulls, and the strongest here are kept
+    assert failed and failed == [xi for xi in MIRROR_FREQ * np.logspace(-23.0, -8.0, 61)
+                                 if xi <= failed[-1]]
+    assert failed[-1] < MIRROR_FREQ * 1e-10
+
+
+def test_strong_pull_root_survives_underflow():
+    """At a pull so strong that p and q of the depressed cubic underflow,
+    the one root n = (eta / beta)^(2/3) comes from the cubic solved for
+    n / 2^k, in the scalar and the grid solve alike."""
+    params = dataclasses.replace(baseline_params(power=0.05, bec_present=False),
+                                 xi_override=1e60 * MIRROR_FREQ)
+    d = derive_quantities(params)
+    scalar = solve_mean_field(params, delta_c=d.kappa, d=d)
+    grid = solve_mean_field_grid([d], [d.kappa], d.eta)
+    assert scalar.label.tolist() == ["unique"]
+    assert not scalar.degenerate[0]
+    assert scalar.n[0] == pytest.approx((d.eta / d.beta) ** (2.0 / 3.0), rel=1e-12)
+    assert grid.n.tobytes() == scalar.n.tobytes()
+
+
 def test_zero_power_single_dark_branch(reference):
     branches = solve_mean_field(reference, delta_c=4 * reference_kappa(), power=0.0)
     assert len(branches) == 1
