@@ -242,9 +242,10 @@ def derive_quantities(params: SystemParams) -> DerivedQuantities:
     beta = xi ** 2 / mir.frequency
     if zeta > 0.0:
         beta += zeta ** 2 / (Omega_c + omega_sw + bec.damping ** 2 / Omega_c)
-    # beta^2 leads the mean-field cubic: once it underflows, what is left is
-    # a quadratic with a root the cubic does not have, and once it overflows
-    # the cubic has no coefficients
+    # beta^2 leads the mean-field cubic, whose kernel has no quadratic
+    # branch: rejecting a beta^2 that underflows keeps a3 == 0 the same as
+    # beta == 0 (no pull, one root), and once it overflows the cubic has no
+    # coefficients
     if 0.0 < beta and not sys.float_info.min <= beta * beta < math.inf:
         way = "weak: beta^2 underflows" if beta < 1.0 else "strong: beta^2 overflows"
         raise ParameterError(

@@ -89,32 +89,23 @@ class BistabilityWindow:
 
 
 def _real_cubic_roots(a3, a2, a1, a0):
-    """Real roots of a3 x^3 + a2 x^2 + a1 x + a0, ascending.
+    """Real roots of the mean-field cubic a3 n^3 + a2 n^2 + a1 n + a0, ascending.
 
-    Returns a list of (root, degenerate) pairs.  Closed form throughout,
-    trigonometric in the three-real-root regime, then one Newton step per
-    root on the original polynomial.  A discriminant within tolerance of
-    zero collapses the closest pair into a flagged double root.
+    Returns a list of (root, degenerate) pairs.  Only the cubic of
+    :func:`_mean_field_cubic` is solved, whose a1 = delta_c^2 + kappa^2 > 0:
+    - ``a3 == 0`` only when beta == 0 (``derive_quantities`` rejects a
+      beta^2 that underflows), so a2 == 0 too and the one root is -a0 / a1;
+    - ``a0 == 0`` only when eta == 0, and n = 0 is the one root: the
+      quadratic left has discriminant -4 beta^2 kappa^2 < 0.
+    Otherwise closed form, trigonometric in the three-real-root regime, then
+    one Newton step per root on the original polynomial.  A discriminant
+    within tolerance of zero collapses the closest pair into a flagged
+    double root.
     """
     if a3 == 0.0:
-        if a2 == 0.0:
-            if a1 == 0.0:
-                raise ValueError("degenerate polynomial: all leading coefficients zero")
-            return [(-a0 / a1, False)]
-        disc2 = a1 * a1 - 4.0 * a2 * a0
-        if disc2 < 0.0:
-            return []
-        # q = -(a1 + sign(a1) s)/2 adds terms of one sign, so neither root
-        # cancels: the roots are q / a2 and a0 / q (q == 0 only at a double 0)
-        q = -0.5 * (a1 + math.copysign(math.sqrt(disc2), a1))
-        roots = sorted((q / a2, a0 / q)) if q != 0.0 else [0.0, 0.0]
-        return [(r, disc2 == 0.0) for r in roots]
-
+        return [(-a0 / a1, False)]
     if a0 == 0.0:
-        # zero is an exact root; factoring it out avoids the cancellation the
-        # shifted closed form would suffer here
-        rest = _real_cubic_roots(0.0, a3, a2, a1)
-        return sorted(rest + [(0.0, False)])
+        return [(0.0, False)]
 
     b = a2 / a3
     c = a1 / a3
@@ -304,9 +295,11 @@ def solve_mean_field(params: SystemParams,
     labelled lower/middle/upper, a single root is ``unique`` and a flagged
     knee pair is lower/upper with ``degenerate`` set on the double root.
     A caller that already holds ``derive_quantities(params)`` passes it as
-    ``d``; the drive rate always follows ``power``.  A branch off the field
-    fixed point (a root lost to cancellation at a weak pull) raises
-    :class:`NumericalError`.
+    ``d``; the drive rate always follows ``power``.  The cubic has no root
+    at n < 0, and at n = 0 only when eta == 0, so a root the closed form puts
+    below 0 is one it lost: it is clamped to 0 and fails the fixed-point
+    check.  A branch off the field fixed point (a root lost to cancellation
+    at a weak pull) raises :class:`NumericalError`; none is dropped.
     """
     if d is None:
         d = derive_quantities(params)
@@ -322,21 +315,11 @@ def solve_mean_field(params: SystemParams,
     except (OverflowError, ValueError) as exc:
         raise _out_of_range(exc) from exc
 
-    # photon-number scale of the cubic, for the roundoff window of the
-    # negative-root filter (genuine negative roots sit at the full scale);
-    # a beta whose square underflows leaves no cubic term to scale by
-    if coeffs[0] > 0.0:
-        scale = max(abs(coeffs[1] / coeffs[0]),
-                    abs(coeffs[2] / coeffs[0]) ** 0.5,
-                    abs(coeffs[3] / coeffs[0]) ** (1.0 / 3.0))
-    else:
-        scale = max((abs(r) for r, _ in roots), default=0.0)
-    kept = [(max(r, 0.0), flag) for r, flag in roots if not r < -1e-12 * scale]
-    n, flag = np.array(kept, dtype=float).reshape(-1, 2).T
-    zero = np.zeros(len(kept), dtype=int)
+    n, flag = np.array([(max(r, 0.0), f) for r, f in roots]).T
+    zero = np.zeros(len(roots), dtype=int)
     return _on_fixed_point(BranchColumns(
         index=zero, group=zero, n=n, alpha=np.sqrt(n), Delta=delta_c - d.beta * n,
-        label=np.array(_LABELS[len(kept)], dtype=object), degenerate=flag != 0.0),
+        label=np.array(_LABELS[len(roots)], dtype=object), degenerate=flag != 0.0),
         d.kappa ** 2, -coeffs[3])
 
 
@@ -348,8 +331,8 @@ def solve_mean_field_grid(ds, delta_c, eta, group=0) -> BranchColumns:
     or one int) gives each grid point its configuration, whose derived
     quantities are ``ds[group]`` in the list ``ds``, so the grids of several
     configurations are one grid.  The grid goes through one stack of cubics,
-    and the negative-root filter, labels and effective detunings are taken
-    on the columns, each with the operations of :func:`solve_mean_field`: a
+    and the clamp to n >= 0, labels and effective detunings are taken on
+    the columns, each with the operations of :func:`solve_mean_field`: a
     branch has the bits it has there, and fails its fixed-point check there.
     """
     delta_c, eta, group = np.broadcast_arrays(np.asarray(delta_c, dtype=float),
@@ -362,16 +345,6 @@ def solve_mean_field_grid(ds, delta_c, eta, group=0) -> BranchColumns:
     except (OverflowError, ValueError) as exc:
         raise _out_of_range(exc) from exc
 
-    # a point with beta = 0 leaves no cubic term to scale by: it takes the
-    # scale of its roots
-    scale = np.zeros(len(delta_c))
-    np.maximum.at(scale, row[a3[row] == 0.0], np.abs(root[a3[row] == 0.0]))
-    cubic = np.flatnonzero(a3 > 0.0)
-    a2_, a1_, a0_ = (np.abs(x[cubic] / a3[cubic]) for x in (a2, a1, a0))
-    scale[cubic] = np.maximum(np.maximum(a2_, _each(pow, a1_, 0.5)),
-                              _each(pow, a0_, 1.0 / 3.0))
-    keep = ~(root < -1e-12 * scale[row])
-    row, root, flag = row[keep], root[keep], flag[keep]
     n = np.where(0.0 > root, 0.0, root)   # max(root, 0.0)
 
     count = np.bincount(row, minlength=len(delta_c))[row]

@@ -58,9 +58,9 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 # First 16 hex digits of the sha256 of the `point` report of a config file
 # in DATA, or of BASE_CONFIG with these changes, and the label, stability
-# and measured flag of each branch.  The CI workflow checks the report of
-# point_bistable.json (BASE_CONFIG at 0.1 W) from the installed script
-# against the same digest.
+# and measured flag of each branch.  The CI workflow checks the reports of
+# point_bistable.json (BASE_CONFIG at 0.1 W) and point_zero_drive.json
+# from the installed script against the same digests.
 POINT_LOCK = [
     ("point_bistable.json", "84ef776feeb0d11b",
      [("lower", "stable", True), ("middle", "unstable", False),
@@ -68,11 +68,12 @@ POINT_LOCK = [
     ({"bec": dict(BASE_CONFIG["bec"], present=False)}, "cf8d98c41b60e542",
      [("unique", "stable", True)]),
     ({}, "b142981303f652de", [("unique", "stable", True)]),
+    ("point_zero_drive.json", "958b22dba31592e6", [("unique", "stable", True)]),
 ]
 
 
 @pytest.mark.parametrize("config, digest, branches", POINT_LOCK,
-                         ids=["bistable", "no_bec", "stable"])
+                         ids=["bistable", "no_bec", "stable", "zero_drive"])
 def test_point_report_lock(config, digest, branches, tmp_path, capsys):
     path = (os.path.join(DATA, config) if isinstance(config, str)
             else write_config(tmp_path, **config))
@@ -391,6 +392,36 @@ def test_weak_pull_file_is_the_xi_5e_21_point(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "numerical failure: mean-field branch n = 0.000000e+00 is off the field "
         "fixed point")
+
+
+@pytest.mark.parametrize("command, sweep", [
+    ("point", None),
+    ("sweep", {"variable": "delta_c", "lo": 0.0, "hi": 1e9, "points": 3}),
+], ids=["point_1e9_kappa", "delta_c_sweep_1e9_kappa"])
+def test_undriven_cavity_has_one_empty_branch(command, sweep, tmp_path, capsys):
+    """Without drive n = 0 is the one mean-field branch, far off resonance
+    too.  point_zero_drive.json, which CI runs through the installed
+    script, is the no-condensate config undriven at 1e9 kappa; a delta_c
+    sweep up to it gives one unique n = 0 branch at each of its points."""
+    path = os.path.join(DATA, "point_zero_drive.json")
+    with open(path) as handle:
+        doc = json.load(handle)
+    assert doc == dict(NO_BEC_NORMALIZED, drive={"power": 0.0}, cavity=dict(
+        NO_BEC_NORMALIZED["cavity"], detuning=1e9))
+    if sweep is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(doc, sweep=sweep)))
+    format_ = ["--format", "json"] if sweep else []
+    assert main([command, "--config", str(path), *format_]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    if sweep is None:
+        branches, points = [(b["label"], b["n"]) for b in report["branches"]], 1
+    else:
+        branches = [(row["branch"], row["n"]) for row in report["rows"]]
+        points = sweep["points"]
+    assert branches == [("unique", 0.0)] * points
 
 
 @pytest.mark.parametrize("command, sweep, named", [

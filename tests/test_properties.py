@@ -21,8 +21,8 @@ from optobec import (characteristic_polynomial, derive_quantities,
 from optobec.config import params_from_dict
 from optobec.linear_dynamics import SMALL_STACK_ROWS
 from optobec.model import drive_rate
-from optobec.steady_state import (BranchColumns, _real_cubic_roots,
-                                  _stacked_cubic_roots,
+from optobec.steady_state import (BranchColumns, _mean_field_cubic,
+                                  _real_cubic_roots, _stacked_cubic_roots,
                                   imposed_detuning_branches,
                                   solve_mean_field_grid)
 from optobec.sweep import to_json
@@ -275,24 +275,31 @@ def _knee_row(r, s, scale, nudge):
 
 
 _COEFFICIENT = st.one_of(st.integers(-3, 3).map(float), st.floats(-100.0, 100.0))
-_LEAD = st.one_of(st.just(0.0), st.integers(-3, 3).map(float),
+_LEAD = st.one_of(st.integers(-3, 3).filter(bool).map(float),
                   st.floats(0.01, 100.0), st.floats(-100.0, -0.01))
-# arbitrary, a0 == 0 and at or near a knee; never an all-zero leading part,
-# which the scalar kernel rejects
+_POSITIVE = st.one_of(st.integers(1, 3).map(float), st.floats(0.01, 100.0))
+# the kernels solve only the mean-field cubic, whose a1 is positive:
+# arbitrary rows and rows at or near a knee with a3 != 0 and a0 != 0, and
+# its two special shapes, no pull (a3 = a2 = 0) and no drive (a0 = 0, with
+# a quadratic left that has no real root)
 _CUBIC_ROWS = st.one_of(
-    st.tuples(_LEAD, _COEFFICIENT, _COEFFICIENT, _COEFFICIENT),
-    st.tuples(_LEAD, _COEFFICIENT, _COEFFICIENT, st.just(0.0)),
+    st.tuples(_LEAD, _COEFFICIENT, _COEFFICIENT, _COEFFICIENT).filter(
+        lambda c: c[3] != 0.0),
     st.builds(_knee_row, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0),
               st.floats(0.1, 10.0),
-              st.sampled_from([0.0, 1e-13, -1e-11, 1e-9, -1e-8, 1e-6])),
-).filter(lambda c: any(c[:3]))
+              st.sampled_from([0.0, 1e-13, -1e-11, 1e-9, -1e-8, 1e-6])).filter(
+        lambda c: c[3] != 0.0),
+    st.tuples(st.just(0.0), st.just(0.0), _POSITIVE, _COEFFICIENT),
+    st.tuples(_POSITIVE, _COEFFICIENT, _POSITIVE, st.just(0.0)).filter(
+        lambda c: c[1] * c[1] < 4.0 * c[0] * c[2]),
+)
 
 
 @st.composite
 def cubic_stacks(draw):
     """Stacks of cubics mixing arbitrary coefficients (small integers hit the
-    exact special cases), ``a3 == 0`` and ``a0 == 0`` rows, rows at or near a
-    knee and dense random rows."""
+    exact special cases), no-pull and no-drive rows, rows at or near a knee
+    and dense random rows."""
     drawn = np.array(draw(st.lists(_CUBIC_ROWS, min_size=1, max_size=16)))
     # dense random rows, uniform and of the mean-field shape
     # beta^2 n^3 - 2 delta_c beta n^2 + (delta_c^2 + kappa^2) n - eta^2,
@@ -330,13 +337,34 @@ def assert_rows_equal_scalar_kernel(stack):
 def test_stacked_cubic_special_rows():
     stack = np.array([[1.0, -3.0, 3.0, -1.0],    # (x - 1)^3, triple root
                       [1.0, -4.0, 5.0, -2.0],    # (x - 1)^2 (x - 2), knee
-                      [0.0, 1.0, -3.0, 2.0],     # quadratic
-                      [2.0, 0.0, -2.0, 0.0],     # zero root
+                      [0.0, 0.0, 2.0, -3.0],     # no pull, beta = 0
+                      [1.0, -2.0, 2.0, 0.0],     # no drive, eta = 0
                       [1.0, -6.0, 11.0, -6.0],   # three real roots
                       [1.0, 0.0, 1.0, 1.0]])     # one real root
     row, flag = assert_rows_equal_scalar_kernel(stack)
-    assert row.tolist() == [0, 1, 1, 2, 2, 3, 3, 3, 4, 4, 4, 5]
+    assert row.tolist() == [0, 1, 1, 2, 3, 4, 4, 4, 5]
     assert flag.tolist()[:3] == [True, True, False]
+    assert _real_cubic_roots(*stack[2]) == [(1.5, False)]
+    assert _signed(_real_cubic_roots(*stack[3])) == [(0.0, 1.0, False)]
+
+
+_DECADES = st.floats(-60.0, 60.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=200, **PROPERTY)
+@given(st.just(0.0) | st.floats(-120.0, 120.0).map(lambda e: 10.0 ** e),
+       st.just(0.0) | _DECADES | _DECADES.map(lambda x: -x), _DECADES)
+def test_no_drive_has_the_one_root_zero(beta, delta_c, kappa):
+    """eta = 0 leaves n = 0 as the one root of the mean-field cubic, exactly
+    and from both kernels, over many decades of beta, delta_c and kappa: the
+    quadratic left has no real root, although its discriminant
+    -4 beta^2 kappa^2 is lost to roundoff once kappa << |delta_c|."""
+    coeffs = _mean_field_cubic(beta, beta * beta, kappa * kappa, delta_c,
+                               delta_c * delta_c, 0.0)
+    assert _signed(_real_cubic_roots(*coeffs)) == [(0.0, 1.0, False)]
+    row, root, flag = _stacked_cubic_roots(*([c] for c in coeffs))
+    assert row.tolist() == [0]
+    assert _signed(zip(root.tolist(), flag.tolist())) == [(0.0, 1.0, False)]
 
 
 @settings(max_examples=100, **PROPERTY)
