@@ -11,8 +11,9 @@ Exit codes: 0 success, 1 invalid configuration or usage, or an output path
 that cannot be made or written, 2 numerical failure (a singular or
 ill-conditioned Lyapunov solve, a covariance that is not physical, a
 mean-field branch off the field fixed point, or a mean-field cubic or
-characteristic polynomial that leaves the float range).  A ``marginal`` stability verdict is reported in the stability field
-and does not change the exit code.
+characteristic polynomial that leaves the float range).  A ``marginal``
+stability verdict is reported in the stability field and does not change
+the exit code.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .linear_dynamics import NumericalError
 from .model import ParameterError, derive_quantities
 from .presets import FIGURE_IDS, figure_preset
 from .steady_state import bistability_window, solve_mean_field
-from .sweep import (CSV_COLUMNS, as_dict, emit, evaluate_branches, run_sweep,
-                    to_json)
+from .sweep import (CSV_COLUMNS, emit, evaluate_branches, run_sweep, to_json,
+                    write_bytes)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,21 +86,13 @@ def _point_report(params) -> dict:
                "label": branches.label, "degenerate": branches.degenerate}
     rows = zip(*(column.tolist() for column in columns.values()), verdicts, measures)
     return {
-        "params": as_dict(params),
-        "derived_quantities": as_dict(d),
+        "params": params,
+        "derived_quantities": d,
         "branches": [dict(zip(columns, row), stability=verdict,
                           measures=None if measure is None
                           else dict(zip(CSV_COLUMNS[-5:], measure)))
                      for *row, verdict, measure in rows],
     }
-
-
-def _write_text(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -108,8 +101,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
         if args.command == "point":
             params, _ = load_config(args.config)
-            report = _point_report(params)
-            _write_text(to_json(report), args.out)
+            write_bytes(to_json(_point_report(params)).encode(),
+                        sys.stdout.buffer if args.out is None else args.out)
         elif args.command == "sweep":
             params, spec = load_config(args.config)
             if spec is None:

@@ -179,8 +179,10 @@ def load_config(path) -> Tuple[SystemParams, Optional[SweepSpec]]:
             doc = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: {path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, not JSON, an integer past the digit limit, or nested
+        # deeper than the decoder recurses
+        raise ConfigError(f"config: {path} cannot be decoded as JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config: top-level document must be an object")
     params = params_from_dict(doc)

@@ -354,32 +354,16 @@ def rows_to_csv(table: SweepTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def as_dict(obj):
-    """Field map of a report value, without a deep copy.
-
-    A dataclass becomes a dict of its fields and a list or tuple a list, each
-    walked in turn; every other value is taken as it is (the report's
-    dataclasses have no ``ClassVar`` or ``InitVar`` pseudo-fields).
-    """
-    if isinstance(obj, (list, tuple)):
-        return [as_dict(x) for x in obj]
-    out = {}
-    for name in obj.__dataclass_fields__:
-        value = getattr(obj, name)
-        if hasattr(value, "__dataclass_fields__") or isinstance(value, (list, tuple)):
-            value = as_dict(value)
-        out[name] = value
-    return out
-
-
 def to_json(doc) -> str:
     """Report text: sorted keys, two-space indent, one trailing newline.
 
     The bytes the ``json`` module writes with ``indent=2`` and
     ``sort_keys=True``, plus the newline, without the pure-Python encoder
-    it falls back to whenever it indents.  Dict keys must be str; a value
-    other than a dict, list, tuple, str, int, float, bool or None raises
-    ``TypeError``.
+    it falls back to whenever it indents.  A dataclass instance is written
+    as the dict of its fields (the report's dataclasses have no
+    ``ClassVar`` or ``InitVar`` pseudo-fields).  Dict keys must be str; a
+    value other than a dict, list, tuple, str, int, float, bool, None or
+    dataclass instance raises ``TypeError``.
     """
     return _json_text(doc, "\n") + "\n"
 
@@ -417,22 +401,26 @@ def _json_text(x, newline: str) -> str:
         return "false"
     if isinstance(x, int):
         return int.__repr__(x)
+    if hasattr(type(x), "__dataclass_fields__"):   # an instance, not the class
+        return _json_text({f: getattr(x, f) for f in x.__dataclass_fields__}, newline)
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def report_dict(rows: SweepTable, spec: Optional[SweepSpec] = None) -> Dict:
-    """JSON-ready report object: sweep description, derived rates, rows.
+    """Report document for :func:`to_json`: sweep description, derived
+    rates, rows.
 
-    Each row is a dict keyed by ``CSV_COLUMNS``, with None for the measures
-    of an unmeasured row, written straight from the columns.
+    The sweep description and the derived rates are the dataclasses
+    themselves.  Each row is a dict keyed by ``CSV_COLUMNS``, with None for
+    the measures of an unmeasured row, written straight from the columns.
     """
     heads = zip(*(getattr(rows, name) for name in CSV_COLUMNS[:8]))
     doc: Dict = {"rows": [dict(zip(CSV_COLUMNS, (*head, *(measure or _UNMEASURED))))
                           for head, measure in zip(heads, rows.measures)]}
     if spec is not None:
-        doc["spec"] = as_dict(spec)
+        doc["spec"] = spec
         doc["derived_quantities"] = {
-            label: as_dict(derive_quantities(params))
+            label: derive_quantities(params)
             for label, params in _expand_configs(spec)
         }
     return doc
@@ -451,7 +439,11 @@ def emit(rows: SweepTable, fmt: str, destination,
         payload = to_json(report_dict(rows, spec)).encode()
     else:
         raise ParameterError(f"format: {fmt!r} is not one of ('csv', 'json')")
+    return write_bytes(payload, destination)
 
+
+def write_bytes(payload: bytes, destination) -> int:
+    """Write ``payload`` to a path or a binary file object; returns its length."""
     if hasattr(destination, "write"):
         destination.write(payload)
     else:

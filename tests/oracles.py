@@ -197,6 +197,23 @@ def log_negativity_oracle(v4: np.ndarray) -> float:
     return max(0.0, -math.log(2.0 * symplectic_eta_minus(v4)))
 
 
+def sideband_occupation(damping: float, nbar: float, g: float, kappa: float,
+                        Delta: float, omega: float) -> float:
+    """Weak-coupling occupation of a mechanical mode cooled by the cavity.
+
+    n_f = (Gamma nbar + A_+)/(Gamma + A_- - A_+), with the anti-Stokes and
+    Stokes rates A_-+ = 2 kappa g^2/(kappa^2 + (Delta -+ omega)^2), for a
+    mode of frequency ``omega`` and energy damping ``damping`` (Gamma) in a
+    bath of ``nbar`` quanta, coupled with rate ``g`` to a field of amplitude
+    decay ``kappa`` at effective detuning ``Delta``.  Valid to leading order
+    in (g/kappa)^2 (Marquardt et al., PRL 99, 093902 (2007); Wilson-Rae et
+    al., PRL 99, 093901 (2007); Genes et al., PRA 77, 033804 (2008)).
+    """
+    a_minus = 2.0 * kappa * g ** 2 / (kappa ** 2 + (Delta - omega) ** 2)
+    a_plus = 2.0 * kappa * g ** 2 / (kappa ** 2 + (Delta + omega) ** 2)
+    return (damping * nbar + a_plus) / (damping + a_minus - a_plus)
+
+
 def _hurwitz_matrix(coeffs) -> List[List[Fraction]]:
     """Hurwitz matrix of the polynomial with ascending ``coeffs`` divided by
     its leading coefficient, s^n + a_1 s^(n-1) + ... + a_n, in exact

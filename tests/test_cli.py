@@ -13,7 +13,7 @@ import optobec
 from optobec import DriveParams, derive_quantities, figure_preset
 from optobec.cli import _point_report, main
 from optobec.presets import MIRROR_FREQ, baseline_params, reference_kappa
-from optobec.sweep import as_dict, to_json
+from optobec.sweep import to_json
 
 
 BASE_CONFIG = {
@@ -195,8 +195,25 @@ def test_unknown_key_exit_code(tmp_path, capsys):
     assert "finess" in capsys.readouterr().err
 
 
-def test_missing_file_exit_code(tmp_path, capsys):
-    assert main(["point", "--config", str(tmp_path / "missing.json")]) == 1
+@pytest.mark.parametrize("name, content", [
+    ("missing.json", None),
+    ("directory", "dir"),
+    ("invalid.json", b'{"units": "si",}'),
+    ("latin1.json", b'{"\xff": 1}'),
+    ("deep.json", b"[" * 100_000 + b"]" * 100_000),
+    ("long_int.json", b"1" * 5000),
+], ids=["missing", "directory", "invalid_json", "invalid_utf8", "too_deep", "long_int"])
+def test_missing_file_exit_code(name, content, tmp_path, capsys):
+    """A config file that cannot be read or decoded is an error, exit 1."""
+    path = tmp_path / name
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    assert main(["point", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: config: ")
+    assert captured.out == ""
 
 
 def test_usage_error_exit_code(capsys):
@@ -553,13 +570,17 @@ def test_point_derives_once_per_request(command, tmp_path, capsys, derive_calls)
 
 
 def test_field_map_equals_asdict(reference):
+    """to_json writes a dataclass instance as the dict of its fields; a
+    dataclass class is not a value it encodes."""
     d = derive_quantities(reference)
-    for obj in (reference, dataclasses.replace(reference, xi_override=0.5 * d.xi), d):
-        assert as_dict(obj) == dataclasses.asdict(obj)
-    # a tuple of nested dataclasses becomes a list, which encodes the same
+    # a tuple of nested dataclasses, as in a sweep description, becomes a list
     spec = figure_preset("fig2a")
     assert len(spec.variants) == 4
-    assert to_json(as_dict(spec)) == to_json(dataclasses.asdict(spec))
+    for obj in (reference, dataclasses.replace(reference, xi_override=0.5 * d.xi), d,
+                spec):
+        assert to_json(obj) == to_json(dataclasses.asdict(obj))
+    with pytest.raises(TypeError):
+        to_json({"params": optobec.SystemParams})
 
 
 def test_point_displacements_follow_photon_number():

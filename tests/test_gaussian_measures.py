@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from optobec import (ATOM_FIELD, MIRROR_ATOM, MIRROR_FIELD,
                      bogoliubov_excitations, derive_quantities,
                      log_negativity, mirror_phonons, reduce_bipartition)
 from optobec.presets import MIRROR_FREQ, baseline_params
+from optobec.steady_state import imposed_detuning_branches
+from optobec.sweep import evaluate_branches
 
 from conftest import random_physical_cm, rotation_2mode, two_mode_squeezer
-from oracles import log_negativity_oracle, symplectic_eta_minus
+from oracles import log_negativity_oracle, sideband_occupation, symplectic_eta_minus
 
 
 def tmsv_cm(r, dtype=float):
@@ -219,3 +222,40 @@ def test_stacked_reduction_and_occupations():
     assert np.array_equal(mirror_phonons(stack), [mirror_phonons(v) for v in stack])
     assert np.array_equal(bogoliubov_excitations(stack),
                           [bogoliubov_excitations(v) for v in stack])
+
+
+def _stable_measures(d, Delta):
+    """Photon numbers and measures of the branches at the imposed effective
+    detunings ``Delta``, each of which must be stable."""
+    branches = imposed_detuning_branches([d], Delta, np.zeros(len(Delta), dtype=np.intp))
+    verdicts, measures = evaluate_branches(branches, [d], full=True)
+    assert verdicts == ["stable"] * len(Delta)
+    return branches.n, measures
+
+
+@pytest.mark.parametrize("power", [0.5e-3, 2e-3, 5e-3])
+def test_mirror_occupation_matches_sideband_cooling(power):
+    """Without a condensate the mirror occupation is the weak-coupling
+    sideband-cooling limit, up to a correction of order (g/kappa)^2."""
+    d = derive_quantities(baseline_params(power=power, bec_present=False))
+    Delta = np.array([0.5, 1.0, 1.5, 2.0]) * d.omega_m
+    for Delta_i, n, measures in zip(Delta, *_stable_measures(d, Delta)):
+        g = d.xi * math.sqrt(n / 2.0)
+        n_f = sideband_occupation(d.gamma_m, d.nbar, g, d.kappa, Delta_i, d.omega_m)
+        assert abs(measures[0] / n_f - 1.0) <= 2.0 * (g / d.kappa) ** 2
+
+
+@pytest.mark.parametrize("power", [0.5e-3, 2e-3, 5e-3])
+def test_condensate_occupation_matches_sideband_cooling(power):
+    """With the mirror decoupled and no collisions (omega_sw = 0) the
+    Bogoliubov occupation is the same limit for a mode at omega_B with
+    energy damping 2 gamma_c and a bath at zero temperature.  The formula
+    does not hold at omega_sw != 0, where the condensate drift block is not
+    symmetric."""
+    d = derive_quantities(replace(baseline_params(power=power, sw_frequency=0.0),
+                                  xi_override=0.0))
+    Delta = np.array([0.5, 1.0, 1.5]) * d.omega_B
+    for Delta_i, n, measures in zip(Delta, *_stable_measures(d, Delta)):
+        g = d.zeta * math.sqrt(n / 2.0)
+        n_f = sideband_occupation(2.0 * d.gamma_c, 0.0, g, d.kappa, Delta_i, d.omega_B)
+        assert abs(measures[1] / n_f - 1.0) <= 4.0 * (g / d.kappa) ** 2
