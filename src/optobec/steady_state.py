@@ -11,13 +11,21 @@ three-real-root regime, so the branch count is exact) and each root gets one
 Newton polish step on the original cubic.  One point goes through this
 scalar kernel (:func:`solve_mean_field`); a sweep grid is one stack of
 cubics (:func:`solve_mean_field_grid`), each row in the operations of the
-scalar kernel.  Either way the branches come back as columns
-(:class:`BranchColumns`).  The grids of several configurations are one
-stack too: each grid point carries its group, whose beta, beta^2 and
-kappa^2 are taken once in Python floats and gathered per point.  Both
-solves check every branch against the field fixed point and raise
-:class:`~optobec.linear_dynamics.NumericalError` for one the closed form
-got wrong.  Turning points of the drive power as a function of n give the
+scalar kernel.  The stack calls libm (Python's ``pow``, ``math.acos`` and
+``math.cos``, entry by entry) only where its bits reach a root: b^3 in q,
+the p^3 and the cube root of a one-root row, the acos and cos of a
+three-root row, and delta_c^2 once per distinct detuning.  The knee test
+and the choice between one and three roots come from numpy products;
+libm's p^3, |q|^(2/3) and cube of the discriminant's scale are taken only
+in the rows a written roundoff bound cannot put clear of the knee
+threshold (see :func:`_stacked_cubic_roots`), so every root and every
+decision keeps the scalar kernel's bits.  Either way the branches come
+back as columns (:class:`BranchColumns`).  The grids of several
+configurations are one stack too: each grid point carries its group, whose
+beta, beta^2 and kappa^2 are taken once in Python floats and gathered per
+point.  Both solves check every branch against the field fixed point and
+raise :class:`~optobec.linear_dynamics.NumericalError` for one the closed
+form got wrong.  Turning points of the drive power as a function of n give the
 bistability window in closed form.
 """
 
@@ -37,6 +45,11 @@ from .model import (HBAR, DerivedQuantities, SystemParams, derive_quantities,
 # |cubic discriminant| below 1e-9 of its natural scale marks a (near-)double
 # root; those are the physical knee points and are reported, not dropped.
 _DEGENERACY_RTOL = 1e-9
+# The stacked kernel decides a row from products when they put |disc| more
+# than _KNEE_BAND * disc_scale past that threshold: 64 times the bound 16 u
+# (u = 2^-53) on their error, derived in _stacked_cubic_roots.
+_KNEE_BAND = 64 * 16 * 2.0 ** -53
+_TINY = 2.0 ** -1022   # smallest normal float
 
 #: accepted |n (Delta^2 + kappa^2) - eta^2| of a branch, relative to eta^2
 FIXED_POINT_RTOL = 1e-8
@@ -160,7 +173,9 @@ def _real_cubic_roots(a3, a2, a1, a0):
 
 def _each(fn, x: np.ndarray, *args) -> np.ndarray:
     # fn(entry, *args) in Python floats for every entry: libm's pow, acos and
-    # cos, whose last bit numpy's own versions do not always match
+    # cos, whose last bit numpy's own versions do not always match; called
+    # only where those bits reach a root or a decision the products of
+    # _stacked_cubic_roots cannot take
     return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), dtype=float,
                        count=len(x))
 
@@ -182,6 +197,26 @@ def _stacked_cubic_roots(a3, a2, a1, a0):
     every root has the scalar kernel's bits.  A row with ``a3 == 0``,
     ``a0 == 0`` or a discriminant within tolerance of zero (a knee) goes
     through :func:`_real_cubic_roots` itself.
+
+    The scalar kernel takes a knee for |disc| <= 1e-9 disc_scale, where
+    disc = -4 P - 27 q q, with P = p**3 and
+    disc_scale = max(|p|, |q|**(2/3))**3 from libm, and three roots for
+    disc > 0.  Here both tests first use the products P' = p*p*p and
+    S' = max(|P'|, q*q).  With u = 2^-53 and libm's pow within one ulp
+    (2 u relative), to first order in u:
+
+    - |P - P'| <= 4 u |p|^3, so disc' = -4 P' - 27 q q, whose q term is
+      disc's own, has |disc - disc'| <= 16 u |p|^3 + u (|disc| + |disc'|);
+    - |disc_scale - S'| <= 10 u S' (the q side of disc_scale is rounded by
+      pow, pow and the cube, the product side by two products).
+
+    So |disc'| > (1e-9 + B) S' implies |disc| > 1e-9 disc_scale, with disc'
+    and disc of one sign, whenever B >= 16 u + 14e-9 u, about 1.8e-15.
+    ``_KNEE_BAND`` is B = 64 * 16 u = 1.1e-13.  The bound needs normal,
+    finite products: a row inside the band, or whose products overflow,
+    underflow or are zero, or whose disc' is not finite, takes libm's P
+    and disc_scale and the scalar kernel's tests.  A one-root row takes
+    libm's P as well, because its h needs P's bits.
     """
     a3, a2, a1, a0 = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (a3, a2, a1, a0)))
@@ -194,10 +229,17 @@ def _stacked_cubic_roots(a3, a2, a1, a0):
         p = c - b * b / 3.0
         q = 2.0 * _each(pow, b, 3) / 27.0 - b * c / 3.0 + dd
         shift = -b / 3.0
-        p3 = _each(pow, p, 3)
+        # the knee and branch tests from products, libm's p**3 and disc_scale
+        # only in rows whose products cannot decide them (see the docstring)
+        p3 = p * p * p
         disc = -4.0 * p3 - 27.0 * q * q
-        disc_scale = _each(pow, np.maximum(
-            np.abs(p), _each(pow, np.abs(q), 2.0 / 3.0)), 3)
+        disc_scale = np.maximum(np.abs(p3), q * q)
+        near = ~((np.abs(disc) > (_DEGENERACY_RTOL + _KNEE_BAND) * disc_scale)
+                 & np.isfinite(disc) & (np.minimum(np.abs(p3), q * q) >= _TINY))
+        p3[near] = _each(pow, p[near], 3)
+        disc = -4.0 * p3 - 27.0 * q * q
+        disc_scale[near] = _each(pow, np.maximum(
+            np.abs(p[near]), _each(pow, np.abs(q[near]), 2.0 / 3.0)), 3)
         knee = (disc_scale == 0.0) | (np.abs(disc) <= _DEGENERACY_RTOL * disc_scale)
 
         three = ~knee & (disc > 0.0)
@@ -215,7 +257,7 @@ def _stacked_cubic_roots(a3, a2, a1, a0):
         one = ~knee & ~(disc > 0.0)
         coeffs = [x[one] for x in (a3_, a2_, a1_, a0_)]
         p, q = p[one], q[one]
-        h = np.sqrt(q * q / 4.0 + p3[one] / 27.0)
+        h = np.sqrt(q * q / 4.0 + _each(pow, p, 3) / 27.0)
         u = -np.copysign(np.abs(q) / 2.0 + h, q)
         a = np.copysign(_each(pow, np.abs(u), 1.0 / 3.0), u)
         t = np.where(a != 0.0, a - p / (3.0 * a), 0.0)
@@ -255,7 +297,7 @@ def _mean_field_cubic(beta, beta_sq, kappa_sq, delta_c, delta_c_sq, eta):
     The first three are the :func:`_cubic_constants` of the configuration.
     They, ``delta_c``, its square and the drive rate ``eta`` are floats, or
     arrays with the constants gathered per entry; the caller squares
-    ``delta_c``, a grid entry by entry in Python floats.
+    ``delta_c`` in Python floats, a grid once per distinct value.
     """
     return beta_sq, -2.0 * delta_c * beta, delta_c_sq + kappa_sq, -eta * eta
 
@@ -338,8 +380,12 @@ def solve_mean_field_grid(ds, delta_c, eta, group=0) -> BranchColumns:
     delta_c, eta, group = np.broadcast_arrays(np.asarray(delta_c, dtype=float),
                                               np.asarray(eta, dtype=float), group)
     beta, beta_sq, kappa_sq = per_row(ds, group, _cubic_constants).T
+    # libm once per distinct detuning: a delta_c grid repeats its values in
+    # every configuration, any other grid has one detuning per configuration
+    # (the square is even, so -0.0 and 0.0 may share one)
+    detunings, inverse = np.unique(delta_c, return_inverse=True)
     a3, a2, a1, a0 = _mean_field_cubic(beta, beta_sq, kappa_sq, delta_c,
-                                       _each(pow, delta_c, 2), eta)
+                                       _each(pow, detunings, 2)[inverse], eta)
     try:
         row, root, flag = _stacked_cubic_roots(a3, a2, a1, a0)
     except (OverflowError, ValueError) as exc:
@@ -347,8 +393,9 @@ def solve_mean_field_grid(ds, delta_c, eta, group=0) -> BranchColumns:
 
     n = np.where(0.0 > root, 0.0, root)   # max(root, 0.0)
 
-    count = np.bincount(row, minlength=len(delta_c))[row]
-    rank = np.arange(len(row)) - np.searchsorted(row, row)
+    counts = np.bincount(row, minlength=len(delta_c))
+    count = counts[row]
+    rank = np.arange(len(row)) - (np.cumsum(counts) - counts)[row]   # rows are sorted
     return _on_fixed_point(BranchColumns(
         index=row, group=group[row], n=n, alpha=np.sqrt(n), degenerate=flag,
         Delta=delta_c[row] - beta[row] * n, label=_LABEL_NAMES[_LABEL_START[count] + rank]),

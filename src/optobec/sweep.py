@@ -43,9 +43,10 @@ cooling and entanglement curves.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, replace
-from itertools import groupby, islice, product, repeat
+from itertools import groupby, product, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add, is_
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -335,21 +336,27 @@ def rows_to_csv(table: SweepTable) -> str:
     """CSV text: fixed header, 12 significant digits, LF line endings.
 
     Written from the columns, one run of measured or unmeasured rows at a
-    time, with the template of the run mapped over its zipped columns.
+    time: the measured template is mapped over the zipped columns of its
+    run, and a run of unmeasured rows is one ``%`` call, on the template
+    repeated once per row, with the run's columns interleaved by slices.
     """
-    heads = zip(table.config, table.value, table.branch, table.n, table.alpha,
-                table.Delta, table.stability,
-                map(_CSV_FLAG.__getitem__, table.degenerate))
+    columns = (table.config, table.value, table.branch, table.n, table.alpha,
+               table.Delta, table.stability,
+               list(map(_CSV_FLAG.__getitem__, table.degenerate)))
     lines = [",".join(CSV_COLUMNS)]
     start = 0
     for unmeasured, run in groupby(map(is_, table.measures, repeat(None))):
         stop = start + len(list(run))
-        run_heads = islice(heads, stop - start)
         if unmeasured:
-            lines.extend(map(_CSV_UNMEASURED.__mod__, run_heads))
+            fields = [None] * (len(columns) * (stop - start))
+            for k, column in enumerate(columns):
+                fields[k::len(columns)] = column[start:stop]
+            lines.append("\n".join(repeat(_CSV_UNMEASURED, stop - start))
+                         % tuple(fields))
         else:
             lines.extend(map(_CSV_MEASURED.__mod__, map(
-                add, run_heads, map(tuple, table.measures[start:stop]))))
+                add, zip(*(column[start:stop] for column in columns)),
+                map(tuple, table.measures[start:stop]))))
         start = stop
     return "\n".join(lines) + "\n"
 
@@ -430,8 +437,8 @@ def emit(rows: SweepTable, fmt: str, destination,
          spec: Optional[SweepSpec] = None) -> int:
     """Write rows as ``csv`` or ``json``; returns the number of bytes written.
 
-    ``destination`` is a path or a binary file object.  Identical inputs
-    produce byte-identical output.
+    ``destination`` is as in :func:`write_bytes`.  Identical inputs produce
+    byte-identical output.
     """
     if fmt == "csv":
         payload = rows_to_csv(rows).encode()
@@ -443,8 +450,11 @@ def emit(rows: SweepTable, fmt: str, destination,
 
 
 def write_bytes(payload: bytes, destination) -> int:
-    """Write ``payload`` to a path or a binary file object; returns its length."""
-    if hasattr(destination, "write"):
+    """Write ``payload`` to a path, a binary file object or a text stream
+    (``io.TextIOBase``, as UTF-8 text); returns its length in bytes."""
+    if isinstance(destination, io.TextIOBase):
+        destination.write(payload.decode())
+    elif hasattr(destination, "write"):
         destination.write(payload)
     else:
         with open(destination, "wb") as handle:

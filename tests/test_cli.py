@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import random
@@ -151,6 +153,24 @@ def test_sweep_json_stdout(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert {"rows", "spec", "derived_quantities"} == set(doc)
     assert {"base/bec", "base/no_bec"} == set(doc["derived_quantities"])
+
+
+def test_reports_to_a_text_only_stdout(tmp_path):
+    """Without --out, point and sweep write their report as text to a
+    sys.stdout that has no byte stream (an io.StringIO), with the bytes they
+    write to a file."""
+    point, text = os.path.join(DATA, "point_bistable.json"), io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(["point", "--config", point]) == 0
+    assert hashlib.sha256(text.getvalue().encode()).hexdigest()[:16] == "84ef776feeb0d11b"
+    path = write_config(tmp_path, extra={"sweep": {
+        "variable": "power", "lo": 0.0, "hi": 0.1, "points": 4, "bec": "both"}})
+    for fmt in ("csv", "json"):
+        out, text = tmp_path / f"sweep.{fmt}", io.StringIO()
+        assert main(["sweep", "--config", path, "--format", fmt, "--out", str(out)]) == 0
+        with contextlib.redirect_stdout(text):
+            assert main(["sweep", "--config", path, "--format", fmt]) == 0
+        assert text.getvalue().encode() == out.read_bytes()
 
 
 def test_sweep_requires_sweep_section(tmp_path):

@@ -15,14 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optobec import (characteristic_polynomial, derive_quantities,
-                     diffusion_matrix, drift_matrix, evaluate_branches,
-                     is_stable, solve_lyapunov, solve_mean_field)
+from optobec import (bistability_window, characteristic_polynomial,
+                     derive_quantities, diffusion_matrix, drift_matrix,
+                     evaluate_branches, is_stable, solve_lyapunov,
+                     solve_mean_field)
 from optobec.config import params_from_dict
 from optobec.linear_dynamics import SMALL_STACK_ROWS
 from optobec.model import drive_rate
-from optobec.steady_state import (BranchColumns, _mean_field_cubic,
-                                  _real_cubic_roots, _stacked_cubic_roots,
+from optobec.presets import baseline_params, reference_kappa
+from optobec.steady_state import (BranchColumns, _cubic_constants,
+                                  _mean_field_cubic, _real_cubic_roots,
+                                  _stacked_cubic_roots,
                                   imposed_detuning_branches,
                                   solve_mean_field_grid)
 from optobec.sweep import to_json
@@ -346,6 +349,65 @@ def test_stacked_cubic_special_rows():
     assert flag.tolist()[:3] == [True, True, False]
     assert _real_cubic_roots(*stack[2]) == [(1.5, False)]
     assert _signed(_real_cubic_roots(*stack[3])) == [(0.0, 1.0, False)]
+
+
+def _power_cubic(d, delta_c, power):
+    return _mean_field_cubic(*_cubic_constants(d), delta_c, delta_c ** 2,
+                             drive_rate(power, d.kappa, d.omega_cav))
+
+
+def _on_knee(d, delta_c, power):
+    return any(flag for _, flag in _real_cubic_roots(*_power_cubic(d, delta_c, power)))
+
+
+def test_stacked_cubic_across_the_knee_band():
+    """Power-sweep cubics around the edge of the knee test, where the stacked
+    kernel's products leave the decision to libm's powers, plus rows whose
+    products underflow or overflow.
+
+    For 50 detunings, each knee of ``bistability_window`` and each side of
+    it, the power is bisected for the edge of the scalar kernel's test
+    |disc| <= 1e-9 disc_scale.  The stack holds the powers 8 ulps either
+    side of that edge, which put some rows where p*p*p and libm's p**3 fall
+    on opposite sides of it, and the powers whose distance to the knee is
+    the edge's times 1 +- 1e-5 ... 1e-3, which put |disc| / disc_scale from
+    inside the band (1.1e-13 either side of 1e-9) to 1e-12 past it on both
+    sides.  Roots and knee flags must equal the scalar kernel's, bit for
+    bit, and an overflowing product must raise libm's ``OverflowError`` in
+    both kernels.
+    """
+    params = baseline_params(bec_present=False)
+    d = derive_quantities(params)
+    rows = []
+    for delta_c in np.linspace(2.0, 8.0, 50) * reference_kappa():
+        window = bistability_window(params, delta_c)
+        for knee in (window.power_low, window.power_high):
+            for side in (1.0, -1.0):
+                on, off = knee, knee * (1.0 + side * 1e-8)
+                assert _on_knee(d, delta_c, on) and not _on_knee(d, delta_c, off)
+                while 0.5 * (on + off) not in (on, off):
+                    mid = 0.5 * (on + off)
+                    on, off = (mid, off) if _on_knee(d, delta_c, mid) else (on, mid)
+                powers = [off + j * math.ulp(off) for j in range(-8, 9)]
+                powers += [knee + (off - knee) * (1.0 + sign * f) for sign in (1.0, -1.0)
+                           for f in (1e-5, 3e-5, 1e-4, 3e-4, 1e-3)]
+                rows += [_power_cubic(d, delta_c, power) for power in powers]
+    underflow = [(1.0, 0.0, 1e-110, -1.0),    # p*p*p underflows to 0
+                 (1.0, 0.0, 1e-105, -1.0),    # p*p*p is subnormal
+                 (1.0, 0.0, -3.0, 1e-170),    # q*q underflows to 0
+                 # a knee by libm's disc, whose disc_scale 6.3e-311 is
+                 # subnormal: p*p*p is 2^-1074 off libm's p**3, past the band
+                 (1.0, 0.0, -3.972984343613674e-104, 3.0480591738398715e-156)]
+    stack = np.array(rows + underflow)
+    row, flag = assert_rows_equal_scalar_kernel(stack)
+    assert 0 < flag.sum() < len(stack)
+    for overflow in [(1.0, 0.0, 1e110, -1.0),     # p*p*p overflows
+                     (1.0, 0.0, 1.0, -1e160)]:    # q*q and disc_scale overflow
+        with pytest.raises(OverflowError) as scalar:
+            _real_cubic_roots(*overflow)
+        with pytest.raises(OverflowError) as stacked:
+            _stacked_cubic_roots(*np.array(rows[:8] + [overflow]).T)
+        assert str(stacked.value) == str(scalar.value)
 
 
 _DECADES = st.floats(-60.0, 60.0).map(lambda e: 10.0 ** e)
