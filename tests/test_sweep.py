@@ -18,7 +18,7 @@ from optobec import (ParameterError, SweepSpec, SweepTable, Variant,
 from optobec.presets import (FIGURE_IDS, MIRROR_FREQ, baseline_params,
                              reference_kappa, reference_xi)
 from optobec.sweep import (CSV_COLUMNS, _expand_configs, _point_params,
-                           _sweep_branches, report_dict, rows_to_csv)
+                           _sweep_branches, report_dict, rows_to_csv, to_json)
 
 import oracles
 
@@ -222,6 +222,33 @@ def test_preset_csv_lock(fig_id, preset_rows):
 def test_fig6_presets_are_fig5_sweeps():
     for part in "abc":
         assert figure_preset(f"fig6{part}") == figure_preset(f"fig5{part}")
+
+
+# First 16 hex digits of the sha256 of each preset's SweepSpec written by
+# to_json: every field of the spec, its variants and their parameters, with
+# no sweep run.  fig6a-c are the fig5a-c sweeps.
+PRESET_SPEC_LOCK = {
+    "fig2a": "fe1f2c77c3d3822f",
+    "fig2b": "cbfa844a21ecbd81",
+    "fig2c": "c9fc2e18e18a4b4c",
+    "fig2d": "515e066150de945e",
+    "fig3": "7f48131758819c55",
+    "fig4": "b40bcce3c7e1b95f",
+    "fig5a": "fdbfa5de0f79a60b",
+    "fig5b": "fd3d73d20ae82ded",
+    "fig5c": "3072af30d6c6a5fd",
+    "fig6a": "fdbfa5de0f79a60b",
+    "fig6b": "fd3d73d20ae82ded",
+    "fig6c": "3072af30d6c6a5fd",
+    "fig7": "8a53f53bed1df998",
+}
+
+
+def test_preset_spec_lock():
+    assert sorted(PRESET_SPEC_LOCK) == sorted(FIGURE_IDS)
+    for fig_id, digest in PRESET_SPEC_LOCK.items():
+        text = to_json(figure_preset(fig_id))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, fig_id
 
 
 def test_failing_point_is_named(monkeypatch):
