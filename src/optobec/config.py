@@ -34,7 +34,7 @@ import numpy as np
 
 from .model import (BecParams, CavityParams, DriveParams, MirrorParams,
                     ParameterError, SystemParams)
-from .sweep import SweepSpec
+from .sweep import DEFAULT_POINTS, SweepSpec
 
 
 class ConfigError(ParameterError):
@@ -155,7 +155,7 @@ def sweep_from_dict(doc: Dict, params: SystemParams) -> SweepSpec:
         elif variable in ("Delta_effective", "omega_sw", "xi"):
             unit = params.mirror.frequency
 
-    points = section.get("points", 600)
+    points = section.get("points", DEFAULT_POINTS)
     if isinstance(points, bool) or not isinstance(points, int):
         raise ConfigError("sweep.points: must be an integer")
     if points > _MAX_POINTS:
@@ -167,8 +167,7 @@ def sweep_from_dict(doc: Dict, params: SystemParams) -> SweepSpec:
         hi=_number(section, "sweep", "hi") * unit,
         points=points,
         params=params,
-        mode=section.get("mode", "mean_field"),
-        bec=section.get("bec", "present"),
+        **{key: section[key] for key in ("mode", "bec") if key in section},
     )
 
 

@@ -9,34 +9,23 @@ condensate coupling defaults to the geometric mirror coupling rate xi
 (about 324 rad/s); ``fig4`` instead pins both couplings to the round value
 330 rad/s that its coupling grid is built from.
 
-Preset catalogue (each writes one multi-configuration dataset):
-
-========  =====================================================================
-fig2a     photon number vs detuning at 10 mW, four condensate configurations
-fig2b     same at 50 mW
-fig2c     same at 250 mW
-fig2d     photon number vs drive power at delta_c = 4 kappa, four configurations
-fig3      photon number vs drive power at delta_c = 3 kappa, weak vs strong
-          collisions (omega_sw = 0.01 and 1 omega_m)
-fig4      photon number vs drive power at delta_c = 5 kappa for mirror
-          couplings xi = 0, 330, 660 rad/s (zeta fixed at 330 rad/s,
-          omega_sw = 0.1 omega_m)
-fig5a-c   occupations vs effective detuning at 50 mW for omega_sw = 2, 1,
-          0.5 omega_m, condensate present and decoupled
-fig6a-c   same sweeps (entanglement columns of the full-mode output)
-fig7      occupations vs effective detuning for omega_sw = 0, 0.5, 1 omega_m
-          plus the condensate-free curve
-========  =====================================================================
+Each preset writes one multi-configuration dataset.  The catalogue is the
+table ``_PRESETS``, one row per figure, which mirrors the README table
+"Bundled presets" row for row: bistability against the drive and the
+detuning for several collision strengths omega_sw (fig2a-d, fig3) and
+mirror couplings xi (fig4), then the occupations and log-negativities of
+the full-mode sweeps against the effective detuning (fig5a-c, whose
+entanglement columns are fig6a-c, and fig7).  Every grid has
+``sweep.DEFAULT_POINTS`` points.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from .model import (BecParams, CavityParams, DriveParams, MirrorParams,
                     ParameterError, SystemParams, derive_quantities)
-from .sweep import SweepSpec, Variant
+from .sweep import DEFAULT_POINTS, SweepSpec, Variant, _point_params
 
 CAVITY_LENGTH = 1e-3        # m
 WAVELENGTH = 1.064e-6       # m
@@ -47,9 +36,6 @@ MIRROR_QUALITY = 1e5
 MIRROR_TEMPERATURE = 0.4    # K
 BEC_RECOIL = 0.1 * MIRROR_FREQ
 BEC_TEMPERATURE = 1e-7      # K
-DEFAULT_POINTS = 600
-
-FIG4_COUPLING = 330.0       # rad/s, round coupling used by the fig4 grid
 
 
 def reference_kappa() -> float:
@@ -83,96 +69,64 @@ def baseline_params(power: float = 0.05,
                         drive=DriveParams(power=power))
 
 
-def _bec_variants(params: SystemParams) -> tuple:
-    """No-condensate curve plus three collision strengths."""
-    wm = MIRROR_FREQ
-    return (
-        Variant("no_bec", params.without_bec()),
-        Variant("sw_0.0", replace(params, bec=replace(params.bec, sw_frequency=0.0))),
-        Variant("sw_0.5", replace(params, bec=replace(params.bec, sw_frequency=0.5 * wm))),
-        Variant("sw_1.0", replace(params, bec=replace(params.bec, sw_frequency=1.0 * wm))),
-    )
+# the condensate-free curve and three collision strengths
+_BEC_CURVES = ("no_bec", "sw_0.0", "sw_0.5", "sw_1.0")
+_KAPPA = reference_kappa()
 
-
-def _fig2_abc(power: float, hi_kappa: float) -> SweepSpec:
-    params = baseline_params(power=power)
-    kappa = reference_kappa()
-    return SweepSpec(variable="delta_c", lo=-2.0 * kappa, hi=hi_kappa * kappa,
-                     points=DEFAULT_POINTS, params=params, mode="mean_field",
-                     bec="present", variants=_bec_variants(params))
-
-
-def _fig2d() -> SweepSpec:
-    kappa = reference_kappa()
-    params = baseline_params(power=0.05, detuning=4.0 * kappa)
-    return SweepSpec(variable="power", lo=0.0, hi=0.3,
-                     points=DEFAULT_POINTS, params=params, mode="mean_field",
-                     bec="present", variants=_bec_variants(params))
-
-
-def _fig3() -> SweepSpec:
-    kappa = reference_kappa()
-    wm = MIRROR_FREQ
-    params = baseline_params(power=0.05, detuning=3.0 * kappa)
-    variants = (
-        Variant("sw_0.01", replace(params, bec=replace(params.bec, sw_frequency=0.01 * wm))),
-        Variant("sw_1.0", replace(params, bec=replace(params.bec, sw_frequency=1.0 * wm))),
-    )
-    return SweepSpec(variable="power", lo=0.0, hi=0.2, points=DEFAULT_POINTS,
-                     params=params, mode="mean_field", bec="present",
-                     variants=variants)
-
-
-def _fig4() -> SweepSpec:
-    kappa = reference_kappa()
-    params = baseline_params(power=0.05, detuning=5.0 * kappa,
-                             sw_frequency=0.1 * MIRROR_FREQ, zeta=FIG4_COUPLING)
-    variants = tuple(
-        Variant(f"xi_{int(x)}", replace(params, xi_override=float(x)))
-        for x in (0.0, FIG4_COUPLING, 2 * FIG4_COUPLING)
-    )
-    return SweepSpec(variable="power", lo=0.0, hi=0.3, points=DEFAULT_POINTS,
-                     params=params, mode="mean_field", bec="present",
-                     variants=variants)
-
-
-def _cooling_sweep(sw_ratio: float) -> SweepSpec:
-    params = baseline_params(power=0.05, sw_frequency=sw_ratio * MIRROR_FREQ)
-    return SweepSpec(variable="Delta_effective", lo=0.0, hi=3.0 * MIRROR_FREQ,
-                     points=DEFAULT_POINTS, params=params, mode="full",
-                     bec="both")
-
-
-def _fig7() -> SweepSpec:
-    params = baseline_params(power=0.05)
-    return SweepSpec(variable="Delta_effective", lo=0.0, hi=3.0 * MIRROR_FREQ,
-                     points=DEFAULT_POINTS, params=params, mode="full",
-                     bec="present", variants=_bec_variants(params))
-
-
-_PRESET_BUILDERS = {
-    "fig2a": lambda: _fig2_abc(0.010, 4.0),
-    "fig2b": lambda: _fig2_abc(0.050, 8.0),
-    "fig2c": lambda: _fig2_abc(0.250, 18.0),
-    "fig2d": _fig2d,
-    "fig3": _fig3,
-    "fig4": _fig4,
-    "fig5a": lambda: _cooling_sweep(2.0),
-    "fig5b": lambda: _cooling_sweep(1.0),
-    "fig5c": lambda: _cooling_sweep(0.5),
-    "fig7": _fig7,
+#: One row per preset, as in the README table "Bundled presets": swept
+#: variable, its range, the overrides of ``baseline_params``, the variants,
+#: mode and bec.  A variant's label says what it changes: ``no_bec``
+#: decouples the condensate, ``sw_R`` sets omega_sw = R omega_m and ``xi_X``
+#: the mirror coupling xi = X rad/s.
+_PRESETS = {
+    "fig2a": ("delta_c", -2.0 * _KAPPA, 4.0 * _KAPPA, dict(power=0.010),
+              _BEC_CURVES, "mean_field", "present"),
+    "fig2b": ("delta_c", -2.0 * _KAPPA, 8.0 * _KAPPA, dict(power=0.050),
+              _BEC_CURVES, "mean_field", "present"),
+    "fig2c": ("delta_c", -2.0 * _KAPPA, 18.0 * _KAPPA, dict(power=0.250),
+              _BEC_CURVES, "mean_field", "present"),
+    "fig2d": ("power", 0.0, 0.3, dict(detuning=4.0 * _KAPPA),
+              _BEC_CURVES, "mean_field", "present"),
+    "fig3": ("power", 0.0, 0.2, dict(detuning=3.0 * _KAPPA),
+             ("sw_0.01", "sw_1.0"), "mean_field", "present"),
+    "fig4": ("power", 0.0, 0.3, dict(detuning=5.0 * _KAPPA,
+                                     sw_frequency=0.1 * MIRROR_FREQ, zeta=330.0),
+             ("xi_0", "xi_330", "xi_660"), "mean_field", "present"),
+    "fig5a": ("Delta_effective", 0.0, 3.0 * MIRROR_FREQ,
+              dict(sw_frequency=2.0 * MIRROR_FREQ), (), "full", "both"),
+    "fig5b": ("Delta_effective", 0.0, 3.0 * MIRROR_FREQ,
+              dict(sw_frequency=1.0 * MIRROR_FREQ), (), "full", "both"),
+    "fig5c": ("Delta_effective", 0.0, 3.0 * MIRROR_FREQ,
+              dict(sw_frequency=0.5 * MIRROR_FREQ), (), "full", "both"),
+    "fig7": ("Delta_effective", 0.0, 3.0 * MIRROR_FREQ, {},
+             _BEC_CURVES, "full", "present"),
 }
 # fig6a-c plot the entanglement columns of the fig5a-c sweeps
-_PRESET_BUILDERS.update({f"fig6{c}": _PRESET_BUILDERS[f"fig5{c}"] for c in "abc"})
+_PRESETS.update({f"fig6{c}": _PRESETS[f"fig5{c}"] for c in "abc"})
 
-FIGURE_IDS = tuple(sorted(_PRESET_BUILDERS))
+FIGURE_IDS = tuple(sorted(_PRESETS))
+
+# the swept variable a variant label's prefix installs, and its unit
+_VARIANT_VALUES = {"sw": ("omega_sw", MIRROR_FREQ), "xi": ("xi", 1.0)}
+
+
+def _variant(label: str, params: SystemParams) -> Variant:
+    """The curve a variant label of ``_PRESETS`` names, on ``params``."""
+    if label == "no_bec":
+        return Variant(label, params.without_bec())
+    prefix, _, value = label.partition("_")
+    swept, unit = _VARIANT_VALUES[prefix]
+    return Variant(label, _point_params(swept, float(value) * unit, params))
 
 
 def figure_preset(fig_id: str) -> SweepSpec:
     """Fully populated sweep for one of the bundled dataset presets."""
     try:
-        builder = _PRESET_BUILDERS[fig_id]
+        variable, lo, hi, overrides, labels, mode, bec = _PRESETS[fig_id]
     except KeyError:
         raise ParameterError(
             f"figure: unknown preset {fig_id!r}; known ids: {', '.join(FIGURE_IDS)}")
-    return builder()
+    params = baseline_params(**overrides)
+    return SweepSpec(variable=variable, lo=lo, hi=hi, points=DEFAULT_POINTS,
+                     params=params, mode=mode, bec=bec,
+                     variants=tuple([_variant(label, params) for label in labels]))

@@ -93,6 +93,12 @@ class Variant:
     params: SystemParams
 
 
+#: Grid size of a sweep whose description gives none: every figure preset,
+#: and a configuration's ``sweep`` section without ``points``.  ``mode`` and
+#: ``bec`` default in :class:`SweepSpec` itself.
+DEFAULT_POINTS = 600
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Declarative description of a 1-D sweep.
@@ -162,20 +168,13 @@ class SweepTable:
 
 
 def _expand_configs(spec: SweepSpec) -> List[Tuple[str, SystemParams]]:
-    base = list(spec.variants) if spec.variants else [Variant("base", spec.params)]
-    configs: List[Tuple[str, SystemParams]] = []
-    for variant in base:
-        if spec.bec == "both":
-            present = variant.params
-            if not present.bec.present:
-                present = replace(present, bec=replace(present.bec, present=True))
-            configs.append((f"{variant.label}/bec", present))
-            configs.append((f"{variant.label}/no_bec", variant.params.without_bec()))
-        elif spec.bec == "absent":
-            configs.append((variant.label, variant.params.without_bec()))
-        else:
-            configs.append((variant.label, variant.params))
-    return configs
+    base = spec.variants or [Variant("base", spec.params)]
+    if spec.bec == "both":
+        return [config for v in base for config in (
+            (f"{v.label}/bec", replace(v.params, bec=replace(v.params.bec, present=True))),
+            (f"{v.label}/no_bec", v.params.without_bec()))]
+    return [(v.label, v.params.without_bec() if spec.bec == "absent" else v.params)
+            for v in base]
 
 
 def evaluate_branches(branches: BranchColumns, d, full: bool = False
