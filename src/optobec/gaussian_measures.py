@@ -102,21 +102,27 @@ def log_negativity(v4: np.ndarray) -> np.ndarray:
         raise ValueError("bipartite covariance must be 4x4")
     if not np.issubdtype(v4.dtype, np.floating):
         v4 = v4.astype(float)
-    det_b = _det2(v4[..., :2, :2])
-    det_bp = _det2(v4[..., 2:, 2:])
-    det_c = _det2(v4[..., :2, 2:])
-    det_v = _det4(v4)
-
-    sigma = det_b + det_bp - 2.0 * det_c
-    disc = sigma * sigma - 4.0 * det_v
-    guard = _DISC_GUARD * np.fmax(1.0, (sigma * sigma).astype(float))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        det_b = _det2(v4[..., :2, :2])
+        det_bp = _det2(v4[..., 2:, 2:])
+        det_c = _det2(v4[..., :2, 2:])
+        det_v = _det4(v4)
+        sigma = det_b + det_bp - 2.0 * det_c
+        disc = sigma * sigma - 4.0 * det_v
+        guard = _DISC_GUARD * np.fmax(1.0, (sigma * sigma).astype(float))
+        eta_sq = np.where(sigma > 0.0, 2.0 * det_v / (
+            sigma + np.sqrt(np.maximum(disc, disc.dtype.type(0.0)))), sigma)
+    # first, as a NaN passes the comparisons below
+    bad = ~(np.isfinite(sigma) & np.isfinite(det_v) & np.isfinite(eta_sq))
+    if bad.any():
+        raise ValueError(
+            f"covariance leaves the float range: Sigma = {float(sigma[bad].flat[0]):.3e}, "
+            f"det V = {float(det_v[bad].flat[0]):.3e}, "
+            f"eta_minus^2 = {float(eta_sq[bad].flat[0]):.3e}")
     bad = disc < -guard
     if bad.any():
         raise ValueError("covariance is not physical: symplectic discriminant "
                          f"{float(disc[bad].flat[0]):.3e} < 0")
-    disc = np.maximum(disc, disc.dtype.type(0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eta_sq = np.where(sigma > 0.0, 2.0 * det_v / (sigma + np.sqrt(disc)), sigma)
     bad = eta_sq <= 0.0
     if bad.any():
         raise ValueError("covariance is not physical: eta_minus^2 = "

@@ -72,6 +72,10 @@ class CavityParams:
         _positive(self.wavelength, "cavity.wavelength")
         _positive(self.finesse, "cavity.finesse")
         _finite_square(self.detuning, "cavity.detuning")
+        # the solvers square kappa = pi c / (L F)
+        _require(self.length * self.finesse > 0.0 and math.isfinite(self.kappa * self.kappa),
+                 "cavity.length/cavity.finesse",
+                 "must give a decay rate kappa with a finite square")
 
     @property
     def kappa(self) -> float:
@@ -91,6 +95,7 @@ class MirrorParams:
     def __post_init__(self):
         _positive(self.mass, "mirror.mass")
         _positive(self.frequency, "mirror.frequency")
+        _finite_square(self.frequency, "mirror.frequency")
         _positive(self.quality, "mirror.quality")
         _non_negative(self.temperature, "mirror.temperature")
 
@@ -196,7 +201,7 @@ def bose_occupation(omega: float, temperature: float) -> float:
     hbar*omega/(k_B T) > 700, where the Bose factor underflows double
     precision (occupation below ~1e-304).
     """
-    if temperature == 0.0:
+    if K_B * temperature == 0.0:   # T = 0, or a bath so cold k_B T underflows
         return 0.0
     _require(omega > 0, "bose_occupation.omega", "must be > 0 for a thermal bath")
     x = HBAR * omega / (K_B * temperature)
@@ -223,11 +228,19 @@ def derive_quantities(params: SystemParams) -> DerivedQuantities:
     cav, mir, bec, drv = params.cavity, params.mirror, params.bec, params.drive
 
     omega_cav = 2.0 * math.pi * C_LIGHT / cav.wavelength
+    # drive_rate divides by the photon energy
+    _require(0.0 < HBAR * omega_cav < math.inf, "cavity.wavelength",
+             "must give a photon energy hbar omega_cav that is finite and > 0")
     kappa = cav.kappa
     if params.xi_override is not None:
         xi = params.xi_override
     else:
-        xi = (omega_cav / cav.length) * math.sqrt(HBAR / (mir.mass * mir.frequency))
+        m_omega = mir.mass * mir.frequency
+        xi = (omega_cav / cav.length) * math.sqrt(HBAR / m_omega) if m_omega > 0.0 else math.inf
+        if not math.isfinite(xi * xi):   # the solvers square xi
+            raise ParameterError(
+                f"cavity.length/mirror.mass/mirror.frequency: the mirror coupling "
+                f"xi = {xi:.3e} rad/s has no finite square")
     eta = drive_rate(drv.power, kappa, omega_cav)
     gamma_m = mir.frequency / mir.quality
 

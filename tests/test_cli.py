@@ -348,6 +348,10 @@ NO_BEC_NORMALIZED = {
 }
 
 
+# a decoupled condensate section whose damping does not scale with kappa
+DECOUPLED_BEC = {"bec": {"present": False, "recoil": 0.1, "damping": 5e-4}}
+
+
 @pytest.mark.parametrize("command, changes, code, named", [
     ("point", {"xi_override": 1e-100}, 1, "error: xi_override/bec.coupling: "),
     ("point", {"xi_override": 1e-150}, 1, "error: xi_override/bec.coupling: "),
@@ -380,18 +384,49 @@ NO_BEC_NORMALIZED = {
     ("sweep", {"sweep": {"variable": "xi", "lo": 0.0, "hi": 1e-20, "points": 5}},
      2, "numerical failure: base: xi=1.57079632679e-13: mean-field branch n = "
         "0.000000e+00 is off the field fixed point"),
+    ("point", {"cavity": {"finesse": 1e-160, "detuning": 0.0},
+                **DECOUPLED_BEC}, 1,
+     "error: cavity.length/cavity.finesse: "),
+    ("threshold", {"cavity": {"finesse": 1e-160, "detuning": 0.0},
+                **DECOUPLED_BEC}, 1,
+     "error: cavity.length/cavity.finesse: "),
+    ("point", {"cavity": {"length": 1e-170, "detuning": 0.0},
+                **DECOUPLED_BEC}, 1,
+     "error: cavity.length/cavity.finesse: "),
+    ("point", {"mirror": {"mass": 1e-320}}, 1,
+     "error: cavity.length/mirror.mass/mirror.frequency: "),
+    ("threshold", {"mirror": {"mass": 1e-320}}, 1,
+     "error: cavity.length/mirror.mass/mirror.frequency: "),
+    ("point", {"mirror": {"frequency": 1e-320}}, 1,
+     "error: cavity.length/mirror.mass/mirror.frequency: "),
+    ("point", {"mirror": {"frequency": 1e300}}, 1, "error: mirror.frequency: "),
+    ("threshold", {"mirror": {"frequency": 1e300}}, 1, "error: mirror.frequency: "),
+    ("point", {"cavity": {"wavelength": 1e300}}, 1, "error: cavity.wavelength: "),
+    ("point", {"mirror": {"temperature": 1e-320}}, 0, ""),
+    ("point", {"bec": {"present": True, "coupling": 5.16e-6, "recoil": 0.1,
+                       "damping": 5e-4, "temperature": 1e-320}}, 0, ""),
+    ("point", {"mirror": {"temperature": 1e300}}, 2,
+     "numerical failure: covariance leaves the float range: "),
 ], ids=["xi_1e-100", "xi_1e-150", "power_1e285", "power_sweep_1e300",
         "detuning_1e100", "delta_c_sweep_1e60", "xi_1e200", "coupling_1e160",
         "xi_1e100", "coupling_1e100", "xi_sweep_1e160", "xi_sweep_1e100",
         "damping_1e200", "weak_pull_5.16e-21", "weak_pull_5.16e-18",
-        "weak_pull_xi_sweep_1e-20"])
+        "weak_pull_xi_sweep_1e-20", "finesse_1e-160", "threshold_finesse_1e-160",
+        "length_1e-170", "mass_1e-320", "threshold_mass_1e-320",
+        "mirror_frequency_1e-320", "mirror_frequency_1e300",
+        "threshold_mirror_frequency_1e300", "wavelength_1e300",
+        "mirror_temperature_1e-320", "bec_temperature_1e-320",
+        "mirror_temperature_1e300"])
 def test_out_of_range_pull_drive_and_detuning(command, changes, code, named,
                                               tmp_path, capsys):
-    """A pull whose square, or whose beta^2, underflows or overflows and an
-    overflowing drive are rejected where they enter (a sweep names its first
-    failing value); a cubic that overflows, or a weak pull whose root the
-    closed form loses (a branch off the field fixed point), is a numerical
-    failure naming its value."""
+    """A pull whose square, or whose beta^2, underflows or overflows, an
+    overflowing drive, and a kappa, xi, omega_m or photon energy that the
+    solvers cannot square or divide by are rejected where they enter (a
+    sweep names its first failing value); a cubic that overflows, a weak
+    pull whose root the closed form loses (a branch off the field fixed
+    point), or a covariance whose determinants leave the float range is a
+    numerical failure naming its value.  A bath so cold that k_B T
+    underflows has no thermal occupation, and the point is reported."""
     doc = json.loads(json.dumps(NO_BEC_NORMALIZED))
     for key, value in changes.items():
         if key in doc:
@@ -404,7 +439,7 @@ def test_out_of_range_pull_drive_and_detuning(command, changes, code, named,
     captured = capsys.readouterr()
     assert captured.err.startswith(named)
     assert "Traceback" not in captured.err
-    assert captured.out == ""
+    assert (captured.out == "") == (code != 0)
 
 
 def test_cubic_overflow_file_is_the_1e60_sweep(tmp_path, capsys):
@@ -429,6 +464,18 @@ def test_weak_pull_file_is_the_xi_5e_21_point(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "numerical failure: mean-field branch n = 0.000000e+00 is off the field "
         "fixed point")
+
+
+def test_tiny_mirror_frequency_file_is_its_row(tmp_path, capsys):
+    """point_tiny_mirror_frequency.json, which CI runs through the installed
+    script, is the mirror_frequency_1e-320 case above and fails as it does."""
+    path = os.path.join(DATA, "point_tiny_mirror_frequency.json")
+    with open(path) as handle:
+        assert json.load(handle) == dict(NO_BEC_NORMALIZED, mirror=dict(
+            NO_BEC_NORMALIZED["mirror"], frequency=1e-320))
+    assert main(["point", "--config", path]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: cavity.length/mirror.mass/mirror.frequency: ")
 
 
 @pytest.mark.parametrize("command, sweep", [

@@ -170,6 +170,14 @@ def test_rejects_nonphysical_covariance():
         log_negativity(v)
 
 
+def test_rejects_covariance_beyond_float_range():
+    """Determinants that overflow (a bath near 1e300 K gives such a
+    covariance) are an error, not E_N = 0, and warn nothing."""
+    hot = np.diag([1e160] * 4)
+    with pytest.raises(ValueError, match="covariance leaves the float range"):
+        log_negativity(np.stack([0.5 * np.eye(4), hot]))
+
+
 def test_rejects_wrong_shape():
     with pytest.raises(ValueError, match="4x4"):
         log_negativity(np.eye(6))

@@ -60,6 +60,7 @@ def test_thermal_occupation_cold_limits():
     assert bose_occupation(MIRROR_FREQ, 0.0) == 0.0
     # below the documented floor the factor underflows and reports exactly 0
     assert bose_occupation(MIRROR_FREQ, 1e-30) == 0.0
+    assert bose_occupation(MIRROR_FREQ, 1e-320) == 0.0   # k_B T underflows
     floor = HBAR * MIRROR_FREQ / (700.0 * K_B)
     assert bose_occupation(MIRROR_FREQ, floor * 0.99) == 0.0
     assert bose_occupation(MIRROR_FREQ, floor * 1.10) > 0.0
