@@ -91,7 +91,10 @@ def log_negativity(v4: np.ndarray) -> np.ndarray:
     2 det V / (Sigma + sqrt(Sigma^2 - 4 det V)); then
     E_N = max(0, -ln 2 eta_minus).  A discriminant negative beyond the
     roundoff guard means the input is not a physical covariance and raises
-    ValueError.  The arithmetic runs in the dtype of the input array.
+    ValueError, as does a Sigma, det V or eta_minus^2 that is not finite
+    (a covariance beyond the float range), which would otherwise pass the
+    guards as NaN and come out as E_N = 0.  The arithmetic runs in the
+    dtype of the input array.
 
     A ``(..., 4, 4)`` stack gives E_N as a float array of shape ``(...)``
     (0-d for one covariance), every entry computed with the same operations
@@ -112,7 +115,7 @@ def log_negativity(v4: np.ndarray) -> np.ndarray:
         guard = _DISC_GUARD * np.fmax(1.0, (sigma * sigma).astype(float))
         eta_sq = np.where(sigma > 0.0, 2.0 * det_v / (
             sigma + np.sqrt(np.maximum(disc, disc.dtype.type(0.0)))), sigma)
-    # first, as a NaN passes the comparisons below
+    # checked first: a NaN passes the comparisons below
     bad = ~(np.isfinite(sigma) & np.isfinite(det_v) & np.isfinite(eta_sq))
     if bad.any():
         raise ValueError(
