@@ -6,14 +6,21 @@ ground state contributes (V_xx + V_pp - 1)/2 = 0 incoherent quanta.  The
 two-mode entanglement monotone is computed from the lowest symplectic
 eigenvalue of the partially transposed 4x4 covariance of the selected
 bipartition; determinants are taken at fixed size (2x2 closed form, LU for
-the 4x4), no eigen machinery anywhere.
+the 4x4), no eigen machinery anywhere.  That arithmetic is written once,
+over the 16 entries of a 4x4 (:func:`_eta_terms`), and runs in two lanes
+with the same operations in the same order: covariance by covariance in
+Python floats for the few covariances of a ``point`` request, and on numpy
+columns for a larger stack, so every E_N has the same bits in either.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
+
+from .linear_dynamics import SMALL_STACK_ROWS
 
 # roundoff guard for the symplectic discriminant, scaled by its natural
 # square magnitude so hot thermal blocks do not trip on cancellation noise
@@ -55,31 +62,62 @@ def reduce_bipartition(v: np.ndarray, splits: Sequence) -> np.ndarray:
     return np.asarray(v, dtype=float)[..., idx[..., :, None], idx[..., None, :]]
 
 
-def _det2(m):
-    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+def _select(take, a, b):
+    # np.where for Python floats
+    return a if take else b
 
 
-def _det4(m):
-    # fixed-size LU with partial pivoting over a stack of 4x4 matrices, in
-    # the dtype of the input (extended-precision covariances go through
-    # unharmed); a zero pivot gives a determinant of exactly 0
-    work = m.reshape(-1, 4, 4).copy()
-    rows = np.arange(len(work))
-    det = np.ones(len(work), dtype=work.dtype)
-    singular = np.zeros(len(work), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for col in range(3):
-            pivot = col + np.abs(work[:, col:, col]).argmax(axis=1)
-            pivot_row = work[rows, pivot]
-            singular |= pivot_row[:, col] == 0.0
-            work[rows, pivot] = work[:, col]
-            work[:, col] = pivot_row
-            det = np.where(pivot != col, -det, det) * pivot_row[:, col]
-            factor = work[:, col + 1:, col] / pivot_row[:, col, None]
-            work[:, col + 1:, col:] = (work[:, col + 1:, col:]
-                                       - factor[:, :, None] * pivot_row[:, None, col:])
-    det = np.where(singular, work.dtype.type(0.0), det * work[:, 3, 3])
-    return det.reshape(m.shape[:-2])
+def _eta_terms(m, where, maximum, sqrt):
+    """The symplectic terms of :func:`log_negativity` for a 4x4 given as its
+    16 entries row by row: Python floats, with :func:`_select`, ``max`` and
+    ``math.sqrt``, or numpy columns, with ``np.where``, ``np.maximum`` and
+    ``np.sqrt``, the same operations in the same order either way and in
+    the dtype of the entries.
+
+    Returns ``(fault, Sigma, det V, disc, eta_minus^2, 2 eta_minus)``.
+    ``fault`` names the first check that fails: 0 none, 1 a Sigma, det V or
+    eta_minus^2 that is not finite (checked first, since a NaN passes the
+    other two), 2 a discriminant negative beyond the roundoff guard, 3
+    eta_minus^2 <= 0.  det V is an LU factorization with partial pivoting
+    whose pivot follows ``np.argmax``: the first largest |entry| wins, and
+    a NaN wins.  A zero pivot makes det V exactly 0; the elimination then
+    divides by 1 instead, which changes no other term and keeps Python
+    floats from raising.
+    """
+    rows = [m[0:4], m[4:8], m[8:12], m[12:16]]
+    (b00, b01, c00, c01), (b10, b11, c10, c11), (_, _, p00, p01), (_, _, p10, p11) = rows
+    sigma = ((b00 * b11 - b01 * b10) + (p00 * p11 - p01 * p10)
+             - 2.0 * (c00 * c11 - c01 * c10))
+    det, singular = 1.0, False
+    for col in range(3):
+        best, top = col, abs(rows[col][col])
+        for r in range(col + 1, 4):
+            size = abs(rows[r][col])
+            take = (size > top) | (size != size) & (top == top)
+            best, top = where(take, r, best), where(take, size, top)
+        # swap rows col and best; at col 0 this replaces every row, so the
+        # elimination below never writes into m
+        for r in range(col + 1, 4):
+            hit = best == r
+            rows[col], rows[r] = (where(hit, rows[r], rows[col]),
+                                  where(hit, rows[col], rows[r]))
+        pivot = rows[col]
+        singular = singular | (pivot[col] == 0.0)
+        det = where(best != col, -pivot[col], pivot[col]) * det
+        scale = where(pivot[col] == 0.0, 1.0, pivot[col])
+        for row in rows[col + 1:]:
+            factor = row[col] / scale
+            for c in range(col + 1, 4):
+                row[c] = row[c] - factor * pivot[c]
+    det_v = where(singular, 0.0, det * rows[3][3])
+    disc = sigma * sigma - 4.0 * det_v
+    guard = _DISC_GUARD * maximum(sigma * sigma, 1.0)
+    positive = sigma > 0.0
+    eta_sq = where(positive, 2.0 * det_v / where(
+        positive, sigma + sqrt(maximum(disc, 0.0)), 1.0), sigma)
+    finite = (abs(sigma) < math.inf) & (abs(det_v) < math.inf) & (abs(eta_sq) < math.inf)
+    fault = where(finite, where(disc < -guard, 2, where(eta_sq <= 0.0, 3, 0)), 1)
+    return fault, sigma, det_v, disc, eta_sq, 2.0 * sqrt(maximum(eta_sq, 0.0))
 
 
 def log_negativity(v4: np.ndarray) -> np.ndarray:
@@ -93,43 +131,40 @@ def log_negativity(v4: np.ndarray) -> np.ndarray:
     roundoff guard means the input is not a physical covariance and raises
     ValueError, as does a Sigma, det V or eta_minus^2 that is not finite
     (a covariance beyond the float range), which would otherwise pass the
-    guards as NaN and come out as E_N = 0.  The arithmetic runs in the
-    dtype of the input array.
+    guards as NaN and come out as E_N = 0.  The error names the first
+    failing covariance of the first check that fails.  The arithmetic runs
+    in the dtype of the input array.
 
     A ``(..., 4, 4)`` stack gives E_N as a float array of shape ``(...)``
     (0-d for one covariance), every entry computed with the same operations
-    as its covariance alone.
+    as its covariance alone.  A float64 stack of at most
+    ``3 * SMALL_STACK_ROWS`` covariances (three splits of each branch of a
+    point) is evaluated covariance by covariance in Python floats, which
+    costs less than numpy calls on so few, and a larger one, or one of
+    another float dtype, on numpy columns: one arithmetic,
+    :func:`_eta_terms`, for both, with numpy's logarithm.
     """
     v4 = np.asarray(v4)
     if v4.ndim < 2 or v4.shape[-2:] != (4, 4):
         raise ValueError("bipartite covariance must be 4x4")
     if not np.issubdtype(v4.dtype, np.floating):
         v4 = v4.astype(float)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        det_b = _det2(v4[..., :2, :2])
-        det_bp = _det2(v4[..., 2:, 2:])
-        det_c = _det2(v4[..., :2, 2:])
-        det_v = _det4(v4)
-        sigma = det_b + det_bp - 2.0 * det_c
-        disc = sigma * sigma - 4.0 * det_v
-        guard = _DISC_GUARD * np.fmax(1.0, (sigma * sigma).astype(float))
-        eta_sq = np.where(sigma > 0.0, 2.0 * det_v / (
-            sigma + np.sqrt(np.maximum(disc, disc.dtype.type(0.0)))), sigma)
-    # checked first: a NaN passes the comparisons below
-    bad = ~(np.isfinite(sigma) & np.isfinite(det_v) & np.isfinite(eta_sq))
-    if bad.any():
-        raise ValueError(
-            f"covariance leaves the float range: Sigma = {float(sigma[bad].flat[0]):.3e}, "
-            f"det V = {float(det_v[bad].flat[0]):.3e}, "
-            f"eta_minus^2 = {float(eta_sq[bad].flat[0]):.3e}")
-    bad = disc < -guard
-    if bad.any():
-        raise ValueError("covariance is not physical: symplectic discriminant "
-                         f"{float(disc[bad].flat[0]):.3e} < 0")
-    bad = eta_sq <= 0.0
-    if bad.any():
-        raise ValueError("covariance is not physical: eta_minus^2 = "
-                         f"{float(eta_sq[bad].flat[0]):.3e} <= 0")
-    e_n = -np.log(2.0 * np.sqrt(eta_sq)).astype(float)
+    flat = v4.reshape(-1, 16)
+    if v4.dtype == float and len(flat) <= 3 * SMALL_STACK_ROWS:
+        terms = np.array([_eta_terms(m, _select, max, math.sqrt)
+                          for m in flat.tolist()]).reshape(-1, 6).T
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = _eta_terms(flat.T, np.where, np.maximum, np.sqrt)
+    fault, sigma, det_v, disc, eta_sq, two_eta = terms
+    if fault.any():
+        i = np.flatnonzero(fault == fault[fault > 0].min())[0]
+        raise ValueError((
+            f"covariance leaves the float range: Sigma = {float(sigma[i]):.3e}, "
+            f"det V = {float(det_v[i]):.3e}, eta_minus^2 = {float(eta_sq[i]):.3e}",
+            f"covariance is not physical: symplectic discriminant {float(disc[i]):.3e} < 0",
+            f"covariance is not physical: eta_minus^2 = {float(eta_sq[i]):.3e} <= 0",
+        )[int(fault[i]) - 1])
+    e_n = -np.log(two_eta).astype(float)
     # where, not maximum: max(0, x) semantics give +0.0, never -0.0
-    return np.where(e_n > 0.0, e_n, 0.0)
+    return np.where(e_n > 0.0, e_n, 0.0).reshape(v4.shape[:-2])

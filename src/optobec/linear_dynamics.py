@@ -44,7 +44,9 @@ LYAPUNOV_STACK_ROWS = 128
 #: Python floats: a cubic has at most three real roots, so a single
 #: configuration has at most three branches, and on so few rows Python
 #: floats cost less than numpy calls.  A larger stack is evaluated on numpy
-#: columns.
+#: columns.  The same constant sizes the Python-float lane of
+#: :func:`optobec.gaussian_measures.log_negativity`: at most three
+#: bipartitions of each of these branches, 3 * SMALL_STACK_ROWS covariances.
 SMALL_STACK_ROWS = 3
 
 

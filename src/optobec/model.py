@@ -199,7 +199,8 @@ def bose_occupation(omega: float, temperature: float) -> float:
 
     Returns 0 at T = 0 and for any bath cold enough that
     hbar*omega/(k_B T) > 700, where the Bose factor underflows double
-    precision (occupation below ~1e-304).
+    precision (occupation below ~1e-304), and inf where hbar*omega/(k_B T)
+    is so small that 1/x is not a finite float.
     """
     if K_B * temperature == 0.0:   # T = 0, or a bath so cold k_B T underflows
         return 0.0
@@ -207,7 +208,7 @@ def bose_occupation(omega: float, temperature: float) -> float:
     x = HBAR * omega / (K_B * temperature)
     if x > _BOSE_EXP_CUTOFF:
         return 0.0
-    return 1.0 / math.expm1(x)
+    return 1.0 / math.expm1(x) if x > 0.0 else math.inf
 
 
 def drive_rate(power: float, kappa: float, omega_cav: float) -> float:
@@ -248,9 +249,19 @@ def derive_quantities(params: SystemParams) -> DerivedQuantities:
     omega_sw = bec.sw_frequency
     Omega_c = 4.0 * bec.recoil + 0.5 * omega_sw
     omega_B = math.sqrt(Omega_c * (Omega_c + omega_sw))
+    # the pull and the condensate displacement divide by Omega_c
+    if bec.present and not (math.isfinite(bec.damping / Omega_c)
+                            and math.isfinite(bec.damping ** 2 / Omega_c)):
+        raise ParameterError(
+            f"bec.recoil/bec.damping: gamma_c/Omega_c and gamma_c^2/Omega_c must be "
+            f"finite (Omega_c = {Omega_c:.3e} rad/s)")
 
     nbar = bose_occupation(mir.frequency, mir.temperature)
     nbar_bec = bose_occupation(omega_B, bec.temperature) if omega_B > 0 else 0.0
+    for n, fields in ((nbar, "mirror.frequency/mirror.temperature"),
+                      (nbar_bec, "bec.recoil/bec.sw_frequency/bec.temperature")):
+        _require(math.isfinite(n), fields, "hbar omega/(k_B T) is too small "
+                 "for a finite thermal occupation")
 
     beta = xi ** 2 / mir.frequency
     if zeta > 0.0:

@@ -407,6 +407,18 @@ DECOUPLED_BEC = {"bec": {"present": False, "recoil": 0.1, "damping": 5e-4}}
                        "damping": 5e-4, "temperature": 1e-320}}, 0, ""),
     ("point", {"mirror": {"temperature": 1e300}}, 2,
      "numerical failure: covariance leaves the float range: "),
+    ("point", {"mirror": {"frequency": 1e-320}, "xi_override": 1e-3}, 1,
+     "error: mirror.frequency/mirror.temperature: "),
+    ("sweep", {"mirror": {"frequency": 1e-320},
+               "sweep": {"variable": "xi", "lo": 0.0, "hi": 600.0, "points": 5}},
+     1, "error: base: xi=0: mirror.frequency/mirror.temperature: "),
+    ("point", {"bec": {"present": True, "coupling": 5.16e-6, "recoil": 1e-100,
+                       "damping": 5e-4, "temperature": 1e300}}, 1,
+     "error: bec.recoil/bec.sw_frequency/bec.temperature: "),
+    ("point", {"bec": {"present": True, "coupling": 5.16e-6, "recoil": 1e-320,
+                       "damping": 5e-4}}, 1, "error: bec.recoil/bec.damping: "),
+    ("point", {"bec": {"present": True, "coupling": 5.16e-6, "recoil": 1e-160,
+                       "damping": 1e90}}, 1, "error: bec.recoil/bec.damping: "),
 ], ids=["xi_1e-100", "xi_1e-150", "power_1e285", "power_sweep_1e300",
         "detuning_1e100", "delta_c_sweep_1e60", "xi_1e200", "coupling_1e160",
         "xi_1e100", "coupling_1e100", "xi_sweep_1e160", "xi_sweep_1e100",
@@ -416,7 +428,9 @@ DECOUPLED_BEC = {"bec": {"present": False, "recoil": 0.1, "damping": 5e-4}}
         "mirror_frequency_1e-320", "mirror_frequency_1e300",
         "threshold_mirror_frequency_1e300", "wavelength_1e300",
         "mirror_temperature_1e-320", "bec_temperature_1e-320",
-        "mirror_temperature_1e300"])
+        "mirror_temperature_1e300", "xi_at_mirror_frequency_1e-320",
+        "xi_sweep_at_mirror_frequency_1e-320", "bec_temperature_1e300_recoil_1e-100",
+        "recoil_1e-320", "recoil_1e-160_damping_1e90"])
 def test_out_of_range_pull_drive_and_detuning(command, changes, code, named,
                                               tmp_path, capsys):
     """A pull whose square, or whose beta^2, underflows or overflows, an
@@ -426,7 +440,10 @@ def test_out_of_range_pull_drive_and_detuning(command, changes, code, named,
     pull whose root the closed form loses (a branch off the field fixed
     point), or a covariance whose determinants leave the float range is a
     numerical failure naming its value.  A bath so cold that k_B T
-    underflows has no thermal occupation, and the point is reported."""
+    underflows has no thermal occupation, and the point is reported; a mode
+    whose hbar omega/(k_B T) is too small for a finite occupation, or a
+    condensate whose Omega_c is too small to divide gamma_c or gamma_c^2
+    by, is rejected with the fields that set it."""
     doc = json.loads(json.dumps(NO_BEC_NORMALIZED))
     for key, value in changes.items():
         if key in doc:
@@ -464,6 +481,34 @@ def test_weak_pull_file_is_the_xi_5e_21_point(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "numerical failure: mean-field branch n = 0.000000e+00 is off the field "
         "fixed point")
+
+
+@pytest.mark.parametrize("name, changes, named", [
+    ("point_tiny_frequency_xi.json",
+     {"mirror": {"frequency": 1e-320}, "xi_override": 1e-3},
+     "error: mirror.frequency/mirror.temperature: "),
+    ("point_tiny_recoil.json", {"bec": {"recoil": 1e-320}},
+     "error: bec.recoil/bec.damping: "),
+])
+def test_underflowing_rate_files(name, changes, named, capsys):
+    """The files CI runs through the installed script: point_bistable.json
+    with a mirror frequency of 1e-320 rad/s under an explicit xi, whose
+    thermal occupation is not finite, and with a condensate recoil of
+    1e-320 rad/s, whose Omega_c gamma_c cannot be divided by; both exit 1
+    with the fields named."""
+    with open(os.path.join(DATA, "point_bistable.json")) as handle:
+        expected = json.load(handle)
+    for key, value in changes.items():
+        if isinstance(value, dict):
+            expected[key] = dict(expected[key], **value)
+        else:
+            expected[key] = value
+    path = os.path.join(DATA, name)
+    with open(path) as handle:
+        assert json.load(handle) == expected
+    assert main(["point", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(named) and captured.out == ""
 
 
 def test_tiny_mirror_frequency_file_is_its_row(tmp_path, capsys):

@@ -201,15 +201,19 @@ def test_stacked_log_negativity_equals_each_covariance():
 
 
 def test_stacked_log_negativity_keeps_extended_precision():
-    from optobec.gaussian_measures import _det4
+    from optobec.gaussian_measures import _eta_terms
+
+    def det_v(stack):
+        # the numpy-column lane, which every longdouble input takes
+        return _eta_terms(stack.reshape(-1, 16).T, np.where, np.maximum, np.sqrt)[2]
 
     stack = np.stack([tmsv_cm(r, dtype=np.longdouble) for r in np.linspace(0.0, 5.0, 11)])
     assert stack.dtype == np.longdouble
-    dets = _det4(stack)
+    dets = det_v(stack)
     assert dets.dtype == np.longdouble
     result = log_negativity(stack)
     for i, v in enumerate(stack):
-        assert dets[i] == _det4(v)
+        assert dets[i] == det_v(v)[0]
         assert result[i] == log_negativity(v)
 
 

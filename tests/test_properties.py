@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from optobec import (bistability_window, characteristic_polynomial,
                      derive_quantities, diffusion_matrix, drift_matrix,
-                     evaluate_branches, is_stable, solve_lyapunov,
-                     solve_mean_field)
+                     evaluate_branches, is_stable, log_negativity,
+                     solve_lyapunov, solve_mean_field)
 from optobec.config import params_from_dict
 from optobec.linear_dynamics import SMALL_STACK_ROWS
 from optobec.model import drive_rate
@@ -30,6 +30,7 @@ from optobec.steady_state import (BranchColumns, _cubic_constants,
                                   solve_mean_field_grid)
 from optobec.sweep import to_json
 
+from conftest import rotation_2mode, two_mode_squeezer
 from oracles import (branch_rows, hurwitz_determinants, hurwitz_term_scales,
                      hurwitz_verdict, matrix_charpoly)
 
@@ -268,6 +269,70 @@ def test_axis_roots_read_marginal_in_both_lanes():
             is_stable(stack[None])
         with pytest.raises(ValueError):
             is_stable([[2.0, 3.0, 1.0], [1.0, 2.0, 0.0]] * copies)
+
+
+ANGLES = st.floats(0.0, 2.0 * math.pi)
+
+
+@st.composite
+def bipartite_covariances(draw):
+    """A 4x4: a physical two-mode covariance S diag(nu1, nu1, nu2, nu2) S^T,
+    that times 2^k for |k| <= 500, a rank-deficient one, one with a zero
+    row and column (a zero pivot), one of thirds k/3 for |k| <= 3 (ties
+    for the pivot, inexact quotients and negative discriminants), or one
+    with an entry that is not finite, in a physical one or in a zero
+    column."""
+    s = (rotation_2mode(draw(ANGLES), draw(ANGLES))
+         @ two_mode_squeezer(draw(st.floats(0.0, 3.0)))
+         @ rotation_2mode(draw(ANGLES), draw(ANGLES)))
+    nu1, nu2 = draw(st.floats(0.5, 50.0)), draw(st.floats(0.5, 50.0))
+    v = s @ np.diag([nu1, nu1, nu2, nu2]) @ s.T
+    # physical three times in four, so that slices of several covariances
+    # still give values
+    kind = draw(st.sampled_from(("physical",) * 15 + (
+        "scaled", "rank", "zero_pivot", "thirds", "not_finite")))
+    if kind == "scaled":
+        v = np.ldexp(v, draw(st.integers(-500, 500)))
+    elif kind == "rank":
+        u = v[:, :draw(st.integers(1, 3))]
+        v = u @ u.T
+    elif kind == "zero_pivot":
+        i = draw(st.integers(0, 3))
+        v[i, :] = v[:, i] = 0.0
+    elif kind == "thirds":
+        v = np.array(draw(st.lists(st.integers(-3, 3), min_size=16, max_size=16)),
+                     dtype=float).reshape(4, 4) / 3.0
+    elif kind == "not_finite":
+        i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        if draw(st.booleans()):   # alone in a zero column: a NaN wins the pivot
+            v[j, :] = v[:, j] = 0.0
+        v[i, j] = draw(st.sampled_from((math.nan, math.inf, -math.inf)))
+    return v
+
+
+def _outcome(v4, part=slice(None)):
+    """E_N bytes of ``log_negativity(v4)[part]``, or the text of its error."""
+    try:
+        return log_negativity(v4)[part].tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, **PROPERTY)
+@given(st.lists(st.lists(bipartite_covariances(), min_size=3, max_size=3),
+                min_size=SMALL_STACK_ROWS + 1, max_size=8).map(np.array))
+def test_small_covariance_stacks_agree_with_whole_stack(stack):
+    """Every slice of 1-3 branches of three splits each (3-9 covariances,
+    evaluated in Python floats) gets the E_N bytes, or the ValueError text,
+    that its covariances get in place in the whole stack (more than nine,
+    evaluated on numpy columns), where every covariance outside the slice is
+    the vacuum, so that an error can name only one of the slice."""
+    for size in range(1, SMALL_STACK_ROWS + 1):
+        for start in range(len(stack) - size + 1):
+            part = slice(start, start + size)
+            whole = np.broadcast_to(0.5 * np.eye(4), stack.shape).copy()
+            whole[part] = stack[part]
+            assert _outcome(stack[part]) == _outcome(whole, part)
 
 
 def _knee_row(r, s, scale, nudge):
