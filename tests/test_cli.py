@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -16,6 +17,9 @@ from optobec import DriveParams, derive_quantities, figure_preset
 from optobec.cli import _point_report, main
 from optobec.presets import MIRROR_FREQ, baseline_params, reference_kappa
 from optobec.sweep import to_json
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import point_config  # noqa: E402
 
 
 BASE_CONFIG = {
@@ -124,6 +128,19 @@ def test_drawn_point_reports_lock(tmp_path, capsys):
         reports.append(capsys.readouterr().out)
     digest = hashlib.sha256("".join(reports).encode()).hexdigest()
     assert digest[:16] == "d4a14a105dfec4c7"
+
+
+def test_benchmark_point_reports_lock(tmp_path):
+    """The reports of the benchmark's 400 seed-1 `point` requests, written
+    as the benchmark writes them and concatenated, keep their bytes."""
+    rng = random.Random(1)
+    digest = hashlib.sha256()
+    for i in range(400):
+        config, out = tmp_path / f"point_{i:04d}.json", tmp_path / f"report_{i:04d}.json"
+        config.write_text(json.dumps(point_config(rng), indent=1) + "\n")
+        assert main(["point", "--config", str(config), "--out", str(out)]) == 0
+        digest.update(out.read_bytes())
+    assert digest.hexdigest()[:16] == "84b915d2e58b2ab4"
 
 
 def test_point_report_to_file(tmp_path):
