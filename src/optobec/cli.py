@@ -95,26 +95,18 @@ def _point_report(params) -> dict:
     }
 
 
-def _stdout():
-    # the byte stream under sys.stdout, or sys.stdout itself when it has none
-    # (an io.StringIO put there by the caller), which takes the report as text
-    return getattr(sys.stdout, "buffer", sys.stdout)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command == "point":
             params, _ = load_config(args.config)
-            write_bytes(to_json(_point_report(params)).encode(),
-                        _stdout() if args.out is None else args.out)
+            write_bytes(to_json(_point_report(params)).encode(), args.out)
         elif args.command == "sweep":
             params, spec = load_config(args.config)
             if spec is None:
                 raise ConfigError("sweep: config file has no sweep section")
-            destination = _stdout() if args.out is None else args.out
-            emit(run_sweep(spec), args.format, destination, spec=spec)
+            emit(run_sweep(spec), args.format, args.out, spec=spec)
         elif args.command == "figure":
             os.makedirs(args.out, exist_ok=True)
             path = os.path.join(args.out, f"{args.id}.csv")

@@ -249,6 +249,9 @@ def derive_quantities(params: SystemParams) -> DerivedQuantities:
     omega_sw = bec.sw_frequency
     Omega_c = 4.0 * bec.recoil + 0.5 * omega_sw
     omega_B = math.sqrt(Omega_c * (Omega_c + omega_sw))
+    if Omega_c * (Omega_c + omega_sw) < sys.float_info.min:
+        # the product underflows, to a subnormal or to 0: take the roots apart
+        omega_B = math.sqrt(Omega_c) * math.sqrt(Omega_c + omega_sw)
     # the pull and the condensate displacement divide by Omega_c
     if bec.present and not (math.isfinite(bec.damping / Omega_c)
                             and math.isfinite(bec.damping ** 2 / Omega_c)):

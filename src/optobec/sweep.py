@@ -45,10 +45,11 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass, replace
 from itertools import groupby, product, repeat
 from json.encoder import encode_basestring_ascii
-from operator import add, is_
+from operator import is_
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -247,15 +248,13 @@ def _grid_branches(variable: str, values: Sequence[float], configs, ds) -> Branc
     if variable != "power":
         return solve_mean_field_grid(ds, delta_c, np.array([d.eta for d in ds])[group],
                                      group)
+    # eta and eta^2 do not decrease as the power grows, so drive_rate's
+    # checks at the grid's lowest and highest power pass for every point
+    for d, power in product(ds, (min(values), max(values))):
+        drive_rate(power, d.kappa, d.omega_cav)
     kappa, omega_cav = per_row(ds, group, lambda d: (d.kappa, d.omega_cav)).T
-    # drive_rate over the grid, in its operations, order and checks
-    with np.errstate(over="ignore", invalid="ignore"):
-        eta = np.sqrt(2.0 * value * kappa / (HBAR * omega_cav))
-        invalid = np.flatnonzero(~(np.isfinite(value) & (value >= 0.0)
-                                   & np.isfinite(eta * eta)))
-    if len(invalid):
-        # the scalar check raises the ParameterError of the first bad power
-        drive_rate(*(float(x[invalid[0]]) for x in (value, kappa, omega_cav)))
+    # drive_rate over the grid, in its operations and order
+    eta = np.sqrt(2.0 * value * kappa / (HBAR * omega_cav))
     return solve_mean_field_grid(ds, delta_c, eta, group)
 
 
@@ -335,9 +334,9 @@ def rows_to_csv(table: SweepTable) -> str:
     """CSV text: fixed header, 12 significant digits, LF line endings.
 
     Written from the columns, one run of measured or unmeasured rows at a
-    time: the measured template is mapped over the zipped columns of its
-    run, and a run of unmeasured rows is one ``%`` call, on the template
-    repeated once per row, with the run's columns interleaved by slices.
+    time: a run is one ``%`` call, on its template repeated once per row,
+    with the run's columns (the eight head columns, then the five measures
+    of a measured run) interleaved by slices.
     """
     columns = (table.config, table.value, table.branch, table.n, table.alpha,
                table.Delta, table.stability,
@@ -346,16 +345,14 @@ def rows_to_csv(table: SweepTable) -> str:
     start = 0
     for unmeasured, run in groupby(map(is_, table.measures, repeat(None))):
         stop = start + len(list(run))
-        if unmeasured:
-            fields = [None] * (len(columns) * (stop - start))
-            for k, column in enumerate(columns):
-                fields[k::len(columns)] = column[start:stop]
-            lines.append("\n".join(repeat(_CSV_UNMEASURED, stop - start))
-                         % tuple(fields))
-        else:
-            lines.extend(map(_CSV_MEASURED.__mod__, map(
-                add, zip(*(column[start:stop] for column in columns)),
-                map(tuple, table.measures[start:stop]))))
+        run_columns = [column[start:stop] for column in columns]
+        if not unmeasured:
+            run_columns.extend(zip(*table.measures[start:stop]))
+        fields = [None] * (len(run_columns) * (stop - start))
+        for k, column in enumerate(run_columns):
+            fields[k::len(run_columns)] = column
+        template = _CSV_UNMEASURED if unmeasured else _CSV_MEASURED
+        lines.append("\n".join(repeat(template, stop - start)) % tuple(fields))
         start = stop
     return "\n".join(lines) + "\n"
 
@@ -448,9 +445,16 @@ def emit(rows: SweepTable, fmt: str, destination,
     return write_bytes(payload, destination)
 
 
-def write_bytes(payload: bytes, destination) -> int:
+def write_bytes(payload: bytes, destination=None) -> int:
     """Write ``payload`` to a path, a binary file object or a text stream
-    (``io.TextIOBase``, as UTF-8 text); returns its length in bytes."""
+    (``io.TextIOBase``, as UTF-8 text); returns its length in bytes.
+
+    None means ``sys.stdout``: the byte stream under it, or ``sys.stdout``
+    itself as text when it has none (an ``io.StringIO`` put there by a
+    caller).
+    """
+    if destination is None:
+        destination = getattr(sys.stdout, "buffer", sys.stdout)
     if isinstance(destination, io.TextIOBase):
         destination.write(payload.decode())
     elif hasattr(destination, "write"):

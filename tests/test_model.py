@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from optobec import (HBAR, K_B, C_LIGHT, BecParams, CavityParams,
                      DriveParams, MirrorParams, ParameterError,
                      bose_occupation, derive_quantities, drive_rate)
-from optobec.presets import MIRROR_FREQ, baseline_params
+from optobec.presets import BEC_TEMPERATURE, MIRROR_FREQ, baseline_params
 
 
 def test_constants_pinned():
@@ -46,6 +47,19 @@ def test_condensate_resonance(sw_ratio, omega_b_ratio, gap_ratio):
     assert d.Omega_c == pytest.approx((0.4 + sw_ratio / 2) * MIRROR_FREQ, rel=1e-14)
     assert d.omega_B / d.omega_m == pytest.approx(omega_b_ratio, rel=1e-12)
     assert d.delta_omega / d.omega_m == pytest.approx(gap_ratio, rel=1e-12)
+
+
+@pytest.mark.parametrize("recoil", [1e-160, 1e-165, 1e-170])
+def test_condensate_resonance_of_a_tiny_recoil(recoil):
+    """Omega_c^2 is subnormal or 0, yet with no collisions omega_B =
+    Omega_c = 4 recoil to an ulp, and the bath occupation at it is finite
+    and > 0 (about 3.3e168 at 1e-165 rad/s)."""
+    params = baseline_params()
+    d = derive_quantities(replace(params, bec=replace(params.bec, recoil=recoil)))
+    assert abs(d.omega_B - 4.0 * recoil) <= math.ulp(4.0 * recoil)
+    assert 0.0 < d.nbar_bec < math.inf
+    assert d.nbar_bec == pytest.approx(bose_occupation(4.0 * recoil, BEC_TEMPERATURE),
+                                       rel=1e-15)
 
 
 def test_thermal_occupation_reference_bath():

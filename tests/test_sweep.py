@@ -432,11 +432,23 @@ EDGE_ROWS = [
     ("edge/bec", 123456789012345.0, "middle", 0.1, 2.0, 3.0, "stable", True,
      1.0, 2.0 ** 60, -1e-15, 5e-324, 1.0),
 ]
+# a measured first row, then runs of 1, 2 and 1 rows: every run boundary
+EDGE_RUNS = {"edge": EDGE_ROWS, "edge_runs": [
+    ("edge", 5e-324, "lower", -0.0, INF, -INF, "stable", True,
+     NAN, -0.0, 5e-324, INF, -INF),
+    ("edge", 1.0, "middle", NAN, 5e-324, -0.0, "unstable", False),
+    ("edge/bec", -0.0, "upper", -INF, NAN, 5e-324, "stable", False,
+     INF, 5e-324, -0.0, NAN, 0.0),
+    ("edge/bec", INF, "unique", 5e-324, -0.0, NAN, "stable", True,
+     -INF, NAN, INF, -0.0, 5e-324),
+    ("edge/bec", NAN, "unique", INF, -INF, 5e-324, "marginal", False),
+]}
 
 
-@pytest.mark.parametrize("rows", [*sorted(PRESET_LOCK), "edge"])
+@pytest.mark.parametrize("rows", [*sorted(PRESET_LOCK), *EDGE_RUNS])
 def test_csv_writer_matches_per_field_writer(rows, preset_rows):
-    table = oracles.sweep_table(EDGE_ROWS) if rows == "edge" else preset_rows(rows)
+    table = (oracles.sweep_table(EDGE_RUNS[rows]) if rows in EDGE_RUNS
+             else preset_rows(rows))
     assert rows_to_csv(table) == oracles.rows_to_csv(table)
 
 
