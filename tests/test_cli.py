@@ -94,36 +94,14 @@ def test_point_report_lock(config, digest, branches, tmp_path, capsys):
         assert all(b["Q_s"] == b["P_s"] == 0.0 for b in report)
 
 
-def drawn_point_config(rng):
-    """A normalized config drawn uniformly over the physical box around the
-    reference cavity: power 1-300 mW, detuning -2...8 kappa, omega_sw
-    0-2 omega_m, mirror bath 0.01-1 K, condensate present in 75%."""
-    detuning = rng.uniform(-2.0, 8.0)
-    power = rng.uniform(1e-3, 0.3)
-    sw_frequency = rng.uniform(0.0, 2.0)
-    temperature = rng.uniform(0.01, 1.0)
-    present = rng.random() < 0.75
-    return {
-        "units": "normalized",
-        "cavity": {"length": 1e-3, "wavelength": 1.064e-6, "finesse": 3e4,
-                   "detuning": detuning},
-        "mirror": {"mass": 5e-11, "frequency": MIRROR_FREQ, "quality": 1e5,
-                   "temperature": temperature},
-        "bec": {"present": present, "coupling": 5.16e-6,
-                "sw_frequency": sw_frequency, "recoil": 0.1,
-                "damping": 5e-4, "temperature": 1e-7},
-        "drive": {"power": power},
-    }
-
-
 def test_drawn_point_reports_lock(tmp_path, capsys):
-    """The `point` reports of 40 seeded configs, concatenated, keep their
-    bytes."""
+    """The `point` reports of 40 configs drawn over the benchmark's `point`
+    box, concatenated, keep their bytes."""
     rng = random.Random(1)
     reports = []
     for i in range(40):
         path = tmp_path / f"point_{i:02d}.json"
-        path.write_text(json.dumps(drawn_point_config(rng)))
+        path.write_text(json.dumps(point_config(rng)))
         assert main(["point", "--config", str(path)]) == 0
         reports.append(capsys.readouterr().out)
     digest = hashlib.sha256("".join(reports).encode()).hexdigest()

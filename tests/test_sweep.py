@@ -432,7 +432,8 @@ EDGE_ROWS = [
     ("edge/bec", 123456789012345.0, "middle", 0.1, 2.0, 3.0, "stable", True,
      1.0, 2.0 ** 60, -1e-15, 5e-324, 1.0),
 ]
-# a measured first row, then runs of 1, 2 and 1 rows: every run boundary
+# the edge tables: EDGE_ROWS, and a measured first row followed by runs of
+# 1, 2 and 1 rows, so each kind of run meets each boundary
 EDGE_RUNS = {"edge": EDGE_ROWS, "edge_runs": [
     ("edge", 5e-324, "lower", -0.0, INF, -INF, "stable", True,
      NAN, -0.0, 5e-324, INF, -INF),
