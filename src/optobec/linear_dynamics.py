@@ -10,7 +10,12 @@ alpha and Delta, with no matrix built.  A verdict is ``stable``,
 ``marginal`` (one simple pair of roots on the imaginary axis, read from an
 exact zero determinant) or ``unstable`` (:func:`is_stable`).  A stack of
 branches may span configurations: each row gathers the constants of its own
-derived quantities (:func:`per_row`).  The stationary covariance V solves
+derived quantities (:func:`per_row`).  The branches of one configuration
+(at most ``SMALL_STACK_ROWS``, a ``point`` request) take a Python-float
+lane through the drift, its characteristic polynomial and the verdict, and
+any other stack takes numpy columns, with the same operations in the same
+order, so a row has the same bits in either; a configuration's polynomial
+products are Python floats for both.  The stationary covariance V solves
 A V + V A^T = -D by direct Kronecker vectorization; at fixed size 6 the
 36-unknown dense solve costs microseconds and stays free of any eigen/Schur
 machinery.
@@ -80,31 +85,38 @@ def drift_matrix(branches, d) -> np.ndarray:
     ``(N, 6, 6)`` stack; only their ``alpha``, ``Delta`` and group enter,
     with ``d`` as in :func:`per_row`.  A condensate-absent configuration has
     zeta = 0, which decouples the last two rows and columns; they are kept
-    so the state dimension never changes.
+    so the state dimension never changes.  The nonzero entries
+    (:func:`_drift_entries`) are taken branch by branch in Python floats for
+    at most ``SMALL_STACK_ROWS`` branches of one configuration and on numpy
+    columns otherwise, with the same bits either way.
     """
     alpha, delta = branches.alpha, branches.Delta
-    if not isinstance(d, DerivedQuantities):   # each field as a column of rows
-        d = DerivedQuantities(*per_row(d, branches.group,
-                                       lambda x: [*vars(x).values()]).T)
+    if isinstance(d, DerivedQuantities) and len(alpha) <= SMALL_STACK_ROWS:
+        entries = np.array([_drift_entries(d, *row) for row in
+                            zip(alpha.tolist(), delta.tolist())]).reshape(-1, 15)
+    else:
+        if not isinstance(d, DerivedQuantities):   # each field as a column of rows
+            d = DerivedQuantities(*per_row(d, branches.group,
+                                           lambda x: [*vars(x).values()]).T)
+        entries = np.stack(np.broadcast_arrays(*_drift_entries(d, alpha, delta)), -1)
+    a = np.zeros((len(alpha), 6, 6))
+    a[:, _DRIFT_ROWS, _DRIFT_COLUMNS] = entries
+    return a
+
+
+#: Positions of the entries of :func:`_drift_entries` in a drift matrix.
+_DRIFT_ROWS = (0, 0, 1, 1, 1, 1, 2, 3, 3, 3, 4, 4, 5, 5, 5)
+_DRIFT_COLUMNS = (0, 1, 0, 1, 2, 4, 3, 0, 2, 3, 4, 5, 0, 4, 5)
+
+
+def _drift_entries(d: DerivedQuantities, alpha, delta) -> tuple:
+    """The nonzero entries of a drift matrix, row by row, of Python floats
+    or numpy columns alike."""
     g_m = _SQRT2 * d.xi * alpha
     g_c = _SQRT2 * d.zeta * alpha
-    a = np.zeros((len(alpha), 6, 6))
-    a[:, 0, 0] = -d.kappa
-    a[:, 0, 1] = delta
-    a[:, 1, 0] = -delta
-    a[:, 1, 1] = -d.kappa
-    a[:, 1, 2] = g_m
-    a[:, 1, 4] = -g_c
-    a[:, 2, 3] = d.omega_m
-    a[:, 3, 0] = g_m
-    a[:, 3, 2] = -d.omega_m
-    a[:, 3, 3] = -d.gamma_m
-    a[:, 4, 4] = -d.gamma_c
-    a[:, 4, 5] = d.Omega_c
-    a[:, 5, 0] = -g_c
-    a[:, 5, 4] = -(d.Omega_c + d.omega_sw)
-    a[:, 5, 5] = -d.gamma_c
-    return a
+    return (-d.kappa, delta, -delta, -d.kappa, g_m, -g_c, d.omega_m, g_m,
+            -d.omega_m, -d.gamma_m, -d.gamma_c, d.Omega_c, -g_c,
+            -(d.Omega_c + d.omega_sw), -d.gamma_c)
 
 
 def diffusion_matrix(d: DerivedQuantities) -> np.ndarray:
@@ -135,36 +147,52 @@ def characteristic_polynomial(branches, d) -> np.ndarray:
     configuration (``d`` as in :func:`per_row`), so a row costs two
     products and two sums of 7-vectors: (kappa^2 + Delta^2) and
     Delta alpha^2 are the only per-branch inputs.  N branches give
-    ``(N, 7)``, each row with the operations it gets on its own.  A
-    coefficient that leaves the float range raises :class:`NumericalError`,
-    so no stability test sees it.
+    ``(N, 7)``, each row with the operations it gets on its own: at most
+    ``SMALL_STACK_ROWS`` branches of one configuration row by row in Python
+    floats, any other stack on numpy columns.  A coefficient that leaves
+    the float range raises :class:`NumericalError`, so no stability test
+    sees it.
     """
     alpha, delta = branches.alpha, branches.Delta
-    with np.errstate(over="ignore", invalid="ignore"):
-        kappa_sq, both, fixed, coupling = per_row(
-            d, branches.group, _charpoly_terms).swapaxes(-2, 0)
-        coeffs = ((delta * delta + kappa_sq[..., 0])[:, None] * both + fixed
-                  - (delta * (alpha * alpha))[:, None] * coupling)
+    if isinstance(d, DerivedQuantities) and len(alpha) <= SMALL_STACK_ROWS:
+        kappa_sq, both, fixed, coupling = _charpoly_terms(d)
+        coeffs = np.array([[(y * y + kappa_sq[0]) * b + f - y * (x * x) * c
+                            for b, f, c in zip(both, fixed, coupling)]
+                           for x, y in zip(alpha.tolist(), delta.tolist())]).reshape(-1, 7)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            kappa_sq, both, fixed, coupling = np.asarray(per_row(
+                d, branches.group, _charpoly_terms)).swapaxes(-2, 0)
+            coeffs = ((delta * delta + kappa_sq[..., 0])[:, None] * both + fixed
+                      - (delta * (alpha * alpha))[:, None] * coupling)
     if not np.isfinite(coeffs).all():
         raise NumericalError("characteristic polynomial leaves the float range")
     return coeffs
 
 
-def _charpoly_terms(d: DerivedQuantities) -> np.ndarray:
-    """The rows of a ``(4, 7)`` array for one configuration: kappa^2 (in
+def _charpoly_terms(d: DerivedQuantities) -> List[List[float]]:
+    """Four 7-lists of Python floats for one configuration: kappa^2 (in
     every entry), M B, [(lambda + kappa)^2 + Delta^2] M B without its
     Delta^2 + kappa^2 term, and the coupling polynomial per alpha^2.  A
     stack gathers the four rows at once."""
-    mirror = np.array([d.omega_m ** 2, d.gamma_m, 1.0])
-    condensate = np.array([d.gamma_c ** 2 + d.Omega_c * (d.Omega_c + d.omega_sw),
-                           2.0 * d.gamma_c, 1.0])
-    terms = np.zeros((4, 7))
-    terms[0] = d.kappa ** 2
-    terms[1, :5] = np.convolve(mirror, condensate)
-    terms[2] = np.convolve([0.0, 2.0 * d.kappa, 1.0], terms[1, :5])
-    terms[3, :3] = (2.0 * d.xi ** 2 * d.omega_m * condensate
-                    + 2.0 * d.zeta ** 2 * d.Omega_c * mirror)
-    return terms
+    mirror = [d.omega_m ** 2, d.gamma_m, 1.0]
+    condensate = [d.gamma_c ** 2 + d.Omega_c * (d.Omega_c + d.omega_sw),
+                  2.0 * d.gamma_c, 1.0]
+    both = _poly_product(mirror, condensate)
+    return [[d.kappa ** 2] * 7, both + [0.0, 0.0],
+            _poly_product(both, [0.0, 2.0 * d.kappa, 1.0]),
+            [2.0 * d.xi ** 2 * d.omega_m * c + 2.0 * d.zeta ** 2 * d.Omega_c * m
+             for c, m in zip(condensate, mirror)] + [0.0] * 4]
+
+
+def _poly_product(x: List[float], y: List[float]) -> List[float]:
+    """Ascending coefficients of the product of two polynomials, in Python
+    floats: each a sum from 0.0 over ``x``'s index, ascending."""
+    out = [0.0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] += a * b
+    return out
 
 
 def _hurwitz_determinants(a1, a2, a3, a4, a5, a6):
@@ -260,7 +288,8 @@ def is_stable(coeffs) -> Union[str, List[str]]:
 
 def _solve_lyapunov_rows(a: np.ndarray, d: np.ndarray, first: int) -> np.ndarray:
     """:func:`solve_lyapunov` of an ``(N, n, n)`` piece of a stack whose row
-    ``first`` is the piece's row 0."""
+    ``first`` is the piece's row 0, with ``d`` of the same shape or one
+    ``(1, n, n)`` matrix for every row."""
     count, n = a.shape[0], a.shape[-1]
     # kron(I, A) + kron(A, I), scattered into its nonzero blocks: entry
     # ((i, j), (k, l)) is delta_ik A_jl + A_ik delta_jl
@@ -270,9 +299,8 @@ def _solve_lyapunov_rows(a: np.ndarray, d: np.ndarray, first: int) -> np.ndarray
     for k in range(n):
         coefficient[:, :, k, :, k] += a
     coefficient = coefficient.reshape(count, n * n, n * n)
-    rhs = (-d).reshape(count, n * n)
     try:
-        vec = np.linalg.solve(coefficient, rhs[..., None])[..., 0]
+        vec = np.linalg.solve(coefficient, (-d).reshape(-1, n * n, 1))[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Lyapunov system is singular: {exc}") from exc
     v = vec.reshape(count, n, n)
@@ -282,6 +310,7 @@ def _solve_lyapunov_rows(a: np.ndarray, d: np.ndarray, first: int) -> np.ndarray
     bad = ~np.isfinite(residual) | (residual > LYAPUNOV_RESIDUAL_RTOL * scale)
     if bad.any():
         i = np.flatnonzero(bad)[0]
+        scale = np.broadcast_to(scale, bad.shape)
         raise NumericalError(
             f"Lyapunov residual {residual[i]:.3e} exceeds "
             f"{LYAPUNOV_RESIDUAL_RTOL:.0e} * {scale[i]:.3e} at stack row "
@@ -310,9 +339,10 @@ def solve_lyapunov(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     n = a.shape[-1]
     batch = a.shape[:-2]
     a_rows = a.reshape(-1, n, n)
+    if len(a_rows) <= LYAPUNOV_STACK_ROWS:   # one piece, an empty stack too
+        return _solve_lyapunov_rows(a_rows, d.reshape(-1, n, n), 0).reshape(batch + (n, n))
     d_rows = np.broadcast_to(d, batch + (n, n)).reshape(-1, n, n)
-    # an empty stack is one empty piece
     pieces = [_solve_lyapunov_rows(a_rows[start:start + LYAPUNOV_STACK_ROWS],
                                    d_rows[start:start + LYAPUNOV_STACK_ROWS], start)
-              for start in range(0, max(len(a_rows), 1), LYAPUNOV_STACK_ROWS)]
+              for start in range(0, len(a_rows), LYAPUNOV_STACK_ROWS)]
     return np.concatenate(pieces).reshape(batch + (n, n))

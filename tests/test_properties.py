@@ -20,7 +20,7 @@ from optobec import (bistability_window, characteristic_polynomial,
                      evaluate_branches, is_stable, log_negativity,
                      solve_lyapunov, solve_mean_field)
 from optobec.config import params_from_dict
-from optobec.linear_dynamics import SMALL_STACK_ROWS
+from optobec.linear_dynamics import SMALL_STACK_ROWS, _charpoly_terms
 from optobec.model import drive_rate
 from optobec.presets import baseline_params, reference_kappa
 from optobec.steady_state import (BranchColumns, _cubic_constants,
@@ -133,6 +133,48 @@ def test_closed_form_charpoly_matches_recurrence(data, detunings):
     for i, row in enumerate(coeffs):
         assert (characteristic_polynomial(branches[i:i + 1], d).tobytes()
                 == row.tobytes())
+    # up to SMALL_STACK_ROWS branches of one configuration, row by row in
+    # Python floats, against the numpy lane a list of derived quantities takes
+    for size in range(1, SMALL_STACK_ROWS + 1):
+        assert (characteristic_polynomial(branches[:size], d).tobytes()
+                == characteristic_polynomial(branches[:size], [d]).tobytes())
+
+
+@settings(max_examples=100, **PROPERTY)
+@given(st.data(), DETUNINGS, st.booleans())
+def test_small_drift_stacks_equal_numpy_lane(data, detunings, decoupled):
+    """Up to SMALL_STACK_ROWS branches of one configuration get the drift
+    rows of the numpy lane bit for bit, signed zeros too: a decoupled
+    condensate has -g_c = -0.0."""
+    params = drawn_params(data)
+    if decoupled:
+        params = params.without_bec()
+    d = derive_quantities(params)
+    branches = drawn_branches(params, d, detunings)
+    for size in range(1, SMALL_STACK_ROWS + 1):
+        assert (drift_matrix(branches[:size], d).tobytes()
+                == drift_matrix(branches[:size], [d]).tobytes())
+    if decoupled:
+        assert math.copysign(1.0, drift_matrix(branches[:1], d)[0, 1, 4]) == -1.0
+
+
+@settings(max_examples=100, **PROPERTY)
+@given(st.data(), st.booleans())
+def test_charpoly_terms_match_longdouble_convolution(data, decoupled):
+    """The Python-float products of _charpoly_terms are within a few ulps of
+    np.convolve over the same float64 inputs in extended precision."""
+    params = drawn_params(data)
+    d = derive_quantities(params.without_bec() if decoupled else params)
+    terms = np.array(_charpoly_terms(d))
+    wide = np.longdouble
+    mirror = np.array([d.omega_m ** 2, d.gamma_m, 1.0], dtype=wide)
+    condensate = np.array([d.gamma_c ** 2 + d.Omega_c * (d.Omega_c + d.omega_sw),
+                           2.0 * d.gamma_c, 1.0], dtype=wide)
+    for got, want in ((terms[1, :5], np.convolve(mirror, condensate)),
+                      (terms[2], np.convolve(np.array([0.0, 2.0 * d.kappa, 1.0], dtype=wide),
+                                             terms[1, :5].astype(wide)))):
+        error = np.abs(got.astype(wide) - want)
+        assert np.all(error <= 4 * np.spacing(np.abs(want).astype(float)))
 
 
 @settings(max_examples=80, **PROPERTY)
