@@ -72,10 +72,10 @@ class CavityParams:
         _positive(self.wavelength, "cavity.wavelength")
         _positive(self.finesse, "cavity.finesse")
         _finite_square(self.detuning, "cavity.detuning")
-        # the solvers square kappa = pi c / (L F)
-        _require(self.length * self.finesse > 0.0 and math.isfinite(self.kappa * self.kappa),
-                 "cavity.length/cavity.finesse",
-                 "must give a decay rate kappa with a finite square")
+        # the solvers square kappa = pi c / (L F), which is 0 for an infinite L F
+        _require(0.0 < self.length * self.finesse < math.inf
+                 and math.isfinite(self.kappa * self.kappa), "cavity.length/cavity.finesse",
+                 "must give a decay rate kappa > 0 with a finite square")
 
     @property
     def kappa(self) -> float:

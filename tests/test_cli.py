@@ -388,6 +388,10 @@ DECOUPLED_BEC = {"bec": {"present": False, "recoil": 0.1, "damping": 5e-4}}
     ("point", {"cavity": {"length": 1e-170, "detuning": 0.0},
                 **DECOUPLED_BEC}, 1,
      "error: cavity.length/cavity.finesse: "),
+    ("point", {"cavity": {"length": 1e305}}, 1,
+     "error: cavity.length/cavity.finesse: "),
+    ("threshold", {"cavity": {"length": 1e305}}, 1,
+     "error: cavity.length/cavity.finesse: "),
     ("point", {"mirror": {"mass": 1e-320}}, 1,
      "error: cavity.length/mirror.mass/mirror.frequency: "),
     ("threshold", {"mirror": {"mass": 1e-320}}, 1,
@@ -419,7 +423,8 @@ DECOUPLED_BEC = {"bec": {"present": False, "recoil": 0.1, "damping": 5e-4}}
         "xi_1e100", "coupling_1e100", "xi_sweep_1e160", "xi_sweep_1e100",
         "damping_1e200", "weak_pull_5.16e-21", "weak_pull_5.16e-18",
         "weak_pull_xi_sweep_1e-20", "finesse_1e-160", "threshold_finesse_1e-160",
-        "length_1e-170", "mass_1e-320", "threshold_mass_1e-320",
+        "length_1e-170", "length_1e305", "threshold_length_1e305",
+        "mass_1e-320", "threshold_mass_1e-320",
         "mirror_frequency_1e-320", "mirror_frequency_1e300",
         "threshold_mirror_frequency_1e300", "wavelength_1e300",
         "mirror_temperature_1e-320", "bec_temperature_1e-320",
@@ -430,7 +435,8 @@ def test_out_of_range_pull_drive_and_detuning(command, changes, code, named,
                                               tmp_path, capsys):
     """A pull whose square, or whose beta^2, underflows or overflows, an
     overflowing drive, and a kappa, xi, omega_m or photon energy that the
-    solvers cannot square or divide by are rejected where they enter (a
+    solvers cannot square or divide by, or a kappa of 0 from an L F that
+    overflows, are rejected where they enter (a
     sweep names its first failing value); a cubic that overflows, a weak
     pull whose root the closed form loses (a branch off the field fixed
     point), or a covariance whose determinants leave the float range is a
@@ -504,6 +510,24 @@ def test_underflowing_rate_files(name, changes, named, capsys):
     assert main(["point", "--config", path]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(named) and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["point", "threshold"])
+def test_overflowing_cavity_file(command, capsys):
+    """point_overflowing_cavity.json, which CI runs through the installed
+    script, is point_bistable.json with a cavity length of 1e305 m: L F
+    overflows, which would make kappa = pi c / (L F) = 0, so both commands
+    exit 1 with the fields named."""
+    with open(os.path.join(DATA, "point_bistable.json")) as handle:
+        expected = json.load(handle)
+    expected["cavity"]["length"] = 1e305
+    path = os.path.join(DATA, "point_overflowing_cavity.json")
+    with open(path) as handle:
+        assert json.load(handle) == expected
+    assert main([command, "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cavity.length/cavity.finesse: ")
+    assert captured.out == ""
 
 
 def test_tiny_mirror_frequency_file_is_its_row(tmp_path, capsys):

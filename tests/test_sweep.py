@@ -6,7 +6,11 @@ import itertools
 import io
 import json
 import math
+import os
 import pathlib
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from optobec import (ParameterError, SweepSpec, SweepTable, Variant,
                      bistability_window, derive_quantities, emit,
                      evaluate_branches, figure_preset, run_sweep,
                      solve_mean_field)
+from optobec.cli import main
 from optobec.presets import (FIGURE_IDS, MIRROR_FREQ, baseline_params,
                              reference_kappa, reference_xi)
 from optobec.sweep import (CSV_COLUMNS, _expand_configs, _point_params,
@@ -491,6 +496,49 @@ def test_lock_copies_agree():
              if isinstance(node, ast.Assign)
              and [getattr(t, "id", None) for t in node.targets] == ["LOCK_HASHES"]]
     assert locks == [PRESET_LOCK]
+
+
+MEAN_FIELD_PRESETS = ("fig2a", "fig2b", "fig2c", "fig2d", "fig3", "fig4")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# The `threshold` text of tests/data/point_bistable.json.
+THRESHOLD_TEXT = "61.7818 170.796\n"
+
+# One child: the CSV hashes of the presets named after the config path, and
+# the `threshold` text of that config, as JSON.
+_LOCK_CHILD = """\
+import contextlib, hashlib, io, json, sys
+from optobec.cli import main
+from optobec.presets import figure_preset
+from optobec.sweep import rows_to_csv, run_sweep
+lock = {fig: hashlib.sha256(rows_to_csv(run_sweep(figure_preset(fig))).encode())
+        .hexdigest()[:16] for fig in sys.argv[2:]}
+text = io.StringIO()
+with contextlib.redirect_stdout(text):
+    assert main(["threshold", "--config", sys.argv[1]]) == 0
+print(json.dumps(dict(lock, threshold=text.getvalue())))
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_mean_field_lock_under_other_blas_kernels(capsys):
+    """The mean-field preset hashes and the `threshold` text hold under the
+    OpenBLAS kernels of an AVX2 (Haswell) and an AVX (Sandybridge) x86-64
+    CPU, each chosen in the environment of its own child process."""
+    config = str(ROOT / "tests" / "data" / "point_bistable.json")
+    assert main(["threshold", "--config", config]) == 0
+    assert capsys.readouterr().out == THRESHOLD_TEXT
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    children = [subprocess.Popen(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", _LOCK_CHILD, config,
+         *MEAN_FIELD_PRESETS], stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE=core))
+        for core in ("Haswell", "Sandybridge")]
+    for child in children:
+        out, _ = child.communicate(timeout=60)
+        assert child.returncode == 0
+        assert json.loads(out) == dict({fig: PRESET_LOCK[fig] for fig in MEAN_FIELD_PRESETS},
+                                       threshold=THRESHOLD_TEXT)
 
 
 def _two_variant_spec(variable, mode):
