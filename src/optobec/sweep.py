@@ -44,11 +44,11 @@ cooling and entanglement curves.
 from __future__ import annotations
 
 import io
+import json
 import math
 import sys
 from dataclasses import dataclass, replace
 from itertools import groupby, product, repeat
-from json.encoder import encode_basestring_ascii
 from operator import is_
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -358,54 +358,23 @@ def rows_to_csv(table: SweepTable) -> str:
 
 
 def to_json(doc) -> str:
-    """Report text: sorted keys, two-space indent, one trailing newline.
+    """Report text: one line of JSON with sorted keys, and a newline.
 
-    The bytes the ``json`` module writes with ``indent=2`` and
-    ``sort_keys=True``, plus the newline, without the pure-Python encoder
-    it falls back to whenever it indents.  A dataclass instance is written
-    as the dict of its fields (the report's dataclasses have no
-    ``ClassVar`` or ``InitVar`` pseudo-fields).  Dict keys must be str; a
-    value other than a dict, list, tuple, str, int, float, bool, None or
+    ``json.dumps(doc, sort_keys=True)`` through the C encoder, with a
+    dataclass instance written as the dict of its fields (the report's
+    dataclasses have no ``ClassVar`` or ``InitVar`` pseudo-fields);
+    ``python -m json.tool`` pretty-prints it.  Dict keys follow ``json``:
+    an int, float, bool or None key is written as a string (no report has
+    one), and keys of kinds that do not sort together raise ``TypeError``.
+    A value other than a dict, list, tuple, str, int, float, bool, None or
     dataclass instance raises ``TypeError``.
     """
-    return _json_text(doc, "\n") + "\n"
+    return json.dumps(doc, sort_keys=True, default=_fields) + "\n"
 
 
-# float.__repr__ of the non-finite floats, and json's names for them
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_text(x, newline: str) -> str:
-    """``x`` as indented JSON, with ``newline`` (a newline and the indent of
-    ``x``'s line) before each line of it after the first."""
-    if isinstance(x, float):
-        text = float.__repr__(x)
-        return _JSON_NON_FINITE.get(text, text)
-    if isinstance(x, str):
-        return encode_basestring_ascii(x)
-    if isinstance(x, dict):
-        if not x:
-            return "{}"
-        inner = newline + "  "
-        return "{" + inner + ("," + inner).join([
-            encode_basestring_ascii(key) + ": " + _json_text(value, inner)
-            for key, value in sorted(x.items())]) + newline + "}"
-    if isinstance(x, (list, tuple)):
-        if not x:
-            return "[]"
-        inner = newline + "  "
-        return "[" + inner + ("," + inner).join([
-            _json_text(value, inner) for value in x]) + newline + "]"
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
+def _fields(x) -> dict:
     if hasattr(type(x), "__dataclass_fields__"):   # an instance, not the class
-        return _json_text({f: getattr(x, f) for f in x.__dataclass_fields__}, newline)
+        return {f: getattr(x, f) for f in x.__dataclass_fields__}
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 

@@ -68,13 +68,13 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 # point_bistable.json (BASE_CONFIG at 0.1 W) and point_zero_drive.json
 # from the installed script against the same digests.
 POINT_LOCK = [
-    ("point_bistable.json", "84ef776feeb0d11b",
+    ("point_bistable.json", "e6beec1e81347ea4",
      [("lower", "stable", True), ("middle", "unstable", False),
       ("upper", "unstable", False)]),
-    ({"bec": dict(BASE_CONFIG["bec"], present=False)}, "cf8d98c41b60e542",
+    ({"bec": dict(BASE_CONFIG["bec"], present=False)}, "9926c474f2061f50",
      [("unique", "stable", True)]),
-    ({}, "b142981303f652de", [("unique", "stable", True)]),
-    ("point_zero_drive.json", "958b22dba31592e6", [("unique", "stable", True)]),
+    ({}, "9b05eb6fc00d7a18", [("unique", "stable", True)]),
+    ("point_zero_drive.json", "ce73b9e7893e8e93", [("unique", "stable", True)]),
 ]
 
 
@@ -105,7 +105,7 @@ def test_drawn_point_reports_lock(tmp_path, capsys):
         assert main(["point", "--config", str(path)]) == 0
         reports.append(capsys.readouterr().out)
     digest = hashlib.sha256("".join(reports).encode()).hexdigest()
-    assert digest[:16] == "d4a14a105dfec4c7"
+    assert digest[:16] == "ff382d10d263a8f6"
 
 
 def test_benchmark_point_reports_lock(tmp_path):
@@ -118,7 +118,7 @@ def test_benchmark_point_reports_lock(tmp_path):
         config.write_text(json.dumps(point_config(rng), indent=1) + "\n")
         assert main(["point", "--config", str(config), "--out", str(out)]) == 0
         digest.update(out.read_bytes())
-    assert digest.hexdigest()[:16] == "84b915d2e58b2ab4"
+    assert digest.hexdigest()[:16] == "34c2607c2caa4790"
 
 
 def test_point_report_to_file(tmp_path):
@@ -157,7 +157,7 @@ def test_reports_to_a_text_only_stdout(tmp_path):
     point, text = os.path.join(DATA, "point_bistable.json"), io.StringIO()
     with contextlib.redirect_stdout(text):
         assert main(["point", "--config", point]) == 0
-    assert hashlib.sha256(text.getvalue().encode()).hexdigest()[:16] == "84ef776feeb0d11b"
+    assert hashlib.sha256(text.getvalue().encode()).hexdigest()[:16] == "e6beec1e81347ea4"
     path = write_config(tmp_path, extra={"sweep": {
         "variable": "power", "lo": 0.0, "hi": 0.1, "points": 4, "bec": "both"}})
     for fmt in ("csv", "json"):

@@ -582,7 +582,17 @@ _JSON_DOCS = st.recursive(
 @settings(max_examples=150, **PROPERTY)
 @given(_JSON_DOCS)
 def test_to_json_equals_json_dumps(doc):
-    assert to_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert to_json(doc) == json.dumps(doc, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("key, text", [(1, '"1"'), (2.5, '"2.5"'), (True, '"true"'),
+                                       (None, '"null"')],
+                         ids=["int", "float", "bool", "None"])
+def test_to_json_writes_keys_as_json_does(key, text):
+    """A key that is not a str is written as json writes it, as a string."""
+    assert to_json({key: 0}) == "{" + text + ": 0}\n"
+    with pytest.raises(TypeError):   # keys of kinds that do not sort together
+        to_json({key: 0, "a": 1})
 
 
 @pytest.mark.parametrize("value", [{1, 2}, b"bytes", 1j, np.float32(1.0),
@@ -591,6 +601,6 @@ def test_to_json_equals_json_dumps(doc):
 def test_to_json_rejects_what_json_rejects(value):
     doc = {"rows": [{"value": value}]}
     with pytest.raises(TypeError):
-        json.dumps(doc, indent=2, sort_keys=True)
+        json.dumps(doc, sort_keys=True)
     with pytest.raises(TypeError):
         to_json(doc)

@@ -233,19 +233,19 @@ def test_fig6_presets_are_fig5_sweeps():
 # to_json: every field of the spec, its variants and their parameters, with
 # no sweep run.  fig6a-c are the fig5a-c sweeps.
 PRESET_SPEC_LOCK = {
-    "fig2a": "fe1f2c77c3d3822f",
-    "fig2b": "cbfa844a21ecbd81",
-    "fig2c": "c9fc2e18e18a4b4c",
-    "fig2d": "515e066150de945e",
-    "fig3": "7f48131758819c55",
-    "fig4": "b40bcce3c7e1b95f",
-    "fig5a": "fdbfa5de0f79a60b",
-    "fig5b": "fd3d73d20ae82ded",
-    "fig5c": "3072af30d6c6a5fd",
-    "fig6a": "fdbfa5de0f79a60b",
-    "fig6b": "fd3d73d20ae82ded",
-    "fig6c": "3072af30d6c6a5fd",
-    "fig7": "8a53f53bed1df998",
+    "fig2a": "62f30c013d693763",
+    "fig2b": "ecb90d6988b741f1",
+    "fig2c": "18c8368293bd1bd7",
+    "fig2d": "e3e83e519c4429cd",
+    "fig3": "151c67d78ded36b7",
+    "fig4": "4b30db452ec97df6",
+    "fig5a": "6901defd0751a02e",
+    "fig5b": "e6d25d7be00daed7",
+    "fig5c": "c49fffac98fb8bbd",
+    "fig6a": "6901defd0751a02e",
+    "fig6b": "e6d25d7be00daed7",
+    "fig6c": "c49fffac98fb8bbd",
+    "fig7": "04719b26dd7e19b0",
 }
 
 
@@ -460,11 +460,11 @@ def test_csv_writer_matches_per_field_writer(rows, preset_rows):
 
 # First 16 hex digits of the sha256 of emit(rows, "json", ..., spec=spec).
 JSON_LOCK = [
-    (dataclasses.replace(figure_preset("fig2a"), points=7), "78036a6f2148ba5f"),
-    (dataclasses.replace(figure_preset("fig7"), points=7), "ef72a6635a31093a"),
+    (dataclasses.replace(figure_preset("fig2a"), points=7), "ec1222fda5fc7075"),
+    (dataclasses.replace(figure_preset("fig7"), points=7), "c224754648e46d0a"),
     (SweepSpec("omega_sw", 0.0, 2.0 * MIRROR_FREQ, 7,
                baseline_params(detuning=MIRROR_FREQ), mode="full", bec="both"),
-     "ea81630bf4f27aa7"),
+     "a77f559f314e41b8"),
 ]
 
 
