@@ -210,6 +210,49 @@ def test_unknown_key_exit_code(tmp_path, capsys):
     assert "finess" in capsys.readouterr().err
 
 
+def _with(section, **changes):
+    """BASE_CONFIG's ``section`` with ``changes``; a change to None drops the key."""
+    merged = dict(BASE_CONFIG[section], **changes)
+    return {key: value for key, value in merged.items() if value is not None}
+
+
+SWEEP = {"variable": "power", "lo": 0.0, "hi": 0.1, "points": 2}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("point", {key: value for key, value in BASE_CONFIG.items() if key != "cavity"},
+     "cavity: section is required"),
+    ("point", dict(BASE_CONFIG, mirror=5), "mirror: must be an object"),
+    ("point", dict(BASE_CONFIG, cavity=_with("cavity", length=None)),
+     "cavity.length: value is required"),
+    ("point", dict(BASE_CONFIG, cavity=_with("cavity", length="1e-3")),
+     "cavity.length: must be a number"),
+    ("point", dict(BASE_CONFIG, cavity=_with("cavity", length=True)),
+     "cavity.length: must be a number"),
+    ("point", dict(BASE_CONFIG, units="metric"),
+     "units: 'metric' is not one of ('si', 'normalized')"),
+    ("point", dict(BASE_CONFIG, bec=_with("bec", present="yes")),
+     "bec.present: must be a boolean"),
+    ("sweep", dict(BASE_CONFIG, sweep=dict(SWEEP, variable=None)),
+     "sweep.variable: value is required"),
+    ("sweep", dict(BASE_CONFIG, sweep=dict(SWEEP, points=2.5)),
+     "sweep.points: must be an integer"),
+    ("sweep", dict(BASE_CONFIG, sweep=dict(SWEEP, points=True)),
+     "sweep.points: must be an integer"),
+    ("point", [], "config: top-level document must be an object"),
+], ids=["no_cavity", "mirror_not_object", "no_length", "length_string",
+        "length_bool", "units_metric", "present_string", "no_variable",
+        "points_float", "points_bool", "top_level_list"])
+def test_config_rejection_message(command, doc, message, tmp_path, capsys):
+    """Each malformed config is rejected with exit 1 and exactly its message."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("name, content", [
     ("missing.json", None),
     ("directory", "dir"),
