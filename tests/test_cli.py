@@ -121,6 +121,25 @@ def test_benchmark_point_reports_lock(tmp_path):
     assert digest.hexdigest()[:16] == "34c2607c2caa4790"
 
 
+def test_report_params_are_a_config(tmp_path, capsys):
+    """The ``params`` of a `point` report, written as a config file, give the
+    same report: a config section takes exactly the fields a report writes,
+    in SI units.  The drawn configs are in normalized units."""
+    rng = random.Random(3)
+    paths = [os.path.join(DATA, "point_bistable.json"),
+             os.path.join(DATA, "point_zero_drive.json")]
+    for i in range(40):
+        paths.append(tmp_path / f"drawn_{i:02d}.json")
+        paths[-1].write_text(json.dumps(point_config(rng)))
+    params = tmp_path / "params.json"
+    for path in paths:
+        assert main(["point", "--config", str(path)]) == 0
+        report = capsys.readouterr().out
+        params.write_text(json.dumps(json.loads(report)["params"]))
+        assert main(["point", "--config", str(params)]) == 0
+        assert capsys.readouterr().out == report
+
+
 def test_point_report_to_file(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "report.json"

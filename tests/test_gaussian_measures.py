@@ -168,6 +168,14 @@ def test_rejects_nonphysical_covariance():
                   [0.0, 2.0, 0.0, 2.0]])
     with pytest.raises(ValueError, match="not physical"):
         log_negativity(v)
+    # an integer covariance fails as its float copy does
+    v = np.array([[2, 0, 2, 0], [0, 2, 0, -2], [2, 0, 2, 0], [0, -2, 0, 2]])
+    with pytest.raises(ValueError) as as_float:
+        log_negativity(v.astype(float))
+    with pytest.raises(ValueError) as as_int:
+        log_negativity(v)
+    assert str(as_int.value) == str(as_float.value) == (
+        "covariance is not physical: eta_minus^2 = 0.000e+00 <= 0")
 
 
 def test_rejects_covariance_beyond_float_range():
@@ -198,6 +206,13 @@ def test_stacked_log_negativity_equals_each_covariance():
         assert result[i] == alone and math.copysign(1.0, result[i]) == math.copysign(1.0, alone)
     nested = log_negativity(stack.reshape(2, 26, 4, 4))
     assert nested.tobytes() == result.tobytes()
+    # an integer stack gives the E_N of its float copy, in float64
+    ints = np.stack([np.array([[1, 0, 1, 0], [0, 1, 0, -1], [1, 0, 2, 0], [0, -1, 0, 2]]),
+                     np.eye(4, dtype=int), 3 * np.eye(4, dtype=int)])
+    assert ints.dtype == np.int64
+    result = log_negativity(ints)
+    assert result.dtype == np.float64 and result[0] > 0.0
+    assert result.tobytes() == log_negativity(ints.astype(float)).tobytes()
 
 
 def test_stacked_log_negativity_keeps_extended_precision():
