@@ -45,7 +45,9 @@ class ConfigError(ParameterError):
 _MAX_POINTS = np.iinfo(np.intp).max // 8
 
 
-def _section(doc: Dict, name: str, required: bool) -> Optional[Dict]:
+def _section(doc: Dict, name: str, keys, required: bool = True) -> Optional[Dict]:
+    """The object ``doc[name]``, every key of which is in ``keys``; None for
+    an absent section that is not required."""
     if name not in doc:
         if required:
             raise ConfigError(f"{name}: section is required")
@@ -53,6 +55,7 @@ def _section(doc: Dict, name: str, required: bool) -> Optional[Dict]:
     value = doc[name]
     if not isinstance(value, dict):
         raise ConfigError(f"{name}: must be an object")
+    _check_keys(value, name, keys)
     return value
 
 
@@ -82,20 +85,18 @@ def _check_keys(section: Dict, path: str, allowed) -> None:
 
 def params_from_dict(doc: Dict) -> SystemParams:
     """Build :class:`SystemParams` from a parsed configuration document."""
-    _check_keys(doc, "config",
-                ("units", "cavity", "mirror", "bec", "drive", "xi_override", "sweep"))
+    _check_keys(doc, "config", ("units", "sweep", *SystemParams.__dataclass_fields__))
     units = doc.get("units", "si")
     if units not in ("si", "normalized"):
         raise ConfigError(f"units: {units!r} is not one of ('si', 'normalized')")
     normalized = units == "normalized"
 
-    cav = _section(doc, "cavity", required=True)
-    _check_keys(cav, "cavity", ("length", "wavelength", "finesse", "detuning"))
-    mir = _section(doc, "mirror", required=True)
-    _check_keys(mir, "mirror", ("mass", "frequency", "quality", "temperature"))
-    drv = _section(doc, "drive", required=True)
-    _check_keys(drv, "drive", ("power",))
-    bec = _section(doc, "bec", required=False)
+    # a section takes exactly the fields of its dataclass, the keys a report
+    # writes under params
+    cav = _section(doc, "cavity", CavityParams.__dataclass_fields__)
+    mir = _section(doc, "mirror", MirrorParams.__dataclass_fields__)
+    drv = _section(doc, "drive", DriveParams.__dataclass_fields__)
+    bec = _section(doc, "bec", BecParams.__dataclass_fields__, required=False)
 
     cavity = CavityParams(
         length=_number(cav, "cavity", "length"),
@@ -118,8 +119,6 @@ def params_from_dict(doc: Dict) -> SystemParams:
     rates = dict(present=False, coupling=0.0, sw_frequency=0.0,
                  recoil=0.1 * omega_m, damping=1e-3 * kappa, temperature=0.0)
     if bec is not None:
-        _check_keys(bec, "bec", ("present", "coupling", "sw_frequency",
-                                 "recoil", "damping", "temperature"))
         present = bec.get("present", True)
         if not isinstance(present, bool):
             raise ConfigError("bec.present: must be a boolean")
@@ -141,8 +140,7 @@ def params_from_dict(doc: Dict) -> SystemParams:
 
 def sweep_from_dict(doc: Dict, params: SystemParams) -> SweepSpec:
     """Build the sweep description from the ``sweep`` section."""
-    section = _section(doc, "sweep", required=True)
-    _check_keys(section, "sweep", ("variable", "lo", "hi", "points", "mode", "bec"))
+    section = _section(doc, "sweep", ("variable", "lo", "hi", "points", "mode", "bec"))
     variable = section.get("variable")
     if not isinstance(variable, str):
         raise ConfigError("sweep.variable: value is required")

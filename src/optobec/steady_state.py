@@ -11,8 +11,10 @@ three-real-root regime, so the branch count is exact) and each root gets one
 Newton polish step on the original cubic.  One point goes through this
 scalar kernel (:func:`solve_mean_field`); a sweep grid is one stack of
 cubics (:func:`solve_mean_field_grid`), each row in the operations of the
-scalar kernel.  The stack calls libm (Python's ``pow``, ``math.acos`` and
-``math.cos``, entry by entry) only where its bits reach a root: b^3 in q,
+scalar kernel.  Both kernels reduce the cubic to depressed form through one
+function, :func:`_depressed`.  The stack calls libm (Python's ``pow``,
+``math.acos`` and ``math.cos``, entry by entry) only where its bits reach a
+root: b^3 in q,
 the p^3 and the cube root of a one-root row, the acos and cos of a
 three-root row, and delta_c^2 once per distinct detuning.  The knee test
 and the choice between one and three roots come from numpy products;
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from typing import Optional
 
@@ -101,6 +104,16 @@ class BistabilityWindow:
     n_knee_high: float  # photon number at the power_high turning point
 
 
+def _depressed(a3, a2, a1, a0, power):
+    """The monic cubic n^3 + b n^2 + c n + dd of a3 n^3 + a2 n^2 + a1 n + a0
+    and its depressed form t^3 + p t + q in t = n - shift, as
+    ``(b, c, dd, p, q, shift)``.  ``power(b, 3)`` takes b^3 in libm: the
+    builtin ``pow`` for a float, per entry (:func:`_each`) for a stack."""
+    b, c, dd = a2 / a3, a1 / a3, a0 / a3
+    p, q = c - b * b / 3.0, 2.0 * power(b, 3) / 27.0 - b * c / 3.0 + dd
+    return b, c, dd, p, q, -b / 3.0
+
+
 def _real_cubic_roots(a3, a2, a1, a0):
     """Real roots of the mean-field cubic a3 n^3 + a2 n^2 + a1 n + a0, ascending.
 
@@ -120,12 +133,7 @@ def _real_cubic_roots(a3, a2, a1, a0):
     if a0 == 0.0:
         return [(0.0, False)]
 
-    b = a2 / a3
-    c = a1 / a3
-    dd = a0 / a3
-    p = c - b * b / 3.0
-    q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + dd
-    shift = -b / 3.0
+    b, c, dd, p, q, shift = _depressed(a3, a2, a1, a0, pow)
 
     disc = -4.0 * p ** 3 - 27.0 * q * q
     disc_scale = max(abs(p), abs(q) ** (2.0 / 3.0)) ** 3
@@ -223,12 +231,7 @@ def _stacked_cubic_roots(a3, a2, a1, a0):
     rows = np.flatnonzero((a3 != 0.0) & (a0 != 0.0))
     a3_, a2_, a1_, a0_ = a3[rows], a2[rows], a1[rows], a0[rows]
     with np.errstate(all="ignore"):
-        b = a2_ / a3_
-        c = a1_ / a3_
-        dd = a0_ / a3_
-        p = c - b * b / 3.0
-        q = 2.0 * _each(pow, b, 3) / 27.0 - b * c / 3.0 + dd
-        shift = -b / 3.0
+        *_, p, q, shift = _depressed(a3_, a2_, a1_, a0_, partial(_each, pow))
         # the knee and branch tests from products, libm's p**3 and disc_scale
         # only in rows whose products cannot decide them (see the docstring)
         p3 = p * p * p

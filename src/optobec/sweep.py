@@ -121,15 +121,11 @@ class SweepSpec:
     variants: Tuple[Variant, ...] = ()
 
     def __post_init__(self):
-        if self.variable not in SWEEP_VARIABLES:
-            raise ParameterError(
-                f"sweep.variable: {self.variable!r} is not one of {SWEEP_VARIABLES}")
-        if self.mode not in SWEEP_MODES:
-            raise ParameterError(
-                f"sweep.mode: {self.mode!r} is not one of {SWEEP_MODES}")
-        if self.bec not in BEC_CHOICES:
-            raise ParameterError(
-                f"sweep.bec: {self.bec!r} is not one of {BEC_CHOICES}")
+        for name, choices in (("variable", SWEEP_VARIABLES), ("mode", SWEEP_MODES),
+                              ("bec", BEC_CHOICES)):
+            value = getattr(self, name)
+            if value not in choices:
+                raise ParameterError(f"sweep.{name}: {value!r} is not one of {choices}")
         if self.points < 2:
             raise ParameterError("sweep.points: must be >= 2")
         if not (self.lo < self.hi):
