@@ -14,10 +14,9 @@ cubics (:func:`solve_mean_field_grid`), each row in the operations of the
 scalar kernel.  Both kernels reduce the cubic to depressed form through one
 function, :func:`_depressed`.  The stack calls libm (Python's ``pow``,
 ``math.acos`` and ``math.cos``, entry by entry) only where its bits reach a
-root: b^3 in q,
-the p^3 and the cube root of a one-root row, the acos and cos of a
-three-root row, and delta_c^2 once per distinct detuning.  The knee test
-and the choice between one and three roots come from numpy products;
+root: b^3 in q, the p^3 and the cube root of a one-root row, the acos and
+cos of a three-root row, and delta_c^2 once per distinct detuning.  The knee
+test and the choice between one and three roots come from numpy products;
 libm's p^3, |q|^(2/3) and cube of the discriminant's scale are taken only
 in the rows a written roundoff bound cannot put clear of the knee
 threshold (see :func:`_stacked_cubic_roots`), so every root and every
