@@ -293,9 +293,94 @@ def test_missing_file_exit_code(name, content, tmp_path, capsys):
     assert captured.out == ""
 
 
+# Each command line with one usage fault and the message it gets (the
+# wording of argparse on Python 3.11, which parsed the command line before)
+USAGE_ERRORS = [
+    ([], "the following arguments are required: command"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate' "
+                     "(choose from 'point', 'sweep', 'figure', 'threshold')"),
+    (["point"], "the following arguments are required: --config"),
+    (["point", "--config"], "argument --config: expected one argument"),
+    (["point", "--config", "x", "--bogus"], "unrecognized arguments: --bogus"),
+    (["threshold", "--config", "a", "--out", "b"], "unrecognized arguments: --out b"),
+    (["sweep", "--config", "x", "--format", "xml"],
+     "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+    (["figure"], "the following arguments are required: ID"),
+    (["figure", "fig99"],
+     "argument ID: invalid choice: 'fig99' (choose from 'fig2a', 'fig2b', "
+     "'fig2c', 'fig2d', 'fig3', 'fig4', 'fig5a', 'fig5b', 'fig5c', 'fig6a', "
+     "'fig6b', 'fig6c', 'fig7')"),
+]
+
+
 def test_usage_error_exit_code(capsys):
-    assert main(["frobnicate"]) == 1
-    assert main(["figure", "fig99"]) == 1
+    """A command line with one usage fault exits 1 with exactly its message."""
+    for argv, message in USAGE_ERRORS:
+        assert main(argv) == 1, argv
+        assert capsys.readouterr() == ("", f"error: usage: {message}\n"), argv
+
+
+@pytest.mark.parametrize("argv, canonical", [
+    (["threshold", "--config={cfg}"], ["threshold", "--config", "{cfg}"]),
+    (["threshold", "--con", "{cfg}"], ["threshold", "--config", "{cfg}"]),
+    (["threshold", "--c={cfg}"], ["threshold", "--config", "{cfg}"]),
+    (["threshold", "--config", "missing.json", "--config", "{cfg}"],
+     ["threshold", "--config", "{cfg}"]),
+    (["sweep", "--format", "json", "--config", "{cfg}"],
+     ["sweep", "--config", "{cfg}", "--format", "json"]),
+    (["sweep", "--fo=json", "--o", "{out}", "--con={cfg}"],
+     ["sweep", "--config", "{cfg}", "--out", "{out}", "--format", "json"]),
+    (["sweep", "--config", "{cfg}", "--format", "json", "--format", "csv"],
+     ["sweep", "--config", "{cfg}"]),
+    (["point", "--out", "{out}", "--config", "{cfg}"],
+     ["point", "--config", "{cfg}", "--out", "{out}"]),
+    (["figure", "--out", "{out}", "fig2a"], ["figure", "fig2a", "--out", "{out}"]),
+], ids=["equals", "prefix", "prefix_equals", "repeated_config", "format_first",
+        "prefixes_any_order", "repeated_format", "out_first", "figure_out_first"])
+def test_accepted_option_forms(argv, canonical, tmp_path, capsys):
+    """Each accepted spelling of a command line does what its canonical
+    form does: the same exit status, standard streams and written files."""
+    path = write_config(tmp_path, extra={"sweep": SWEEP})
+    out = tmp_path / "out"
+
+    def run(args):
+        code = main([arg.format(cfg=path, out=out) for arg in args])
+        files = [p for p in out.rglob("*") if p.is_file()] if out.is_dir() else [out]
+        written = {str(p): p.read_bytes() for p in files if p.exists()}
+        for p in written:
+            os.remove(p)
+        return code, capsys.readouterr(), written
+
+    result = run(canonical)
+    assert result[0] == 0
+    assert run(argv) == result
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["-h"], ["point", "sweep", "figure", "threshold"]),
+    (["--help"], ["point", "sweep", "figure", "threshold"]),
+    (["point", "-h"], ["--config", "--out"]),
+    (["sweep", "--help"], ["--config", "--out", "--format", "csv", "json"]),
+    (["figure", "-h"], ["ID", "--out", "fig2a", "fig7"]),
+    (["threshold", "-h"], ["--config"]),
+], ids=["top", "top_long", "point", "sweep", "figure", "threshold"])
+def test_help_exits_zero(argv, named, capsys):
+    """-h prints the usage and each argument to stdout and exits 0."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: optobec")
+    assert captured.err == ""
+    for word in named:
+        assert word in captured.out
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [
+        "optobec", "threshold", "--config", os.path.join(DATA, "point_bistable.json")])
+    assert main() == 0
+    assert capsys.readouterr().out == "61.7818 170.796\n"
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
