@@ -357,8 +357,8 @@ def to_json(doc) -> str:
     """Report text: one line of JSON with sorted keys, and a newline.
 
     ``json.dumps(doc, sort_keys=True)`` through the C encoder, with a
-    dataclass instance written as the dict of its fields (the report's
-    dataclasses have no ``ClassVar`` or ``InitVar`` pseudo-fields);
+    dataclass instance written as ``vars()``, the dict of its fields (the
+    report's dataclasses have no slots and set no other attribute);
     ``python -m json.tool`` pretty-prints it.  Dict keys follow ``json``:
     an int, float, bool or None key is written as a string (no report has
     one), and keys of kinds that do not sort together raise ``TypeError``.
@@ -370,7 +370,7 @@ def to_json(doc) -> str:
 
 def _fields(x) -> dict:
     if hasattr(type(x), "__dataclass_fields__"):   # an instance, not the class
-        return {f: getattr(x, f) for f in x.__dataclass_fields__}
+        return vars(x)
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
