@@ -7,6 +7,15 @@ Subcommands:
 * ``figure ID [--out DIR]``          run a bundled preset, writes ``ID.csv``
 * ``threshold --config FILE``        bistability window in mW
 
+``point`` and ``sweep`` take ``--out FILE`` (default stdout) and ``sweep``
+takes ``--format csv|json``.  The command line is parsed from one table,
+``_COMMANDS``, as argparse's subparsers parsed it before: a flag is given
+as ``--flag VALUE``, ``--flag=VALUE`` or by a unique prefix (``--con``),
+options come in any order, and the last of a repeated flag wins.  ``-h``
+or ``--help`` prints the help of the top level or of one command, made
+from the same table, to stdout and exits 0.  A usage error is printed as
+``error: usage: ...``, in argparse's words.
+
 Exit codes: 0 success, 1 invalid configuration or usage, or an output path
 that cannot be made or written, 2 numerical failure (a singular or
 ill-conditioned Lyapunov solve, a covariance that is not physical, a
@@ -18,8 +27,6 @@ the exit code.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
 import sys
 from typing import List, Optional
@@ -35,39 +42,77 @@ from .sweep import (CSV_COLUMNS, emit, evaluate_branches, run_sweep, to_json,
                     write_bytes)
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with code 2 on usage errors; route them through the
-    # invalid-configuration path instead (2 is reserved for numerical failure)
-    def error(self, message):
-        raise ConfigError(f"usage: {message}")
+# One row per command: its help line and its arguments by name, a flag
+# ("--out") or a positional (its metavar, "ID"), each with its default
+# (... when it is required), its choices (None for any value) and its help.
+_CONFIG = {"--config": (..., None, "config file (JSON)")}
+_OUT = {"--out": (None, None, "output file (default stdout)")}
+_COMMANDS = {
+    "point": ("single-configuration report", {**_CONFIG, **_OUT}),
+    "sweep": ("run the sweep described by the config", {**_CONFIG, **_OUT,
+              "--format": ("csv", ("csv", "json"), "csv or json (default csv)")}),
+    "figure": ("run a bundled dataset preset",
+               {"ID": (..., FIGURE_IDS, f"one of: {', '.join(FIGURE_IDS)}"),
+                "--out": (".", None, "output directory (default .)")}),
+    "threshold": ("print the bistability window in mW", _CONFIG),
+}
 
 
-@functools.cache
-def _build_parser() -> _Parser:
-    # built on the first main() call and reused: parsing does not change it
-    parser = _Parser(prog="optobec",
-                     description="Steady states, stability, cooling and "
-                                 "entanglement of a condensate-filled "
-                                 "optomechanical cavity.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _parse(argv: List[str]) -> dict:
+    """The command and the value of each of its arguments, keyed as
+    argparse named them (``command``, ``config``, ``out``, ``format``, ``id``).
 
-    point = sub.add_parser("point", help="single-configuration report")
-    point.add_argument("--config", required=True)
-    point.add_argument("--out", default=None, help="output file (default stdout)")
+    Parses as argparse's subparsers did, messages included: a flag takes
+    ``--flag VALUE`` or ``--flag=VALUE``, and a unique prefix names it; the
+    last of a repeated flag wins; options before the command other than -h
+    are unrecognized.  Errors come in argparse's order: a missing value or
+    an invalid choice where it occurs, then a missing required argument,
+    then the unrecognized arguments.  ``--`` is one more unrecognized
+    argument, not the end of the options.
+    """
+    # the arguments known so far: the command, and once it is given, its own
+    rows, values, extras = {"command": (..., tuple(_COMMANDS), None)}, {}, []
+    # each token, last first, with whether it is an option ("-" is a value)
+    tokens = [(token, token[:1] == "-" and token != "-") for token in reversed(argv)]
+    while tokens:
+        token, option = tokens.pop()
+        # a value is the next positional not yet given, if there is one
+        name, value = next((n for n in rows if n[0] != "-" and n not in values), None), token
+        if option:   # a flag or -h, named by k in full or by a unique prefix
+            k, eq, value = token.partition("=")
+            hit = [f for f in (*rows, "-h", "--help") if f == k or k[2:] and f.startswith(k)]
+            name = hit[0] if len(hit) == 1 else None
+            if name and not eq:
+                value = tokens.pop()[0] if tokens and not tokens[-1][1] else None
+        if name in ("-h", "--help"):
+            _help(values.get("command"))
+        elif name is None:
+            extras.append(token)
+        elif value is None:
+            raise ConfigError(f"usage: argument {name}: expected one argument")
+        elif rows[name][1] and value not in rows[name][1]:
+            raise ConfigError(f"usage: argument {name}: invalid choice: {value!r} "
+                              f"(choose from {', '.join(map(repr, rows[name][1]))})")
+        else:
+            values[name] = value
+            # the rest of the line is the command's
+            rows = {**rows, **_COMMANDS[value][1]} if name == "command" else rows
+    missing = ", ".join(n for n, (d, *_) in rows.items() if d is ... and n not in values)
+    if missing or extras:
+        raise ConfigError(f"usage: the following arguments are required: {missing}" if missing
+                          else f"usage: unrecognized arguments: {' '.join(extras)}")
+    return {n.lstrip("-").lower(): values.get(n, d) for n, (d, *_) in rows.items()}
 
-    sweep = sub.add_parser("sweep", help="run the sweep described by the config")
-    sweep.add_argument("--config", required=True)
-    sweep.add_argument("--out", default=None, help="output file (default stdout)")
-    sweep.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    figure = sub.add_parser("figure", help="run a bundled dataset preset")
-    figure.add_argument("id", choices=FIGURE_IDS, metavar="ID",
-                        help=f"one of: {', '.join(FIGURE_IDS)}")
-    figure.add_argument("--out", default=".", help="output directory")
-
-    threshold = sub.add_parser("threshold", help="print the bistability window in mW")
-    threshold.add_argument("--config", required=True)
-    return parser
+def _help(command: Optional[str]) -> None:
+    """Print the usage and help lines of one command, or of every command
+    when ``command`` is None, to stdout and exit 0, as argparse's -h did."""
+    for name, (line, rows) in [(command, _COMMANDS[command])] if command else _COMMANDS.items():
+        specs = {a: a if a[0] != "-" else f"{a} {a[2:].upper()}" for a in rows}
+        usage = " ".join(s if rows[a][0] is ... else f"[{s}]" for a, s in specs.items())
+        print(f"usage: optobec {name} {usage} [-h]\n  {line}",
+              *(f"    {specs[a]:<18}{text}" for a, (*_, text) in rows.items()), sep="\n")
+    raise SystemExit(0)
 
 
 def _point_report(params) -> dict:
@@ -96,24 +141,23 @@ def _point_report(params) -> dict:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "point":
-            params, _ = load_config(args.config)
-            write_bytes(to_json(_point_report(params)).encode(), args.out)
-        elif args.command == "sweep":
-            params, spec = load_config(args.config)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if args["command"] == "point":
+            params, _ = load_config(args["config"])
+            write_bytes(to_json(_point_report(params)).encode(), args["out"])
+        elif args["command"] == "sweep":
+            params, spec = load_config(args["config"])
             if spec is None:
                 raise ConfigError("sweep: config file has no sweep section")
-            emit(run_sweep(spec), args.format, args.out, spec=spec)
-        elif args.command == "figure":
-            os.makedirs(args.out, exist_ok=True)
-            path = os.path.join(args.out, f"{args.id}.csv")
-            emit(run_sweep(figure_preset(args.id)), "csv", path)
+            emit(run_sweep(spec), args["format"], args["out"], spec=spec)
+        elif args["command"] == "figure":
+            os.makedirs(args["out"], exist_ok=True)
+            path = os.path.join(args["out"], f"{args['id']}.csv")
+            emit(run_sweep(figure_preset(args["id"])), "csv", path)
             print(path)
-        elif args.command == "threshold":
-            params, _ = load_config(args.config)
+        elif args["command"] == "threshold":
+            params, _ = load_config(args["config"])
             window = bistability_window(params, params.cavity.detuning)
             if window is None:
                 print("no bistability window")

@@ -1,5 +1,8 @@
-"""Independent oracles the tests check the solvers against."""
+"""Independent oracles the tests check the solvers and the command line
+against."""
 
+import argparse
+import functools
 import math
 from fractions import Fraction
 from typing import List, Optional
@@ -7,6 +10,8 @@ from typing import List, Optional
 import numpy as np
 
 from optobec import HBAR, SweepTable, derive_quantities
+from optobec.config import ConfigError
+from optobec.presets import FIGURE_IDS
 from optobec.sweep import CSV_COLUMNS
 
 MEASURES = CSV_COLUMNS[-5:]
@@ -287,3 +292,40 @@ def hurwitz_verdict(coeffs) -> str:
         if deltas[n - 1] == 0:
             return "marginal"
     return "unstable"
+
+
+# The argparse parser that optobec.cli used before its own table parser;
+# the tests check that the two accept the same command lines.
+class _Parser(argparse.ArgumentParser):
+    # argparse exits with code 2 on usage errors; route them through the
+    # invalid-configuration path instead (2 is reserved for numerical failure)
+    def error(self, message):
+        raise ConfigError(f"usage: {message}")
+
+
+@functools.cache
+def _build_parser() -> _Parser:
+    # built on the first call and reused: parsing does not change it
+    parser = _Parser(prog="optobec",
+                     description="Steady states, stability, cooling and "
+                                 "entanglement of a condensate-filled "
+                                 "optomechanical cavity.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    point = sub.add_parser("point", help="single-configuration report")
+    point.add_argument("--config", required=True)
+    point.add_argument("--out", default=None, help="output file (default stdout)")
+
+    sweep = sub.add_parser("sweep", help="run the sweep described by the config")
+    sweep.add_argument("--config", required=True)
+    sweep.add_argument("--out", default=None, help="output file (default stdout)")
+    sweep.add_argument("--format", choices=("csv", "json"), default="csv")
+
+    figure = sub.add_parser("figure", help="run a bundled dataset preset")
+    figure.add_argument("id", choices=FIGURE_IDS, metavar="ID",
+                        help=f"one of: {', '.join(FIGURE_IDS)}")
+    figure.add_argument("--out", default=".", help="output directory")
+
+    threshold = sub.add_parser("threshold", help="print the bistability window in mW")
+    threshold.add_argument("--config", required=True)
+    return parser

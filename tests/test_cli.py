@@ -11,15 +11,19 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import optobec
 from optobec import DriveParams, derive_quantities, figure_preset
-from optobec.cli import _point_report, main
+from optobec.cli import _parse, _point_report, main
+from optobec.config import ConfigError
 from optobec.presets import MIRROR_FREQ, baseline_params, reference_kappa
 from optobec.sweep import to_json
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import point_config  # noqa: E402
+from oracles import _build_parser  # noqa: E402
 
 
 BASE_CONFIG = {
@@ -318,6 +322,49 @@ def test_usage_error_exit_code(capsys):
     for argv, message in USAGE_ERRORS:
         assert main(argv) == 1, argv
         assert capsys.readouterr() == ("", f"error: usage: {message}\n"), argv
+
+
+# Command-line tokens: the command names and one that is not, flags in
+# full, by a prefix and unknown, alone or with =VALUE, and the values.
+# -h is left out (it exits) and so is "--": argparse 3.11 drops it before a
+# positional and after a figure ID and rejects it elsewhere, while _parse
+# takes it as an unrecognized argument wherever it stands.
+COMMANDS = ["point", "sweep", "figure", "threshold"]
+FLAGS = ["--config", "--out", "--format", "--con", "--o", "--f", "--form", "--bogus"]
+VALUES = ["cfg.json", "csv", "json", "xml", "fig2a", "fig99", "-"]
+ARGV_TOKENS = st.one_of(
+    st.sampled_from(COMMANDS + ["frobnicate"]), st.sampled_from(FLAGS),
+    st.sampled_from(VALUES), st.builds("{}={}".format, st.sampled_from(FLAGS),
+                                       st.sampled_from(VALUES)))
+
+
+@st.composite
+def command_lines(draw):
+    """Up to 6 of ARGV_TOKENS.  Half are drawn token by token; the others
+    are a command and its required argument, in any order with up to two
+    more flags and their values, so that some lines are accepted."""
+    if draw(st.booleans()):
+        return draw(st.lists(ARGV_TOKENS, max_size=6))
+    command = draw(st.sampled_from(COMMANDS))
+    items = [["fig2a"] if command == "figure" else ["--config", draw(st.sampled_from(VALUES))]]
+    items += draw(st.lists(st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES))
+                           .map(list), max_size=2))
+    return [command, *sum(draw(st.permutations(items)), [])][:6]
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(command_lines())
+def test_parse_accepts_what_argparse_accepts(argv):
+    """_parse accepts exactly the command lines that the argparse parser
+    it replaced accepts, with the same values, and rejects the others with
+    a usage ConfigError."""
+    try:
+        expected = vars(_build_parser().parse_args(argv))
+    except ConfigError:
+        with pytest.raises(ConfigError, match="^usage: "):
+            _parse(argv)
+    else:
+        assert _parse(argv) == expected
 
 
 @pytest.mark.parametrize("argv, canonical", [
@@ -812,7 +859,7 @@ def test_point_agrees_with_first_sweep_row(tmp_path, capsys):
 
 
 def test_reused_parser_matches_fresh_processes(tmp_path, capsys):
-    """main() builds its parser once; later calls behave as in a new process."""
+    """main() keeps no state between calls: each behaves as in a new process."""
     path = write_config(tmp_path)
     out = str(tmp_path / "figures")
     requests = [["point", "--config", path], ["frobnicate"],
