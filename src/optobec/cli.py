@@ -68,7 +68,10 @@ def _parse(argv: List[str]) -> dict:
     are unrecognized.  Errors come in argparse's order: a missing value or
     an invalid choice where it occurs, then a missing required argument,
     then the unrecognized arguments.  ``--`` is one more unrecognized
-    argument, not the end of the options.
+    argument, not the end of the options.  Every token that starts with
+    ``-``, other than ``-`` itself, is an option, so a value that starts
+    with ``-`` is given as ``--flag=VALUE`` (argparse also took a negative
+    number or a token with a space in it as a value).
     """
     # the arguments known so far: the command, and once it is given, its own
     rows, values, extras = {"command": (..., tuple(_COMMANDS), None)}, {}, []

@@ -21,9 +21,10 @@ from optobec.config import ConfigError
 from optobec.presets import MIRROR_FREQ, baseline_params, reference_kappa
 from optobec.sweep import to_json
 
+from oracles import _build_parser
+
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import point_config  # noqa: E402
-from oracles import _build_parser  # noqa: E402
 
 
 BASE_CONFIG = {
