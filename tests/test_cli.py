@@ -316,11 +316,18 @@ USAGE_ERRORS = [
      "'fig2c', 'fig2d', 'fig3', 'fig4', 'fig5a', 'fig5b', 'fig5c', 'fig6a', "
      "'fig6b', 'fig6c', 'fig7')"),
 ]
+# Two faults: a missing value or an invalid choice is named where it
+# occurs, then a missing required argument, then unrecognized arguments
+USAGE_ORDER = [
+    (["point", "--bogus"], "the following arguments are required: --config"),
+    (["sweep", "--bogus", "--format", "xml"],
+     "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+]
 
 
 def test_usage_error_exit_code(capsys):
-    """A command line with one usage fault exits 1 with exactly its message."""
-    for argv, message in USAGE_ERRORS:
+    """A command line with a usage fault exits 1 with exactly its message."""
+    for argv, message in USAGE_ERRORS + USAGE_ORDER:
         assert main(argv) == 1, argv
         assert capsys.readouterr() == ("", f"error: usage: {message}\n"), argv
 
