@@ -46,6 +46,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from itertools import groupby, product, repeat
@@ -75,12 +76,13 @@ CSV_COLUMNS = (
 # the bipartitions of the three e_n_* columns, in column order
 _SPLITS = (gm.MIRROR_FIELD, gm.ATOM_FIELD, gm.MIRROR_ATOM)
 
-#: Most stable rows whose covariances and measures :func:`evaluate_branches`
-#: holds at once: a full-mode stack goes through in pieces of this many, so
-#: memory stays bounded however many configurations and points a sweep has.
-#: 600 is one configuration of a preset grid, the piece each configuration
-#: was when configurations were evaluated one at a time.  On the four
-#: full-mode presets (2-core VM, one BLAS thread, 9 passes): 512-row pieces
+#: Most stable rows in one piece of :func:`evaluate_branches`: a full-mode
+#: stack goes through in pieces of this many, each piece on its own, so
+#: memory stays bounded however many configurations and points a sweep has
+#: (one piece per worker thread in flight).  600 is one configuration of a
+#: preset grid, the piece each configuration was when configurations were
+#: evaluated one at a time.  On the four full-mode presets (2-core VM, one
+#: BLAS thread, 9 passes, pieces evaluated serially): 512-row pieces
 #: took 1.6% longer than 600, 768-row pieces 1.3% less with 0.3 MB more
 #: traced peak, and one piece per sweep up to 1.6 MB more.
 MEASURE_STACK_ROWS = 600
@@ -174,6 +176,32 @@ def _expand_configs(spec: SweepSpec) -> List[Tuple[str, SystemParams]]:
             for v in base]
 
 
+def _available_cpus() -> int:
+    """CPUs the process may run on: its affinity mask where the platform
+    has one, every CPU of the machine otherwise."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _piece_measures(branches: BranchColumns, d, rows: np.ndarray) -> np.ndarray:
+    """The ``(len(rows), 5)`` measure columns of the stable ``rows`` of
+    ``branches``, in the order of the last five ``CSV_COLUMNS``.
+
+    The drift matrices of the rows, with the diffusion matrix of each row's
+    configuration, go through one Lyapunov call and one pass of the
+    measures.  A covariance that fails the physicality check raises
+    :class:`NumericalError`.
+    """
+    piece = branches[rows]
+    v = solve_lyapunov(drift_matrix(piece, d), per_row(d, piece.group, diffusion_matrix))
+    try:
+        e_n = gm.log_negativity(gm.reduce_bipartition(v, _SPLITS))
+    except ValueError as exc:   # the covariance is not physical
+        raise NumericalError(str(exc)) from exc
+    return np.column_stack([gm.mirror_phonons(v), gm.bogoliubov_excitations(v), e_n])
+
+
 def evaluate_branches(branches: BranchColumns, d, full: bool = False
                       ) -> Tuple[List[str], List[Optional[List[float]]]]:
     """Stability verdicts of branches and, in full mode, their measures.
@@ -188,27 +216,34 @@ def evaluate_branches(branches: BranchColumns, d, full: bool = False
     columns in one :func:`is_stable` stack, so mean-field mode builds no
     drift matrix.
     In full mode the stable rows go through in pieces of at most
-    ``MEASURE_STACK_ROWS``: the drift matrices of a piece, with the
-    diffusion matrix of each row's configuration, go through one Lyapunov
-    call and one pass of the measures.  Every row sees the same arithmetic
-    as it would on its own.  A covariance that fails the physicality check
-    raises :class:`NumericalError`.
+    ``MEASURE_STACK_ROWS`` (:func:`_piece_measures`).  Two or more pieces
+    run on a thread pool made for the call, one thread per CPU the process
+    may run on (at most one per piece), and their columns are gathered in
+    piece order; one piece, or one CPU, runs in the calling thread.  Every
+    row sees the same arithmetic as it would on its own, so the measures
+    have the same bits whatever the number of threads.  A failing piece
+    raises the error of the first failing piece in order, as a serial loop
+    would.  numpy's error state is per thread: a caller's ``np.errstate``
+    does not reach the workers, which run under numpy's defaults (warnings
+    filters are process-wide and do reach them).
     """
     verdicts = is_stable(characteristic_polynomial(branches, d))
     measures: List[Optional[List[float]]] = [None] * len(verdicts)
     stable = np.flatnonzero([x == "stable" for x in (verdicts if full else ())])
-    for start in range(0, len(stable), MEASURE_STACK_ROWS):
-        rows = stable[start:start + MEASURE_STACK_ROWS]
-        piece = branches[rows]
-        v = solve_lyapunov(drift_matrix(piece, d),
-                           per_row(d, piece.group, diffusion_matrix))
-        try:
-            e_n = gm.log_negativity(gm.reduce_bipartition(v, _SPLITS))
-        except ValueError as exc:   # the covariance is not physical
-            raise NumericalError(str(exc)) from exc
-        columns = np.column_stack([gm.mirror_phonons(v),
-                                   gm.bogoliubov_excitations(v), e_n])
-        for i, row in zip(rows.tolist(), columns.tolist()):
+    pieces = [stable[start:start + MEASURE_STACK_ROWS]
+              for start in range(0, len(stable), MEASURE_STACK_ROWS)]
+    workers = min(len(pieces), _available_cpus()) if len(pieces) > 1 else 1
+    args = (_piece_measures, repeat(branches), repeat(d), pieces)
+    if workers > 1:
+        # imported here, not at load: about 16 ms that a one-piece request
+        # (every point report) would pay for nothing
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            columns = list(pool.map(*args))
+    else:
+        columns = map(*args)
+    for rows, piece_columns in zip(pieces, columns):
+        for i, row in zip(rows.tolist(), piece_columns.tolist()):
             measures[i] = row
     return verdicts, measures
 

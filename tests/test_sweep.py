@@ -11,6 +11,7 @@ import pathlib
 import platform
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -613,7 +614,8 @@ def test_one_stack_per_sweep(spec, monkeypatch):
 @pytest.mark.parametrize("variable", ["Delta_effective", "omega_sw"])
 def test_measure_pieces_equal_one_piece(variable, monkeypatch):
     """Full-mode rows evaluated in pieces of 7 stable rows have the bits of
-    one piece."""
+    one piece.  The pieces may be solved on worker threads in any order, so
+    their sizes are compared as a sorted list."""
     import optobec.sweep as sweep
 
     spec = _two_variant_spec(variable, "full")
@@ -625,8 +627,38 @@ def test_measure_pieces_equal_one_piece(variable, monkeypatch):
                         lambda a, d: calls.append(len(a)) or solve(a, d))
     pieces = run_sweep(spec)
     stable = whole.stability.count("stable")
-    assert calls == [7] * (stable // 7) + [stable % 7] * (stable % 7 > 0)
+    assert sorted(calls) == sorted([7] * (stable // 7) + [stable % 7] * (stable % 7 > 0))
     assert whole.measures == pieces.measures and whole.stability == pieces.stability
+
+
+@pytest.mark.parametrize("variable", ["Delta_effective", "omega_sw"])
+def test_measure_pieces_equal_on_any_worker_count(variable, monkeypatch):
+    """Pieces of 7 stable rows give the same measures and verdicts on the
+    calling thread alone (one CPU) as on the default worker count and on a
+    pool of three, whose pieces all run off the calling thread."""
+    import optobec.sweep as sweep
+
+    spec = _two_variant_spec(variable, "full")
+    cpus = sweep._available_cpus()
+    caller = threading.get_ident()
+    threads = []
+    solve = sweep.solve_lyapunov
+    monkeypatch.setattr(sweep, "MEASURE_STACK_ROWS", 7)
+    monkeypatch.setattr(sweep, "solve_lyapunov",
+                        lambda a, d: threads.append(threading.get_ident()) or solve(a, d))
+    tables = []
+    for workers in (cpus, 1, 3):
+        monkeypatch.setattr(sweep, "_available_cpus", lambda: workers)
+        threads.clear()
+        tables.append(run_sweep(spec))
+        assert len(threads) > 3
+        if workers == 1:
+            assert set(threads) == {caller}
+        else:
+            assert caller not in threads and len(set(threads)) <= workers
+    default, serial, pooled = tables
+    assert default.measures == serial.measures == pooled.measures
+    assert default.stability == serial.stability == pooled.stability
 
 
 def _failing_variants(*labels):
@@ -663,6 +695,51 @@ def test_failure_names_its_configuration(labels, error, message):
     with pytest.raises(getattr(optobec, error)) as info:
         run_sweep(_failing_variants(*labels))
     assert str(info.value).startswith(message)
+
+
+def test_earlier_failing_piece_is_raised(monkeypatch):
+    """With two failing measure pieces, evaluate_branches raises the earlier
+    piece's error, the one a serial loop raises, also when the later piece
+    fails first on another thread; run_sweep names the same row as with one
+    piece."""
+    import optobec.sweep as sweep
+    from optobec import NumericalError
+
+    spec = _failing_variants("ok", "undamped_sw", "undamped")
+    grid = np.linspace(spec.lo, spec.hi, spec.points).tolist()
+    ds, branches = _sweep_branches(spec.variable, grid, _expand_configs(spec))
+    measure = sweep._piece_measures
+    later_failed = threading.Event()
+    waits, failures = [], []   # failures: (from the later piece, error)
+
+    def piece_measures(branches, d, rows):
+        # the failing rows are Delta_effective = 0 of undamped_sw and undamped
+        points = branches.index[rows].tolist()
+        if spec.points in points and pooled:
+            waits.append(later_failed.wait(timeout=10))
+        try:
+            return measure(branches, d, rows)
+        except NumericalError as exc:
+            failures.append((2 * spec.points in points, exc))
+            if 2 * spec.points in points:
+                later_failed.set()
+            raise
+
+    monkeypatch.setattr(sweep, "MEASURE_STACK_ROWS", 7)
+    monkeypatch.setattr(sweep, "_piece_measures", piece_measures)
+    for pooled, expected in ((True, [True, False]), (False, [False])):
+        monkeypatch.setattr(sweep, "_available_cpus", lambda: 2 if pooled else 1)
+        failures.clear()
+        with pytest.raises(NumericalError) as info:
+            evaluate_branches(branches, ds, full=True)
+        assert [later for later, _ in failures] == expected
+        assert info.value is failures[-1][1]
+    assert waits == [True]
+    monkeypatch.setattr(sweep, "_piece_measures", measure)
+    monkeypatch.setattr(sweep, "_available_cpus", lambda: 2)
+    with pytest.raises(NumericalError, match="^undamped_sw: Delta_effective=0, "
+                                             "branch unique: Lyapunov system is singular"):
+        run_sweep(spec)
 
 
 def test_failures_across_stages_come_out_in_sweep_order(monkeypatch):
