@@ -221,9 +221,9 @@ def evaluate_branches(branches: BranchColumns, d, full: bool = False
     may run on (at most one per piece), and their columns are gathered in
     piece order; one piece, or one CPU, runs in the calling thread.  Every
     row sees the same arithmetic as it would on its own, so the measures
-    have the same bits whatever the number of threads.  A failing piece
-    raises the error of the first failing piece in order, as a serial loop
-    would.  numpy's error state is per thread: a caller's ``np.errstate``
+    have the same bits whatever the number of threads.  When pieces fail,
+    the error of the first failing piece in order is raised, as in a serial
+    loop.  numpy's error state is per thread: a caller's ``np.errstate``
     does not reach the workers, which run under numpy's defaults (warnings
     filters are process-wide and do reach them).
     """
