@@ -7,20 +7,20 @@ two-mode entanglement monotone is computed from the lowest symplectic
 eigenvalue of the partially transposed 4x4 covariance of the selected
 bipartition; determinants are taken at fixed size (2x2 closed form, LU for
 the 4x4), no eigen machinery anywhere.  That arithmetic is written once,
-over the 16 entries of a 4x4 (:func:`_eta_terms`), and runs in two lanes
-with the same operations in the same order: covariance by covariance in
-Python floats for the few covariances of a ``point`` request, and on numpy
-columns for a larger stack, so every E_N has the same bits in either.
+over the 16 entries of a 4x4 (:func:`_eta_terms`), and so is the
+occupation of a mode (:func:`occupation`).  The public functions run on
+numpy columns; :func:`point_log_negativity` is the Python-float step that
+:func:`optobec.sweep.evaluate_branches` takes for the few covariances of
+one configuration, with the same operations in the same order, so every
+E_N has the same bits, or the same error, either way.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
-
-from .linear_dynamics import SMALL_STACK_ROWS
 
 # roundoff guard for the symplectic discriminant, scaled by its natural
 # square magnitude so hot thermal blocks do not trip on cancellation noise
@@ -34,12 +34,18 @@ ATOM_FIELD = (4, 5, 0, 1)
 MIRROR_ATOM = (2, 3, 4, 5)
 
 
+def occupation(v_xx, v_pp):
+    """Incoherent quanta of a mode from its two quadrature variances,
+    (V_xx + V_pp - 1)/2, of Python floats or numpy columns alike."""
+    return 0.5 * (v_xx + v_pp - 1.0)
+
+
 def mirror_phonons(v: np.ndarray) -> float:
     """Effective incoherent phonon number of the mirror, (V_33 + V_44 - 1)/2.
 
     One value per covariance of a ``(..., 6, 6)`` stack.
     """
-    return 0.5 * (v[..., 2, 2] + v[..., 3, 3] - 1.0)
+    return occupation(v[..., 2, 2], v[..., 3, 3])
 
 
 def bogoliubov_excitations(v: np.ndarray) -> float:
@@ -47,7 +53,7 @@ def bogoliubov_excitations(v: np.ndarray) -> float:
 
     One value per covariance of a ``(..., 6, 6)`` stack.
     """
-    return 0.5 * (v[..., 4, 4] + v[..., 5, 5] - 1.0)
+    return occupation(v[..., 4, 4], v[..., 5, 5])
 
 
 def reduce_bipartition(v: np.ndarray, splits: Sequence) -> np.ndarray:
@@ -137,25 +143,32 @@ def log_negativity(v4: np.ndarray) -> np.ndarray:
 
     A ``(..., 4, 4)`` stack gives E_N as a float array of shape ``(...)``
     (0-d for one covariance), every entry computed with the same operations
-    as its covariance alone.  A float64 stack of at most
-    ``3 * SMALL_STACK_ROWS`` covariances (three splits of each branch of a
-    point) is evaluated covariance by covariance in Python floats, which
-    costs less than numpy calls on so few, and a larger one, or one of
-    another float dtype, on numpy columns: one arithmetic,
-    :func:`_eta_terms`, for both, with numpy's logarithm.
+    as its covariance alone, on numpy columns (:func:`_eta_terms`), with
+    numpy's logarithm.
     """
     v4 = np.asarray(v4)
     if v4.ndim < 2 or v4.shape[-2:] != (4, 4):
         raise ValueError("bipartite covariance must be 4x4")
     if not np.issubdtype(v4.dtype, np.floating):
         v4 = v4.astype(float)
-    flat = v4.reshape(-1, 16)
-    if v4.dtype == float and len(flat) <= 3 * SMALL_STACK_ROWS:
-        terms = np.array([_eta_terms(m, _select, max, math.sqrt)
-                          for m in flat.tolist()]).reshape(-1, 6).T
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = _eta_terms(flat.T, np.where, np.maximum, np.sqrt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _eta_terms(v4.reshape(-1, 16).T, np.where, np.maximum, np.sqrt)
+    return _e_n(terms).reshape(v4.shape[:-2])
+
+
+def point_log_negativity(covariances: Sequence[List[float]]) -> List[float]:
+    """:func:`log_negativity` of 4x4 covariances each given as the list of
+    its 16 entries, row by row, in Python floats: :func:`_eta_terms`
+    covariance by covariance, then the fault check, message and E_N step of
+    :func:`log_negativity`, so each E_N has the bits, and each error the
+    text, that it gets in a float64 stack."""
+    terms = [_eta_terms(m, _select, max, math.sqrt) for m in covariances]
+    return _e_n(np.array(terms).reshape(-1, 6).T).tolist()
+
+
+def _e_n(terms) -> np.ndarray:
+    """E_N from the columns of :func:`_eta_terms`, or the ValueError of the
+    first failing covariance of the first check that fails."""
     fault, sigma, det_v, disc, eta_sq, two_eta = terms
     if fault.any():
         i = np.flatnonzero(fault == fault[fault > 0].min())[0]
@@ -167,4 +180,4 @@ def log_negativity(v4: np.ndarray) -> np.ndarray:
         )[int(fault[i]) - 1])
     e_n = -np.log(two_eta).astype(float)
     # where, not maximum: max(0, x) semantics give +0.0, never -0.0
-    return np.where(e_n > 0.0, e_n, 0.0).reshape(v4.shape[:-2])
+    return np.where(e_n > 0.0, e_n, 0.0)

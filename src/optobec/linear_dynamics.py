@@ -10,12 +10,15 @@ alpha and Delta, with no matrix built.  A verdict is ``stable``,
 ``marginal`` (one simple pair of roots on the imaginary axis, read from an
 exact zero determinant) or ``unstable`` (:func:`is_stable`).  A stack of
 branches may span configurations: each row gathers the constants of its own
-derived quantities (:func:`per_row`).  The branches of one configuration
-(at most ``SMALL_STACK_ROWS``, a ``point`` request) take a Python-float
-lane through the drift, its characteristic polynomial and the verdict, and
-any other stack takes numpy columns, with the same operations in the same
-order, so a row has the same bits in either; a configuration's polynomial
-products are Python floats for both.  The stationary covariance V solves
+derived quantities (:func:`per_row`).  The public functions run on numpy
+columns.  The drift entries (:func:`_drift_entries`), the polynomial's
+per-configuration terms (:func:`_charpoly_terms`) and the verdict
+(:func:`_verdict_codes`) are each written once, for numpy columns and
+Python floats alike; :func:`point_charpoly`, :func:`point_verdict` and
+:func:`point_drift` are their Python-float steps, which
+:func:`optobec.sweep.evaluate_branches` takes for the few branches of one
+configuration, with the same operations in the same order, so a row has
+the same bits either way.  The stationary covariance V solves
 A V + V A^T = -D by direct Kronecker vectorization; at fixed size 6 the
 36-unknown dense solve costs microseconds and stays free of any eigen/Schur
 machinery.
@@ -23,8 +26,10 @@ machinery.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import List, Union
+from itertools import chain
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,14 +50,10 @@ LYAPUNOV_RESIDUAL_RTOL = 1e-8
 #: of each other.
 LYAPUNOV_STACK_ROWS = 128
 
-#: Most rows of a stack that :func:`is_stable` evaluates row by row in
-#: Python floats: a cubic has at most three real roots, so a single
-#: configuration has at most three branches, and on so few rows Python
-#: floats cost less than numpy calls.  A larger stack is evaluated on numpy
-#: columns.  The same constant sizes the Python-float lane of
-#: :func:`optobec.gaussian_measures.log_negativity`: at most three
-#: bipartitions of each of these branches, 3 * SMALL_STACK_ROWS covariances.
-SMALL_STACK_ROWS = 3
+# verdicts by the codes of _verdict_codes
+_VERDICTS = ("unstable", "stable", "marginal")
+
+_OUT_OF_RANGE = "characteristic polynomial leaves the float range"
 
 
 class NumericalError(RuntimeError):
@@ -85,28 +86,34 @@ def drift_matrix(branches, d) -> np.ndarray:
     ``(N, 6, 6)`` stack; only their ``alpha``, ``Delta`` and group enter,
     with ``d`` as in :func:`per_row`.  A condensate-absent configuration has
     zeta = 0, which decouples the last two rows and columns; they are kept
-    so the state dimension never changes.  The nonzero entries
-    (:func:`_drift_entries`) are taken branch by branch in Python floats for
-    at most ``SMALL_STACK_ROWS`` branches of one configuration and on numpy
-    columns otherwise, with the same bits either way.
+    so the state dimension never changes.  The nonzero entries are
+    :func:`_drift_entries` on numpy columns.
     """
-    alpha, delta = branches.alpha, branches.Delta
-    if isinstance(d, DerivedQuantities) and len(alpha) <= SMALL_STACK_ROWS:
-        entries = np.array([_drift_entries(d, *row) for row in
-                            zip(alpha.tolist(), delta.tolist())]).reshape(-1, 15)
-    else:
-        if not isinstance(d, DerivedQuantities):   # each field as a column of rows
-            d = DerivedQuantities(*per_row(d, branches.group,
-                                           lambda x: [*vars(x).values()]).T)
-        entries = np.stack(np.broadcast_arrays(*_drift_entries(d, alpha, delta)), -1)
-    a = np.zeros((len(alpha), 6, 6))
-    a[:, _DRIFT_ROWS, _DRIFT_COLUMNS] = entries
-    return a
+    if not isinstance(d, DerivedQuantities):   # each field as a column of rows
+        d = DerivedQuantities(*per_row(d, branches.group,
+                                       lambda x: [*vars(x).values()]).T)
+    entries = _drift_entries(d, branches.alpha, branches.Delta)
+    return _drift_stack(np.stack(np.broadcast_arrays(*entries), -1))
+
+
+def point_drift(d: DerivedQuantities, rows: Sequence[Tuple[float, float]]) -> np.ndarray:
+    """:func:`drift_matrix` of the ``(alpha, Delta)`` rows of one
+    configuration, given as Python floats: the entries are taken row by row
+    in Python floats and scattered once, with the bits of the numpy
+    columns, signed zeros too."""
+    return _drift_stack([_drift_entries(d, alpha, delta) for alpha, delta in rows])
 
 
 #: Positions of the entries of :func:`_drift_entries` in a drift matrix.
 _DRIFT_ROWS = (0, 0, 1, 1, 1, 1, 2, 3, 3, 3, 4, 4, 5, 5, 5)
 _DRIFT_COLUMNS = (0, 1, 0, 1, 2, 4, 3, 0, 2, 3, 4, 5, 0, 4, 5)
+
+
+def _drift_stack(entries) -> np.ndarray:
+    """``(N, 6, 6)`` drift matrices from N rows of :func:`_drift_entries`."""
+    a = np.zeros((len(entries), 6, 6))
+    a[:, _DRIFT_ROWS, _DRIFT_COLUMNS] = entries
+    return a
 
 
 def _drift_entries(d: DerivedQuantities, alpha, delta) -> tuple:
@@ -147,26 +154,33 @@ def characteristic_polynomial(branches, d) -> np.ndarray:
     configuration (``d`` as in :func:`per_row`), so a row costs two
     products and two sums of 7-vectors: (kappa^2 + Delta^2) and
     Delta alpha^2 are the only per-branch inputs.  N branches give
-    ``(N, 7)``, each row with the operations it gets on its own: at most
-    ``SMALL_STACK_ROWS`` branches of one configuration row by row in Python
-    floats, any other stack on numpy columns.  A coefficient that leaves
-    the float range raises :class:`NumericalError`, so no stability test
-    sees it.
+    ``(N, 7)`` on numpy columns, each row with the operations it gets on
+    its own.  A coefficient that leaves the float range raises
+    :class:`NumericalError`, so no stability test sees it.
     """
     alpha, delta = branches.alpha, branches.Delta
-    if isinstance(d, DerivedQuantities) and len(alpha) <= SMALL_STACK_ROWS:
-        kappa_sq, both, fixed, coupling = _charpoly_terms(d)
-        coeffs = np.array([[(y * y + kappa_sq[0]) * b + f - y * (x * x) * c
-                            for b, f, c in zip(both, fixed, coupling)]
-                           for x, y in zip(alpha.tolist(), delta.tolist())]).reshape(-1, 7)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            kappa_sq, both, fixed, coupling = np.asarray(per_row(
-                d, branches.group, _charpoly_terms)).swapaxes(-2, 0)
-            coeffs = ((delta * delta + kappa_sq[..., 0])[:, None] * both + fixed
-                      - (delta * (alpha * alpha))[:, None] * coupling)
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa_sq, both, fixed, coupling = np.asarray(per_row(
+            d, branches.group, _charpoly_terms)).swapaxes(-2, 0)
+        coeffs = ((delta * delta + kappa_sq[..., 0])[:, None] * both + fixed
+                  - (delta * (alpha * alpha))[:, None] * coupling)
     if not np.isfinite(coeffs).all():
-        raise NumericalError("characteristic polynomial leaves the float range")
+        raise NumericalError(_OUT_OF_RANGE)
+    return coeffs
+
+
+def point_charpoly(d: DerivedQuantities,
+                   rows: Sequence[Tuple[float, float]]) -> List[List[float]]:
+    """:func:`characteristic_polynomial` of the ``(alpha, Delta)`` rows of
+    one configuration, given as Python floats: one 7-list of Python floats
+    per row, with the operations and order of the numpy columns, and the
+    same :class:`NumericalError` when a coefficient leaves the float
+    range."""
+    kappa_sq, both, fixed, coupling = _charpoly_terms(d)
+    coeffs = [[(y * y + kappa_sq[0]) * b + f - y * (x * x) * c
+               for b, f, c in zip(both, fixed, coupling)] for x, y in rows]
+    if not all(map(math.isfinite, chain.from_iterable(coeffs))):
+        raise NumericalError(_OUT_OF_RANGE)
     return coeffs
 
 
@@ -262,10 +276,9 @@ def is_stable(coeffs) -> Union[str, List[str]]:
     a_k 2^(-kE) (``ldexp``, exact), with E = max_k ceil(e_k / k) and e_k
     the ``frexp`` exponent of a_k.  Every scaled |a_k| <= 1, so no
     determinant (Delta_5 has degree 15 in the scale of the roots) overflows,
-    and the scaling changes no sign.  A stack of at most
-    ``SMALL_STACK_ROWS`` rows is evaluated row by row in Python floats and
-    a larger one on numpy columns, with the same operations in the same
-    order, so a row gets the same verdict in a stack of any size.
+    and the scaling changes no sign.  The rows are evaluated on numpy
+    columns, each with the operations it gets on its own, so a row gets the
+    same verdict in a stack of any size, and from :func:`point_verdict`.
     """
     c = np.asarray(coeffs, dtype=float)
     if c.ndim not in (1, 2) or not 2 <= c.shape[-1] <= 7:
@@ -273,17 +286,30 @@ def is_stable(coeffs) -> Union[str, List[str]]:
     stack = c.reshape(-1, c.shape[-1])
     if not (stack[:, -1] > 0.0).all():
         raise ValueError("polynomial must be monic (positive leading coefficient)")
-    names = np.array(["unstable", "stable", "marginal"], dtype=object)
-    if len(stack) <= SMALL_STACK_ROWS:
-        verdicts = [names[_verdict_codes([x / row[-1] for x in row[-2::-1]],
-                                         math.frexp, math.ldexp, max)]
-                    for row in stack.tolist()]
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            codes = _verdict_codes([x / stack[:, -1] for x in stack[:, -2::-1].T],
-                                   np.frexp, np.ldexp, np.maximum.reduce)
-        verdicts = names[codes].tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        codes = _verdict_codes([x / stack[:, -1] for x in stack[:, -2::-1].T],
+                               np.frexp, np.ldexp, np.maximum.reduce)
+    verdicts = np.array(_VERDICTS, dtype=object)[codes].tolist()
     return verdicts[0] if c.ndim == 1 else verdicts
+
+
+def point_verdict(coeffs: List[float]) -> str:
+    """The verdict :func:`is_stable` gives one polynomial with a positive
+    leading coefficient, given as a list of its ascending coefficients in
+    Python floats: the same operations in the same order, row by row."""
+    return _VERDICTS[_verdict_codes([x / coeffs[-1] for x in coeffs[-2::-1]],
+                                    math.frexp, math.ldexp, max)]
+
+
+@functools.lru_cache(maxsize=None)
+def _kron_positions(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat positions in an ``(n^2, n^2)`` Kronecker coefficient of the
+    entries of kron(I, A) and of kron(A, I): row k of each holds, for the
+    k-th entry of the identity, the positions of A's n^2 entries, row by
+    row.  Built on first use of each n, so importing costs nothing."""
+    k, i, j = np.ogrid[:n, :n, :n]
+    return ((((k * n + i) * n + k) * n + j).reshape(n, -1),   # ((k, i), (k, j))
+            (((i * n + k) * n + j) * n + k).reshape(n, -1))   # ((i, k), (j, k))
 
 
 def _solve_lyapunov_rows(a: np.ndarray, d: np.ndarray, first: int) -> np.ndarray:
@@ -291,14 +317,16 @@ def _solve_lyapunov_rows(a: np.ndarray, d: np.ndarray, first: int) -> np.ndarray
     ``first`` is the piece's row 0, with ``d`` of the same shape or one
     ``(1, n, n)`` matrix for every row."""
     count, n = a.shape[0], a.shape[-1]
-    # kron(I, A) + kron(A, I), scattered into its nonzero blocks: entry
-    # ((i, j), (k, l)) is delta_ik A_jl + A_ik delta_jl
-    coefficient = np.zeros((count, n, n, n, n))
-    for i in range(n):
-        coefficient[:, i, :, i, :] = a
-    for k in range(n):
-        coefficient[:, :, k, :, k] += a
-    coefficient = coefficient.reshape(count, n * n, n * n)
+    # kron(I, A) + kron(A, I): entry ((i, j), (k, l)) is
+    # delta_ik A_jl + A_ik delta_jl, the first addend written, the second
+    # added; the rows run along the last axis, so each position is one
+    # contiguous run (np.linalg.solve copies each matrix out anyway)
+    kron_ia, kron_ai = _kron_positions(n)
+    entries = a.reshape(count, n * n).T
+    coefficient = np.zeros((n ** 4, count))
+    coefficient[kron_ia] = entries
+    coefficient[kron_ai] += entries
+    coefficient = coefficient.reshape(n * n, n * n, count).transpose(2, 0, 1)
     try:
         vec = np.linalg.solve(coefficient, (-d).reshape(-1, n * n, 1))[..., 0]
     except np.linalg.LinAlgError as exc:

@@ -4,7 +4,11 @@ deterministic CSV/JSON emission.
 Every branch, whether it comes from a sweep point or from a single ``point``
 report, goes through :func:`evaluate_branches`: closed-form characteristic
 polynomial, Hurwitz verdict and, for stable branches in full mode, the
-drift matrix, the Lyapunov covariance and the five measures.  A whole
+drift matrix, the Lyapunov covariance and the five measures.  It is the one
+place that picks a lane: the few branches of one configuration (a ``point``
+report) are carried in Python floats from the branch columns to the
+measures, and any other stack on numpy columns, with the same operations in
+the same order, so a row has the same bits in either.  A whole
 sweep goes through it as one stack of branch columns
 (:class:`BranchColumns`), all its configurations together: every row
 carries its group, the index of the derived quantities it was solved with
@@ -58,9 +62,10 @@ import numpy as np
 from . import gaussian_measures as gm
 from .linear_dynamics import (NumericalError, characteristic_polynomial,
                               diffusion_matrix, drift_matrix, is_stable,
-                              per_row, solve_lyapunov)
-from .model import (HBAR, ParameterError, SystemParams, derive_quantities,
-                    drive_rate)
+                              per_row, point_charpoly, point_drift,
+                              point_verdict, solve_lyapunov)
+from .model import (HBAR, DerivedQuantities, ParameterError, SystemParams,
+                    derive_quantities, drive_rate)
 from .steady_state import (BranchColumns, imposed_detuning_branches,
                            solve_mean_field_grid)
 
@@ -75,6 +80,12 @@ CSV_COLUMNS = (
 )
 # the bipartitions of the three e_n_* columns, in column order
 _SPLITS = (gm.MIRROR_FIELD, gm.ATOM_FIELD, gm.MIRROR_ATOM)
+
+#: Most branches of one configuration that :func:`evaluate_branches` carries
+#: in Python floats: a cubic has at most three real roots, so a ``point``
+#: request has at most three branches, and on so few rows Python floats cost
+#: less than numpy calls.  Any other stack is evaluated on numpy columns.
+SMALL_STACK_ROWS = 3
 
 #: Most stable rows in one piece of :func:`evaluate_branches`: a full-mode
 #: stack goes through in pieces of this many, each piece on its own, so
@@ -195,11 +206,45 @@ def _piece_measures(branches: BranchColumns, d, rows: np.ndarray) -> np.ndarray:
     """
     piece = branches[rows]
     v = solve_lyapunov(drift_matrix(piece, d), per_row(d, piece.group, diffusion_matrix))
+    e_n = _physical(gm.log_negativity, gm.reduce_bipartition(v, _SPLITS))
+    return np.column_stack([gm.mirror_phonons(v), gm.bogoliubov_excitations(v), e_n])
+
+
+def _physical(log_negativity, covariances):
+    """``log_negativity(covariances)``, with a covariance that fails the
+    physicality check raised as :class:`NumericalError`."""
     try:
-        e_n = gm.log_negativity(gm.reduce_bipartition(v, _SPLITS))
+        return log_negativity(covariances)
     except ValueError as exc:   # the covariance is not physical
         raise NumericalError(str(exc)) from exc
-    return np.column_stack([gm.mirror_phonons(v), gm.bogoliubov_excitations(v), e_n])
+
+
+def _point_lane(branches: BranchColumns, d: DerivedQuantities, full: bool
+                ) -> Tuple[List[str], List[Optional[List[float]]]]:
+    """:func:`evaluate_branches` of at most ``SMALL_STACK_ROWS`` branches of
+    one configuration, in Python floats from the branch columns to the
+    measures.
+
+    Each row's verdict comes from :func:`point_charpoly` and
+    :func:`point_verdict`.  The stable rows' drift matrices
+    (:func:`point_drift`) go through one :func:`solve_lyapunov` call, whose
+    covariances become lists once: the occupations come from their
+    diagonals and each split's 16 entries go to
+    :func:`~optobec.gaussian_measures.point_log_negativity`.  Every step
+    has the operations, order and errors of the numpy columns.
+    """
+    rows = list(zip(branches.alpha.tolist(), branches.Delta.tolist()))
+    verdicts = [point_verdict(coeffs) for coeffs in point_charpoly(d, rows)]
+    stable = [row for row, verdict in zip(rows, verdicts) if full and verdict == "stable"]
+    measured = iter(())
+    if stable:
+        v = solve_lyapunov(point_drift(d, stable), diffusion_matrix(d)).tolist()
+        e_n = _physical(gm.point_log_negativity, [[m[r][c] for r in split for c in split]
+                                                   for m in v for split in _SPLITS])
+        measured = iter([gm.occupation(m[2][2], m[3][3]), gm.occupation(m[4][4], m[5][5]),
+                         *e_n[3 * i:3 * i + 3]] for i, m in enumerate(v))
+    return verdicts, [next(measured) if full and verdict == "stable" else None
+                      for verdict in verdicts]
 
 
 def evaluate_branches(branches: BranchColumns, d, full: bool = False
@@ -212,21 +257,31 @@ def evaluate_branches(branches: BranchColumns, d, full: bool = False
     ``measures[i]`` lists the occupations and log-negativities of the
     stationary covariance in the order of the last five ``CSV_COLUMNS``; it
     is None for a non-stable branch or when not ``full`` (mean-field mode).
-    The verdicts come from the closed-form characteristic polynomial of the
-    columns in one :func:`is_stable` stack, so mean-field mode builds no
-    drift matrix.
-    In full mode the stable rows go through in pieces of at most
-    ``MEASURE_STACK_ROWS`` (:func:`_piece_measures`).  Two or more pieces
-    run on a thread pool made for the call, one thread per CPU the process
-    may run on (at most one per piece), and their columns are gathered in
-    piece order; one piece, or one CPU, runs in the calling thread.  Every
-    row sees the same arithmetic as it would on its own, so the measures
-    have the same bits whatever the number of threads.  When pieces fail,
+
+    This is the one place that picks a lane.  At most ``SMALL_STACK_ROWS``
+    branches of one configuration (every ``point`` request) are carried in
+    Python floats (:func:`_point_lane`).  Any other stack is evaluated on
+    numpy columns: the verdicts come from the closed-form characteristic
+    polynomial of the columns in one :func:`is_stable` stack, so mean-field
+    mode builds no drift matrix, and in full mode the stable rows go
+    through in pieces of at most ``MEASURE_STACK_ROWS``
+    (:func:`_piece_measures`).  Both lanes run the same operations in the
+    same order, so a row gets the same verdict, measures and errors in
+    either.
+
+    Two or more pieces run on a thread pool made for the call, one thread
+    per CPU the process may run on (at most one per piece), and their
+    columns are gathered in piece order; one piece, or one CPU, runs in the
+    calling thread.  Every row sees the same arithmetic as it would on its
+    own, so the measures have the same bits whatever the number of
+    threads.  When pieces fail,
     the error of the first failing piece in order is raised, as in a serial
     loop.  numpy's error state is per thread: a caller's ``np.errstate``
     does not reach the workers, which run under numpy's defaults (warnings
     filters are process-wide and do reach them).
     """
+    if isinstance(d, DerivedQuantities) and len(branches) <= SMALL_STACK_ROWS:
+        return _point_lane(branches, d, full)
     verdicts = is_stable(characteristic_polynomial(branches, d))
     measures: List[Optional[List[float]]] = [None] * len(verdicts)
     stable = np.flatnonzero([x == "stable" for x in (verdicts if full else ())])

@@ -232,3 +232,33 @@ def test_criterion_8_sweep_performance():
     assert all(measure is not None for stability, measure
                in zip(rows.stability, rows.measures) if stability == "stable")
     assert elapsed < 1.0, f"sweep took {elapsed:.3f} s"
+
+
+@criterion(9, "collisional control of the Bogoliubov-mode features (fig5a-c)")
+def test_criterion_9_collisional_control(cooling_runs):
+    """The s-wave scattering sets omega_B = sqrt(Omega_c (Omega_c + omega_sw)),
+    and with it where the condensate cools and where it entangles with the
+    field: on each of fig5a-c the delta_n_c minimum and the atom-field E_N
+    peak lie within kappa of that preset's omega_B, and both follow omega_sw
+    in order, while the mirror's delta_n_m minimum stays within kappa of
+    omega_m."""
+    kappa = reference_kappa()
+    quoted = {"fig5a": 2.182, "fig5b": 1.308, "fig5c": 0.865}   # omega_B / omega_m
+    sw, minima, peaks = [], [], []
+    for fig, ratio in quoted.items():
+        params = figure_preset(fig).params
+        omega_b = derive_quantities(params).omega_B
+        assert abs(omega_b / MIRROR_FREQ - ratio) <= 5e-4, fig
+        values, dnc = _config_series(cooling_runs[fig], "base/bec", "delta_n_c")
+        _, en_af = _config_series(cooling_runs[fig], "base/bec", "e_n_atom_field")
+        _, dnm = _config_series(cooling_runs[fig], "base/bec", "delta_n_m")
+        sw.append(params.bec.sw_frequency)
+        minima.append(values[np.argmin(dnc)])
+        peaks.append(values[np.argmax(en_af)])
+        assert abs(minima[-1] - omega_b) <= kappa, fig
+        assert abs(peaks[-1] - omega_b) <= kappa, fig
+        assert abs(values[np.argmin(dnm)] - MIRROR_FREQ) <= kappa, fig
+    order = np.argsort(sw)
+    assert len(set(sw)) == 3
+    assert np.all(np.diff(np.array(minima)[order]) > 0.0)
+    assert np.all(np.diff(np.array(peaks)[order]) > 0.0)

@@ -800,6 +800,26 @@ def test_overflowing_characteristic_polynomial_exit_code(command, sweep, named,
     assert captured.out == ""
 
 
+def test_decoupled_huge_sw_frequency_file(capsys):
+    """point_decoupled_huge_sw.json, which CI runs through the installed
+    script, is point_bistable.json with a decoupled condensate whose
+    collisional frequency is 1e290 rad/s.  The condensate factor of the
+    characteristic polynomial leaves the float range, although zeta = 0
+    decouples it, so the point exits 2 with the whole verdict lost; a
+    verdict that factors out the decoupled condensate would report it."""
+    with open(os.path.join(DATA, "point_bistable.json")) as handle:
+        expected = json.load(handle)
+    expected["bec"] = {"present": False, "sw_frequency": 1e290}
+    path = os.path.join(DATA, "point_decoupled_huge_sw.json")
+    with open(path) as handle:
+        assert json.load(handle) == expected
+    assert main(["point", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("numerical failure: characteristic polynomial "
+                            "leaves the float range\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("units", ["normalized", "si"])
 def test_decoupled_bec_section_equals_omitted_section(units, tmp_path, capsys):
     """A ``bec`` section with ``present: false`` that leaves out recoil and

@@ -10,6 +10,7 @@ from optobec import (NumericalError, characteristic_polynomial,
                      derive_quantities, diffusion_matrix, drift_matrix,
                      figure_preset, is_stable, run_sweep, solve_lyapunov,
                      solve_mean_field)
+from optobec.linear_dynamics import point_verdict
 from optobec.presets import MIRROR_FREQ, baseline_params, reference_kappa
 from optobec.steady_state import BranchColumns
 from optobec.sweep import _expand_configs, _sweep_branches
@@ -251,10 +252,12 @@ def test_stability_at_any_root_scale():
     nor underflows."""
     sigmas = [2.0 ** -100, 1e-30, 1e45, 2.0 ** 150]
     hurwitz = np.array([np.poly(np.full(6, -s))[::-1] for s in sigmas])
-    assert is_stable(hurwitz) == [is_stable(row) for row in hurwitz] == ["stable"] * 4
+    assert is_stable(hurwitz) == [is_stable(row) for row in hurwitz] \
+        == [point_verdict(row) for row in hurwitz.tolist()] == ["stable"] * 4
     axis = np.array([np.polymul([1.0, 0.0, s * s], np.poly(np.full(4, -s)))[::-1]
                      for s in (2.0 ** -150, 2.0 ** 150) * 2])
-    assert is_stable(axis) == [is_stable(row) for row in axis] == ["marginal"] * 4
+    assert is_stable(axis) == [is_stable(row) for row in axis] \
+        == [point_verdict(row) for row in axis.tolist()] == ["marginal"] * 4
 
 
 def test_small_integer_verdicts_follow_the_roots():

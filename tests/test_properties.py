@@ -20,7 +20,9 @@ from optobec import (bistability_window, characteristic_polynomial,
                      evaluate_branches, is_stable, log_negativity,
                      solve_lyapunov, solve_mean_field)
 from optobec.config import params_from_dict
-from optobec.linear_dynamics import SMALL_STACK_ROWS, _charpoly_terms
+from optobec.gaussian_measures import point_log_negativity
+from optobec.linear_dynamics import (_charpoly_terms, point_charpoly, point_drift,
+                                     point_verdict)
 from optobec.model import drive_rate
 from optobec.presets import baseline_params, reference_kappa
 from optobec.steady_state import (BranchColumns, _cubic_constants,
@@ -28,7 +30,7 @@ from optobec.steady_state import (BranchColumns, _cubic_constants,
                                   _stacked_cubic_roots,
                                   imposed_detuning_branches,
                                   solve_mean_field_grid)
-from optobec.sweep import to_json
+from optobec.sweep import SMALL_STACK_ROWS, to_json
 
 from conftest import rotation_2mode, two_mode_squeezer
 from oracles import (branch_rows, hurwitz_determinants, hurwitz_term_scales,
@@ -133,29 +135,30 @@ def test_closed_form_charpoly_matches_recurrence(data, detunings):
     for i, row in enumerate(coeffs):
         assert (characteristic_polynomial(branches[i:i + 1], d).tobytes()
                 == row.tobytes())
-    # up to SMALL_STACK_ROWS branches of one configuration, row by row in
-    # Python floats, against the numpy lane a list of derived quantities takes
-    for size in range(1, SMALL_STACK_ROWS + 1):
-        assert (characteristic_polynomial(branches[:size], d).tobytes()
-                == characteristic_polynomial(branches[:size], [d]).tobytes())
+    # the Python-float step of a point's verdicts, row by row, against the
+    # numpy columns of a list of derived quantities
+    rows = list(zip(branches.alpha.tolist(), branches.Delta.tolist()))
+    assert (np.array(point_charpoly(d, rows)).tobytes()
+            == characteristic_polynomial(branches, [d]).tobytes())
 
 
 @settings(max_examples=100, **PROPERTY)
 @given(st.data(), DETUNINGS, st.booleans())
 def test_small_drift_stacks_equal_numpy_lane(data, detunings, decoupled):
-    """Up to SMALL_STACK_ROWS branches of one configuration get the drift
-    rows of the numpy lane bit for bit, signed zeros too: a decoupled
-    condensate has -g_c = -0.0."""
+    """The Python-float step of a point's drift matrices, on the first
+    1, 2, ... rows, gives the drift of the numpy columns bit for bit, signed
+    zeros too: a decoupled condensate has -g_c = -0.0."""
     params = drawn_params(data)
     if decoupled:
         params = params.without_bec()
     d = derive_quantities(params)
     branches = drawn_branches(params, d, detunings)
-    for size in range(1, SMALL_STACK_ROWS + 1):
-        assert (drift_matrix(branches[:size], d).tobytes()
+    rows = list(zip(branches.alpha.tolist(), branches.Delta.tolist()))
+    for size in range(1, len(rows) + 1):
+        assert (point_drift(d, rows[:size]).tobytes()
                 == drift_matrix(branches[:size], [d]).tobytes())
     if decoupled:
-        assert math.copysign(1.0, drift_matrix(branches[:1], d)[0, 1, 4]) == -1.0
+        assert math.copysign(1.0, point_drift(d, rows[:1])[0, 1, 4]) == -1.0
 
 
 @settings(max_examples=100, **PROPERTY)
@@ -193,6 +196,34 @@ def test_stacked_evaluation_equals_single_rows(data, detunings):
             assert math.copysign(1.0, x) == math.copysign(1.0, y)
 
 
+def _evaluated(branches, d):
+    """The verdicts of ``evaluate_branches(branches, d, True)`` and the bytes
+    of its measures, or the type and text of the exception it raises."""
+    try:
+        verdicts, measures = evaluate_branches(branches, d, True)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return verdicts, [None if m is None else np.array(m).tobytes() for m in measures]
+
+
+@settings(max_examples=150, **PROPERTY)
+@given(st.data(), DETUNINGS, st.booleans())
+def test_point_lane_equals_numpy_lane(data, detunings, decoupled):
+    """Every run of at most SMALL_STACK_ROWS branches of one configuration,
+    the cubic's and those at imposed detunings, gets from the Python-float
+    lane (``d`` itself) the verdicts and the measure bits, signed zeros
+    too, or the exception type and text, that the numpy columns of
+    ``[d]`` give it."""
+    params = drawn_params(data)
+    if decoupled:
+        params = params.without_bec()
+    d = derive_quantities(params)
+    branches = drawn_branches(params, d, detunings)
+    for start in range(len(branches)):
+        part = branches[start:start + SMALL_STACK_ROWS]
+        assert _evaluated(part, d) == _evaluated(part, [d])
+
+
 # Ascending coefficients of polynomials with roots on the imaginary axis, each
 # with Delta_(n-1) == 0 and so marginal: (s+1)(s^2+1), (s^2+s+1)(s^2+1),
 # (s^2+1)(s+1)^2(s^2+s+1) and (s^2+1)(s+1)^4.
@@ -222,8 +253,8 @@ def coefficient_stacks(draw):
                           st.lists(coefficient, min_size=degree, max_size=degree), lead)
     zero_minor = st.sampled_from(AXIS_ROOTS[degree] + ZERO_MINORS[degree])
     rows = st.one_of(hurwitz, arbitrary, zero_minor)
-    # more rows than the Python-float lane takes, and at least one zero
-    # Hurwitz determinant among them
+    # more rows than a point has branches, and at least one zero Hurwitz
+    # determinant among them
     stack = draw(st.lists(rows, min_size=SMALL_STACK_ROWS, max_size=12))
     stack.insert(draw(st.integers(0, len(stack))), draw(zero_minor))
     return np.array(stack)
@@ -284,28 +315,30 @@ def test_verdicts_equal_exact_hurwitz_oracle(stack, shift):
 @settings(max_examples=50, **PROPERTY)
 @given(coefficient_stacks())
 def test_small_stacks_agree_with_whole_stack(stack):
-    """Every slice of 1-3 rows, which is evaluated in Python floats, gets the
-    verdicts of its rows in the whole stack, which is evaluated on numpy
-    columns."""
+    """Every row, evaluated in Python floats by the verdict step of a point,
+    gets its verdict in the whole stack, which is evaluated on numpy
+    columns, and so does every slice of 1-3 rows."""
     whole = is_stable(stack)
+    assert [point_verdict(row) for row in stack.tolist()] == whole
     for size in range(1, SMALL_STACK_ROWS + 1):
         for start in range(len(stack) - size + 1):
             assert is_stable(stack[start:start + size]) == whole[start:start + size]
 
 
 def test_axis_roots_read_marginal_in_both_lanes():
-    # three rows take the Python-float lane, two copies of them (six rows)
-    # the numpy lane
+    # the numpy columns of is_stable, on three rows and on two copies of them
+    # (six rows), and the Python-float verdict step of a point, row by row
     for copies in (1, 2):
         # (s+1)(s+2)(s+3) is Hurwitz; s^3 + s^2 - s + 1 has a negative
         # coefficient
-        assert is_stable([AXIS_ROOTS[3][0], [6.0, 11.0, 6.0, 1.0],
-                          [1.0, -1.0, 1.0, 1.0]] * copies) \
+        cubics = [AXIS_ROOTS[3][0], [6.0, 11.0, 6.0, 1.0], [1.0, -1.0, 1.0, 1.0]] * copies
+        assert is_stable(cubics) == [point_verdict(row) for row in cubics] \
             == ["marginal", "stable", "unstable"] * copies
         # (s+1)^6 next to the degree-6 axis-root polynomials
         stack = np.array([[1.0, 6.0, 15.0, 20.0, 15.0, 6.0, 1.0],
                           *AXIS_ROOTS[6]] * copies)
-        assert is_stable(stack) == ["stable", "marginal", "marginal"] * copies
+        assert is_stable(stack) == [point_verdict(row) for row in stack.tolist()] \
+            == ["stable", "marginal", "marginal"] * copies
         assert is_stable(stack[:0]) == []
         with pytest.raises(ValueError):
             is_stable(stack[None])
@@ -360,21 +393,32 @@ def _outcome(v4, part=slice(None)):
         return str(exc)
 
 
+def _point_outcome(v4):
+    """E_N bytes of the Python-float step of a point's log-negativities on
+    the covariances of ``v4``, in its shape, or the text of its error."""
+    try:
+        e_n = point_log_negativity(v4.reshape(-1, 16).tolist())
+    except ValueError as exc:
+        return str(exc)
+    return np.array(e_n).reshape(v4.shape[:-2]).tobytes()
+
+
 @settings(max_examples=100, **PROPERTY)
 @given(st.lists(st.lists(bipartite_covariances(), min_size=3, max_size=3),
                 min_size=SMALL_STACK_ROWS + 1, max_size=8).map(np.array))
 def test_small_covariance_stacks_agree_with_whole_stack(stack):
-    """Every slice of 1-3 branches of three splits each (3-9 covariances,
-    evaluated in Python floats) gets the E_N bytes, or the ValueError text,
-    that its covariances get in place in the whole stack (more than nine,
-    evaluated on numpy columns), where every covariance outside the slice is
-    the vacuum, so that an error can name only one of the slice."""
+    """Every slice of 1-3 branches of three splits each (3-9 covariances),
+    evaluated in Python floats by the log-negativity step of a point, gets
+    the E_N bytes, or the ValueError text, that its covariances get in
+    place in the whole stack (more than nine, evaluated on numpy columns),
+    where every covariance outside the slice is the vacuum, so that an
+    error can name only one of the slice."""
     for size in range(1, SMALL_STACK_ROWS + 1):
         for start in range(len(stack) - size + 1):
             part = slice(start, start + size)
             whole = np.broadcast_to(0.5 * np.eye(4), stack.shape).copy()
             whole[part] = stack[part]
-            assert _outcome(stack[part]) == _outcome(whole, part)
+            assert _point_outcome(stack[part]) == _outcome(whole, part)
 
 
 def _knee_row(r, s, scale, nudge):
