@@ -41,6 +41,9 @@ class ConfigError(ParameterError):
     """A configuration document is malformed or names invalid values."""
 
 
+# the fields that set kappa, the unit of a normalized detuning
+_KAPPA_FIELDS = "cavity.length/cavity.finesse"
+
 # the most float64 grid values numpy can address in one array
 _MAX_POINTS = np.iinfo(np.intp).max // 8
 
@@ -77,6 +80,17 @@ def _number(section: Dict, path: str, key: str, default=None):
     return value
 
 
+def _scaled(value: float, name: str, unit: float, unit_fields: str) -> float:
+    """``value`` times ``unit``, the rate in rad/s that ``unit_fields`` set;
+    a product that overflows, or underflows to 0 from a nonzero value, is
+    rejected with both names."""
+    rate = value * unit
+    if not math.isfinite(rate) or (rate == 0.0) != (value == 0.0):
+        raise ConfigError(f"{name}/{unit_fields}: {value:g} x {unit:g} rad/s "
+                          "leaves the float range")
+    return rate
+
+
 def _check_keys(section: Dict, path: str, allowed) -> None:
     for key in section:
         if key not in allowed:
@@ -107,7 +121,8 @@ def params_from_dict(doc: Dict) -> SystemParams:
     omega_m = _number(mir, "mirror", "frequency")
     freq_unit = omega_m if normalized else 1.0
     det_unit = kappa if normalized else 1.0
-    cavity = replace(cavity, detuning=_number(cav, "cavity", "detuning", 0.0) * det_unit)
+    cavity = replace(cavity, detuning=_scaled(_number(cav, "cavity", "detuning", 0.0),
+                                              "cavity.detuning", det_unit, _KAPPA_FIELDS))
 
     mirror = MirrorParams(
         mass=_number(mir, "mirror", "mass"),
@@ -122,7 +137,8 @@ def params_from_dict(doc: Dict) -> SystemParams:
         present = bec.get("present", True)
         if not isinstance(present, bool):
             raise ConfigError("bec.present: must be a boolean")
-        rates.update({key: _number(bec, "bec", key, 0.0) * freq_unit
+        rates.update({key: _scaled(_number(bec, "bec", key, 0.0), f"bec.{key}",
+                                   freq_unit, "mirror.frequency")
                       for key in ("coupling", "sw_frequency", "recoil", "damping")
                       if present or key in bec},
                      present=present,
@@ -132,7 +148,8 @@ def params_from_dict(doc: Dict) -> SystemParams:
 
     xi_override = None
     if doc.get("xi_override") is not None:
-        xi_override = _number(doc, "", "xi_override") * freq_unit
+        xi_override = _scaled(_number(doc, "", "xi_override"), "xi_override",
+                              freq_unit, "mirror.frequency")
 
     return SystemParams(cavity=cavity, mirror=mirror, bec=condensate,
                         drive=drive, xi_override=xi_override)
@@ -146,12 +163,12 @@ def sweep_from_dict(doc: Dict, params: SystemParams) -> SweepSpec:
         raise ConfigError("sweep.variable: value is required")
 
     normalized = doc.get("units", "si") == "normalized"
-    unit = 1.0
+    unit, unit_fields = 1.0, ""
     if normalized:
         if variable == "delta_c":
-            unit = params.cavity.kappa
+            unit, unit_fields = params.cavity.kappa, _KAPPA_FIELDS
         elif variable in ("Delta_effective", "omega_sw", "xi"):
-            unit = params.mirror.frequency
+            unit, unit_fields = params.mirror.frequency, "mirror.frequency"
 
     points = section.get("points", DEFAULT_POINTS)
     if isinstance(points, bool) or not isinstance(points, int):
@@ -161,8 +178,8 @@ def sweep_from_dict(doc: Dict, params: SystemParams) -> SweepSpec:
 
     return SweepSpec(
         variable=variable,
-        lo=_number(section, "sweep", "lo") * unit,
-        hi=_number(section, "sweep", "hi") * unit,
+        lo=_scaled(_number(section, "sweep", "lo"), "sweep.lo", unit, unit_fields),
+        hi=_scaled(_number(section, "sweep", "hi"), "sweep.hi", unit, unit_fields),
         points=points,
         params=params,
         **{key: section[key] for key in ("mode", "bec") if key in section},

@@ -90,12 +90,13 @@ SMALL_STACK_ROWS = 3
 #: Most stable rows in one piece of :func:`evaluate_branches`: a full-mode
 #: stack goes through in pieces of this many, each piece on its own, so
 #: memory stays bounded however many configurations and points a sweep has
-#: (one piece per worker thread in flight).  600 is one configuration of a
-#: preset grid, the piece each configuration was when configurations were
-#: evaluated one at a time.  On the four full-mode presets (2-core VM, one
-#: BLAS thread, 9 passes, pieces evaluated serially): 512-row pieces
-#: took 1.6% longer than 600, 768-row pieces 1.3% less with 0.3 MB more
-#: traced peak, and one piece per sweep up to 1.6 MB more.
+#: (one piece per thread in flight, the calling thread's included).  600 is
+#: one configuration of a preset grid, the piece each configuration was when
+#: configurations were evaluated one at a time.  On the four full-mode
+#: presets (2-core VM, one BLAS thread, 9 passes, pieces evaluated
+#: serially): 512-row pieces took 1.6% longer than 600, 768-row pieces 1.3%
+#: less with 0.3 MB more traced peak, and one piece per sweep up to 1.6 MB
+#: more.
 MEASURE_STACK_ROWS = 600
 
 
@@ -269,16 +270,16 @@ def evaluate_branches(branches: BranchColumns, d, full: bool = False
     same order, so a row gets the same verdict, measures and errors in
     either.
 
-    Two or more pieces run on a thread pool made for the call, one thread
-    per CPU the process may run on (at most one per piece), and their
-    columns are gathered in piece order; one piece, or one CPU, runs in the
-    calling thread.  Every row sees the same arithmetic as it would on its
-    own, so the measures have the same bits whatever the number of
-    threads.  When pieces fail,
-    the error of the first failing piece in order is raised, as in a serial
-    loop.  numpy's error state is per thread: a caller's ``np.errstate``
-    does not reach the workers, which run under numpy's defaults (warnings
-    filters are process-wide and do reach them).
+    The pieces are dealt to W shares, W = min(pieces, CPUs the process may
+    run on): piece k goes to share k mod W.  Share 0 runs on the calling
+    thread and the other W - 1 on a thread pool made for the call, so one
+    piece, or one CPU, makes no thread, and at most W pieces are in flight.
+    Each share runs its pieces in order and stops at its first failure; the
+    columns are gathered in piece order and the first failing piece in
+    order is raised, as in a serial loop.  Every piece runs under the
+    caller's numpy error state (``np.errstate``), on any thread, and every
+    row sees the same arithmetic as it would on its own, so the measures
+    have the same bits whatever the number of threads.
     """
     if isinstance(d, DerivedQuantities) and len(branches) <= SMALL_STACK_ROWS:
         return _point_lane(branches, d, full)
@@ -287,18 +288,39 @@ def evaluate_branches(branches: BranchColumns, d, full: bool = False
     stable = np.flatnonzero([x == "stable" for x in (verdicts if full else ())])
     pieces = [stable[start:start + MEASURE_STACK_ROWS]
               for start in range(0, len(stable), MEASURE_STACK_ROWS)]
-    workers = min(len(pieces), _available_cpus()) if len(pieces) > 1 else 1
-    args = (_piece_measures, repeat(branches), repeat(d), pieces)
+    workers = max(1, min(len(pieces), _available_cpus()))
+    errors = np.geterr()
+
+    def share(first: int) -> list:
+        """The columns of pieces ``first``, ``first + workers``, ... in
+        order, under the caller's error state, up to the first that fails,
+        whose error ends the list."""
+        done = []
+        with np.errstate(**errors):
+            for rows in pieces[first::workers]:
+                try:
+                    done.append(_piece_measures(branches, d, rows))
+                except (ParameterError, NumericalError) as exc:
+                    done.append(exc)
+                    break
+        return done
+
     if workers > 1:
         # imported here, not at load: about 16 ms that a one-piece request
         # (every point report) would pay for nothing
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers) as pool:
-            columns = list(pool.map(*args))
+        with ThreadPoolExecutor(workers - 1) as pool:
+            others = pool.map(share, range(1, workers))
+            shares = [share(0), *others]
     else:
-        columns = map(*args)
-    for rows, piece_columns in zip(pieces, columns):
-        for i, row in zip(rows.tolist(), piece_columns.tolist()):
+        shares = [share(0)]
+    # piece k is entry k // workers of share k % workers; a share ends at
+    # its failing piece, which comes before any piece it did not run
+    for k, rows in enumerate(pieces):
+        columns = shares[k % workers][k // workers]
+        if isinstance(columns, Exception):
+            raise columns
+        for i, row in zip(rows.tolist(), columns.tolist()):
             measures[i] = row
     return verdicts, measures
 

@@ -22,6 +22,7 @@ from optobec.presets import MIRROR_FREQ, baseline_params, reference_kappa
 from optobec.sweep import to_json
 
 from oracles import _build_parser
+from test_robustness import NORMALIZED
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import point_config  # noqa: E402
@@ -274,6 +275,75 @@ def test_config_rejection_message(command, doc, message, tmp_path, capsys):
     assert main([command, "--config", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def _normalized(section=None, **changes):
+    """The README's normalized example with ``changes`` to ``section``, or
+    to the top level."""
+    doc = json.loads(json.dumps(NORMALIZED))
+    (doc[section] if section else doc).update(changes)
+    return doc
+
+
+def _normalized_sweep(variable, lo, hi, **mirror):
+    return dict(_normalized("mirror", **mirror), sweep={
+        "variable": variable, "lo": lo, "hi": hi, "points": 3, "mode": "full"})
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("point", _normalized("bec", recoil=1.7e308),
+     "bec.recoil/mirror.frequency: 1.7e+308 x 6.2832e+07 rad/s leaves the float range"),
+    ("threshold", _normalized("bec", recoil=1.7e308),
+     "bec.recoil/mirror.frequency: 1.7e+308 x 6.2832e+07 rad/s leaves the float range"),
+    ("point", _normalized("bec", coupling=1.7e308),
+     "bec.coupling/mirror.frequency: 1.7e+308 x 6.2832e+07 rad/s leaves the float range"),
+    ("point", _normalized("bec", sw_frequency=1.7e308),
+     "bec.sw_frequency/mirror.frequency: 1.7e+308 x 6.2832e+07 rad/s leaves the float "
+     "range"),
+    ("point", _normalized("bec", damping=1.7e308),
+     "bec.damping/mirror.frequency: 1.7e+308 x 6.2832e+07 rad/s leaves the float range"),
+    ("point", _normalized(xi_override=1.7e308),
+     "xi_override/mirror.frequency: 1.7e+308 x 6.2832e+07 rad/s leaves the float range"),
+    ("point", _normalized("mirror", frequency=5e-324),
+     "bec.coupling/mirror.frequency: 5.16e-06 x 4.94066e-324 rad/s leaves the float range"),
+    ("point", _normalized("cavity", detuning=1.7e308),
+     "cavity.detuning/cavity.length/cavity.finesse: 1.7e+308 x 3.13942e+07 rad/s "
+     "leaves the float range"),
+    ("sweep", _normalized_sweep("delta_c", 0.0, 1.7e308),
+     "sweep.hi/cavity.length/cavity.finesse: 1.7e+308 x 3.13942e+07 rad/s leaves the "
+     "float range"),
+    ("sweep", _normalized_sweep("Delta_effective", -1.7e308, 0.0),
+     "sweep.lo/mirror.frequency: -1.7e+308 x 6.2832e+07 rad/s leaves the float range"),
+    ("sweep", _normalized_sweep("omega_sw", 5e-324, 1.0, frequency=0.1),
+     "sweep.lo/mirror.frequency: 4.94066e-324 x 0.1 rad/s leaves the float range"),
+], ids=["recoil_1.7e308", "threshold_recoil_1.7e308", "coupling_1.7e308",
+        "sw_frequency_1.7e308", "damping_1.7e308", "xi_1.7e308",
+        "mirror_frequency_5e-324", "detuning_1.7e308", "delta_c_hi_1.7e308",
+        "Delta_effective_lo_-1.7e308", "omega_sw_lo_5e-324"])
+def test_normalized_unit_rejection_message(command, doc, message, tmp_path, capsys):
+    """A normalized value whose rate in rad/s overflows, or underflows to 0
+    from a nonzero value, is rejected with exit 1, naming the field and the
+    fields that set its unit (the mirror frequency, or kappa through the
+    cavity length and finesse)."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_normalized_huge_recoil_file(capsys):
+    """point_normalized_huge_recoil.json, which CI runs through the
+    installed script, is the recoil_1.7e308 case above and fails as it
+    does."""
+    path = os.path.join(DATA, "point_normalized_huge_recoil.json")
+    with open(path) as handle:
+        assert json.load(handle) == _normalized("bec", recoil=1.7e308)
+    assert main(["point", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: bec.recoil/mirror.frequency: ")
     assert captured.out == ""
 
 

@@ -1,13 +1,16 @@
-"""Robustness grid of ``optobec point``: every numeric config field, and
-``xi_override``, over the whole float range, on two base configs.
+"""Robustness grid of ``optobec point`` and ``optobec threshold``: every
+numeric config field, and ``xi_override``, over the whole float range, on
+two base configs.
 
 Each run goes through ``cli.main`` in-process with every warning an error.
 The contract, for every run:
 
 * the exit status is 0, 1 or 2, and no exception leaves ``main``;
 * exit 1 names a config field;
-* exit 0 writes only finite numbers, with kappa > 0, and every stable branch
-  has E_N >= 0 in all three splits;
+* ``point``'s exit 0 writes only finite numbers, with kappa > 0, and every
+  stable branch has E_N >= 0 in all three splits;
+* ``threshold``'s exit 0 prints "no bistability window" or two finite
+  positive powers;
 * every set of branches ``main`` evaluates gets from the Python-float lane
   of ``evaluate_branches`` the verdicts, measure bits or error that the
   numpy columns give it.
@@ -69,6 +72,15 @@ LOST_ROOT = [("si", "drive.power", v) for v in VALUES[2:9]] + [
     ("normalized", "cavity.detuning", 1e10), ("normalized", "cavity.detuning", 1e30)]
 
 
+# `threshold` runs whose window powers leave the float range in the closed
+# form of `bistability_window` (ROADMAP item 19): they overflow to inf, or
+# the lower power comes out 0, and the command exits 0 printing them.
+BAD_WINDOW = [("normalized", "cavity.length", v) for v in VALUES[16:19]] + [
+    ("normalized", "cavity.finesse", v) for v in (1e-100, *VALUES[16:])] + [
+    ("normalized", "cavity.detuning", 1e100)] + [
+    ("si", "cavity.finesse", v) for v in VALUES[17:]] + [("si", "cavity.detuning", 1e150)]
+
+
 def _config(base, field, value):
     doc = copy.deepcopy(BASES[base])
     section, _, key = field.rpartition(".")
@@ -76,8 +88,8 @@ def _config(base, field, value):
     return doc
 
 
-def _run_point(doc, tmp_path, monkeypatch):
-    """``(exit status, stdout, stderr)`` of ``optobec point`` on ``doc``,
+def _run(doc, tmp_path, monkeypatch, command="point"):
+    """``(exit status, stdout, stderr)`` of ``optobec COMMAND`` on ``doc``,
     with every warning an error and both lanes compared on every set of
     branches it evaluates."""
     def both_lanes(branches, d, full=False):
@@ -91,7 +103,7 @@ def _run_point(doc, tmp_path, monkeypatch):
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
-        code = optobec.cli.main(["point", "--config", str(path)])
+        code = optobec.cli.main([command, "--config", str(path)])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -110,7 +122,7 @@ def _numbers(x):
 @pytest.mark.parametrize("field", FIELDS)
 def test_point_contract_over_the_float_range(base, field, tmp_path, monkeypatch):
     for value in VALUES:
-        code, out, err = _run_point(_config(base, field, value), tmp_path, monkeypatch)
+        code, out, err = _run(_config(base, field, value), tmp_path, monkeypatch)
         assert code in (0, 1, 2), value
         assert (out == "") == (code != 0), value
         if code == 1:
@@ -131,5 +143,35 @@ def test_point_contract_over_the_float_range(base, field, tmp_path, monkeypatch)
         strict=True, reason="ROADMAP item 3: the cubic loses a weak pull's small root"))
     for row in LOST_ROOT])
 def test_point_reports_known_defect_rows(base, field, value, tmp_path, monkeypatch):
-    code, _, err = _run_point(_config(base, field, value), tmp_path, monkeypatch)
+    code, _, err = _run(_config(base, field, value), tmp_path, monkeypatch)
     assert code == 0, err
+
+
+def _threshold_contract(code, out, err):
+    assert code in (0, 1, 2)
+    assert (out == "") == (code != 0)
+    if code == 1:
+        assert NAMED_FIELD.match(err), err
+    if code == 0:
+        assert err == ""
+        if out != "no bistability window\n":
+            powers = [float(x) for x in out.split()]
+            assert len(powers) == 2 and all(0.0 < p < math.inf for p in powers), out
+
+
+@pytest.mark.parametrize("base", sorted(BASES))
+@pytest.mark.parametrize("field", FIELDS)
+def test_threshold_contract_over_the_float_range(base, field, tmp_path, monkeypatch):
+    for value in VALUES:
+        if (base, field, value) not in BAD_WINDOW:
+            _threshold_contract(*_run(_config(base, field, value), tmp_path, monkeypatch,
+                                      "threshold"))
+
+
+@pytest.mark.parametrize("base, field, value", [
+    pytest.param(*row, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 19: the window's powers leave the float range"))
+    for row in BAD_WINDOW])
+def test_threshold_known_defect_rows(base, field, value, tmp_path, monkeypatch):
+    _threshold_contract(*_run(_config(base, field, value), tmp_path, monkeypatch,
+                              "threshold"))

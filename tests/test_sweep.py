@@ -633,32 +633,62 @@ def test_measure_pieces_equal_one_piece(variable, monkeypatch):
 
 @pytest.mark.parametrize("variable", ["Delta_effective", "omega_sw"])
 def test_measure_pieces_equal_on_any_worker_count(variable, monkeypatch):
-    """Pieces of 7 stable rows give the same measures and verdicts on the
-    calling thread alone (one CPU) as on the default worker count and on a
-    pool of three, whose pieces all run off the calling thread."""
+    """Pieces of 7 stable rows give the same measures and verdicts on 1, 2
+    and 3 CPUs.  Piece k runs in share k mod W: the pieces of share 0 on the
+    calling thread, the others on at most W - 1 pool threads."""
     import optobec.sweep as sweep
 
     spec = _two_variant_spec(variable, "full")
-    cpus = sweep._available_cpus()
     caller = threading.get_ident()
-    threads = []
-    solve = sweep.solve_lyapunov
+    threads = {}   # first stable row of a piece: its thread
+    measure = sweep._piece_measures
+
+    def piece_measures(branches, d, rows):
+        threads[rows[0]] = threading.get_ident()
+        return measure(branches, d, rows)
+
     monkeypatch.setattr(sweep, "MEASURE_STACK_ROWS", 7)
-    monkeypatch.setattr(sweep, "solve_lyapunov",
-                        lambda a, d: threads.append(threading.get_ident()) or solve(a, d))
+    monkeypatch.setattr(sweep, "_piece_measures", piece_measures)
     tables = []
-    for workers in (cpus, 1, 3):
+    for workers in (1, 2, 3):
         monkeypatch.setattr(sweep, "_available_cpus", lambda: workers)
         threads.clear()
         tables.append(run_sweep(spec))
         assert len(threads) > 3
-        if workers == 1:
-            assert set(threads) == {caller}
-        else:
-            assert caller not in threads and len(set(threads)) <= workers
-    default, serial, pooled = tables
-    assert default.measures == serial.measures == pooled.measures
-    assert default.stability == serial.stability == pooled.stability
+        in_order = [threads[first] for first in sorted(threads)]
+        assert [t == caller for t in in_order] == [k % workers == 0
+                                                   for k in range(len(in_order))]
+        assert len(set(in_order) - {caller}) <= workers - 1
+    serial, two, three = tables
+    assert serial.measures == two.measures == three.measures
+    assert serial.stability == two.stability == three.stability
+
+
+def test_pieces_run_under_the_callers_error_state(monkeypatch):
+    """Every piece, on the calling thread or a pool thread, runs under the
+    numpy error state of the caller of evaluate_branches."""
+    import optobec.sweep as sweep
+
+    spec = _two_variant_spec("Delta_effective", "full")
+    grid = np.linspace(spec.lo, spec.hi, spec.points).tolist()
+    ds, branches = _sweep_branches(spec.variable, grid, _expand_configs(spec))
+    states = []
+    measure = sweep._piece_measures
+
+    def piece_measures(branches, d, rows):
+        states.append(np.geterr())
+        return measure(branches, d, rows)
+
+    monkeypatch.setattr(sweep, "MEASURE_STACK_ROWS", 7)
+    monkeypatch.setattr(sweep, "_piece_measures", piece_measures)
+    monkeypatch.setattr(sweep, "_available_cpus", lambda: 3)
+    for over in ("raise", "ignore"):
+        states.clear()
+        with np.errstate(over=over):
+            caller = np.geterr()
+            evaluate_branches(branches, ds, full=True)
+        assert len(states) > 3 and all(state == caller for state in states)
+        assert caller["over"] == over
 
 
 def _failing_variants(*labels):
@@ -699,23 +729,27 @@ def test_failure_names_its_configuration(labels, error, message):
 
 def test_earlier_failing_piece_is_raised(monkeypatch):
     """With two failing measure pieces, evaluate_branches raises the earlier
-    piece's error, the one a serial loop raises, also when the later piece
-    fails first on another thread; run_sweep names the same row as with one
-    piece."""
+    piece's error, the one a serial loop raises, whichever share holds
+    either piece: on 2, 4 and 5 CPUs the later piece fails first on
+    another thread, and on 3 both are in one share, which stops at the
+    earlier.  run_sweep names the same row as with one piece."""
     import optobec.sweep as sweep
     from optobec import NumericalError
 
     spec = _failing_variants("ok", "undamped_sw", "undamped")
     grid = np.linspace(spec.lo, spec.hi, spec.points).tolist()
     ds, branches = _sweep_branches(spec.variable, grid, _expand_configs(spec))
+    # the failing rows are Delta_effective = 0 of undamped_sw and undamped
+    verdicts = sweep.is_stable(sweep.characteristic_polynomial(branches, ds))
+    stable = branches.index[[v == "stable" for v in verdicts]].tolist()
+    earlier, later = (stable.index(point) // 7 for point in (spec.points, 2 * spec.points))
     measure = sweep._piece_measures
     later_failed = threading.Event()
     waits, failures = [], []   # failures: (from the later piece, error)
 
     def piece_measures(branches, d, rows):
-        # the failing rows are Delta_effective = 0 of undamped_sw and undamped
         points = branches.index[rows].tolist()
-        if spec.points in points and pooled:
+        if spec.points in points and apart:
             waits.append(later_failed.wait(timeout=10))
         try:
             return measure(branches, d, rows)
@@ -727,14 +761,23 @@ def test_earlier_failing_piece_is_raised(monkeypatch):
 
     monkeypatch.setattr(sweep, "MEASURE_STACK_ROWS", 7)
     monkeypatch.setattr(sweep, "_piece_measures", piece_measures)
-    for pooled, expected in ((True, [True, False]), (False, [False])):
-        monkeypatch.setattr(sweep, "_available_cpus", lambda: 2 if pooled else 1)
+    placements = set()   # (share of the earlier piece, of the later) on > 1 CPU
+    for workers in (1, 2, 3, 4, 5):
+        monkeypatch.setattr(sweep, "_available_cpus", lambda: workers)
+        apart = earlier % workers != later % workers
+        if workers > 1:
+            placements.add((min(earlier % workers, 1), min(later % workers, 1), apart))
+        later_failed.clear()
+        waits.clear()
         failures.clear()
         with pytest.raises(NumericalError) as info:
             evaluate_branches(branches, ds, full=True)
-        assert [later for later, _ in failures] == expected
+        assert [later for later, _ in failures] == ([True, False] if apart else [False])
         assert info.value is failures[-1][1]
-    assert waits == [True]
+        assert waits == [True] * apart
+    # the earlier piece on the calling thread and the later on the pool,
+    # both on the pool in two shares or in one, and the reverse of the first
+    assert placements == {(0, 1, True), (1, 1, True), (1, 1, False), (1, 0, True)}
     monkeypatch.setattr(sweep, "_piece_measures", measure)
     monkeypatch.setattr(sweep, "_available_cpus", lambda: 2)
     with pytest.raises(NumericalError, match="^undamped_sw: Delta_effective=0, "
