@@ -41,9 +41,6 @@ class ConfigError(ParameterError):
     """A configuration document is malformed or names invalid values."""
 
 
-# the fields that set kappa, the unit of a normalized detuning
-_KAPPA_FIELDS = "cavity.length/cavity.finesse"
-
 # the most float64 grid values numpy can address in one array
 _MAX_POINTS = np.iinfo(np.intp).max // 8
 
@@ -121,8 +118,10 @@ def params_from_dict(doc: Dict) -> SystemParams:
     omega_m = _number(mir, "mirror", "frequency")
     freq_unit = omega_m if normalized else 1.0
     det_unit = kappa if normalized else 1.0
+    # kappa, the unit of a normalized detuning, is set by the length and finesse
     cavity = replace(cavity, detuning=_scaled(_number(cav, "cavity", "detuning", 0.0),
-                                              "cavity.detuning", det_unit, _KAPPA_FIELDS))
+                                              "cavity.detuning", det_unit,
+                                              "cavity.length/cavity.finesse"))
 
     mirror = MirrorParams(
         mass=_number(mir, "mirror", "mass"),
@@ -166,7 +165,7 @@ def sweep_from_dict(doc: Dict, params: SystemParams) -> SweepSpec:
     unit, unit_fields = 1.0, ""
     if normalized:
         if variable == "delta_c":
-            unit, unit_fields = params.cavity.kappa, _KAPPA_FIELDS
+            unit, unit_fields = params.cavity.kappa, "cavity.length/cavity.finesse"
         elif variable in ("Delta_effective", "omega_sw", "xi"):
             unit, unit_fields = params.mirror.frequency, "mirror.frequency"
 

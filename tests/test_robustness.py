@@ -147,16 +147,16 @@ def test_point_reports_known_defect_rows(base, field, value, tmp_path, monkeypat
     assert code == 0, err
 
 
-def _threshold_contract(code, out, err):
-    assert code in (0, 1, 2)
-    assert (out == "") == (code != 0)
+def _threshold_contract(value, code, out, err):
+    assert code in (0, 1, 2), value
+    assert (out == "") == (code != 0), value
     if code == 1:
-        assert NAMED_FIELD.match(err), err
+        assert NAMED_FIELD.match(err), (value, err)
     if code == 0:
-        assert err == ""
+        assert err == "", value
         if out != "no bistability window\n":
             powers = [float(x) for x in out.split()]
-            assert len(powers) == 2 and all(0.0 < p < math.inf for p in powers), out
+            assert len(powers) == 2 and all(0.0 < p < math.inf for p in powers), (value, out)
 
 
 @pytest.mark.parametrize("base", sorted(BASES))
@@ -164,8 +164,8 @@ def _threshold_contract(code, out, err):
 def test_threshold_contract_over_the_float_range(base, field, tmp_path, monkeypatch):
     for value in VALUES:
         if (base, field, value) not in BAD_WINDOW:
-            _threshold_contract(*_run(_config(base, field, value), tmp_path, monkeypatch,
-                                      "threshold"))
+            _threshold_contract(value, *_run(_config(base, field, value), tmp_path,
+                                             monkeypatch, "threshold"))
 
 
 @pytest.mark.parametrize("base, field, value", [
@@ -173,5 +173,5 @@ def test_threshold_contract_over_the_float_range(base, field, tmp_path, monkeypa
         strict=True, reason="ROADMAP item 19: the window's powers leave the float range"))
     for row in BAD_WINDOW])
 def test_threshold_known_defect_rows(base, field, value, tmp_path, monkeypatch):
-    _threshold_contract(*_run(_config(base, field, value), tmp_path, monkeypatch,
-                              "threshold"))
+    _threshold_contract(value, *_run(_config(base, field, value), tmp_path, monkeypatch,
+                                     "threshold"))
